@@ -46,8 +46,8 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.dsm.barriers import BarrierService
-from repro.dsm.compact import NodeIntMap
 from repro.dsm.locks import LockService
+from repro.dsm.page import PageView
 from repro.dsm.prefetch import PrefetchStats, note_prefetch
 from repro.dsm.protocol import (
     AurcPageReply,
@@ -108,80 +108,44 @@ class AurcStats:
     prefetch: PrefetchStats = field(default_factory=PrefetchStats)
 
 
-class AurcPage:
+class AurcPage(PageView):
     """One node's view of one page under AURC."""
 
-    __slots__ = ("page", "words", "frame", "notified", "applied",
-                 "pending_stamps", "partner", "referenced",
-                 "prefetch_event", "prefetch_issued_at", "prefetch_ready",
-                 "audit")
+    __slots__ = ("pending_stamps", "partner")
 
     def __init__(self, page: int, words: int, audit=None):
-        self.page = page
-        self.words = words
-        # Coherence-audit adapter (repro.dsm.audit.NodeAudit) or None;
-        # same guarded-emission contract as TmPage.
-        self.audit = audit
-        self.frame: Optional[np.ndarray] = None
-        # Per-writer interval watermarks, compact (see TmPage: iteration
-        # order must match the dicts these replaced bit-for-bit).
-        self.notified = NodeIntMap()
-        self.applied = NodeIntMap()
+        super().__init__(page, words, audit)
         # writer -> (interval_id, dst, seq) of the newest pending notice.
         # Stays a real dict: entries are deleted as stamps are covered,
         # so it self-prunes to the handful of in-flight writers.
         self.pending_stamps: Dict[int, Tuple[int, int, int]] = {}
         self.partner: Optional[int] = None
-        self.referenced = False
-        self.prefetch_event = None
-        self.prefetch_issued_at: Optional[float] = None
-        self.prefetch_ready = False
-
-    @property
-    def has_frame(self) -> bool:
-        return self.frame is not None
-
-    def ensure_frame(self) -> np.ndarray:
-        if self.frame is None:
-            self.frame = np.zeros(self.words, dtype=np.float64)
-        return self.frame
-
-    def pending_writers(self) -> List[int]:
-        return [w for w, notice in self.notified.items()
-                if notice > self.applied.get(w, 0)]
-
-    def is_valid(self) -> bool:
-        return self.has_frame and not self.pending_writers()
 
     def record_notice(self, writer: int, interval_id: int, dst: int,
                       seq: int) -> bool:
         was_valid = self.is_valid()
-        if interval_id > self.notified.get(writer, 0):
-            self.notified[writer] = interval_id
+        if self._note(writer, interval_id):
             self.pending_stamps[writer] = (interval_id, dst, seq)
-        newly_invalid = was_valid and not self.is_valid()
+        newly_invalid = was_valid and self.pending != 0
         if self.audit is not None:
             self.audit.aurc_notice(self.page, writer, interval_id,
                                    dst, seq, newly_invalid)
         return newly_invalid
 
-    def mark_applied(self, writer: int, through_id: int) -> None:
-        if through_id > self.applied.get(writer, 0):
-            self.applied[writer] = through_id
-            if self.audit is not None:
-                self.audit.applied_through(self.page, writer, through_id)
-
-    def applied_snapshot(self) -> Dict[int, int]:
-        return self.applied.as_dict()
+    def fetch_stamps(self, authority: int):
+        """For a copy fetched from ``authority``: the update sequences it
+        must drain first, and the notices (all pending) the copy covers."""
+        stamps = self.pending_stamps.items()
+        return ({w: seq for w, (_i, dst, seq) in stamps
+                 if dst == authority and seq},
+                {w: interval for w, (interval, _d, _s) in stamps})
 
     def state_nbytes(self) -> int:
         """Bytes of coherence metadata (excludes the data frame)."""
-        return (self.applied.nbytes() + self.notified.nbytes()
-                + sys.getsizeof(self.pending_stamps))
+        return super().state_nbytes() + sys.getsizeof(self.pending_stamps)
 
     def state_dict_equiv_nbytes(self) -> int:
-        return (self.applied.dict_equiv_nbytes()
-                + self.notified.dict_equiv_nbytes()
+        return (super().state_dict_equiv_nbytes()
                 + sys.getsizeof(self.pending_stamps))
 
 
@@ -736,15 +700,7 @@ class Aurc(DsmProtocol):
         """Processor-context generator: fetch a page copy from authority."""
         self.stats.fetches += 1
         pid = node.node_id
-        wait_stamps = {writer: seq
-                       for writer, (interval, dst, seq) in
-                       ap.pending_stamps.items()
-                       if dst == authority and seq}
-        # Everything pending *now* is satisfied by the fetched copy
-        # (instant data plane; the authority drains the stamped updates).
-        covered = {writer: interval
-                   for writer, (interval, _dst, _seq) in
-                   ap.pending_stamps.items()}
+        wait_stamps, covered = ap.fetch_stamps(authority)
         token = self.new_token()
         done = self.register_pending(token, (ap, covered))
         request = AurcPageRequest(
@@ -780,22 +736,17 @@ class Aurc(DsmProtocol):
         arrived *after* the request stay pending -- the snapshot may
         predate them -- and trigger a refetch on the next access.
         """
-        if ap.audit is not None:
-            ap.audit.installed(ap.page, dict(reply.versions))
-        if self._receives_updates(node.node_id, ap.page) and ap.has_frame:
-            # The instant data plane has kept (and may have advanced) our
-            # frame since the reply's snapshot -- installing the snapshot
-            # would lose in-flight updates.
-            pass
-        else:
+        if not (self._receives_updates(node.node_id, ap.page)
+                and ap.has_frame):
+            # (Else the instant data plane has kept, maybe advanced, our
+            # frame since the snapshot: installing it would lose updates.)
             ap.frame = reply.frame.copy()
-        for writer, through in reply.versions.items():
-            ap.mark_applied(writer, through)
+        ap.adopt_snapshot(reply.versions)
         for writer, through in (covered or {}).items():
             ap.mark_applied(writer, through)
         for writer in list(ap.pending_stamps):
-            interval, _dst, _seq = ap.pending_stamps[writer]
-            if ap.applied.get(writer, 0) >= interval:
+            # A stamp carries notified[writer]: covered iff not pending.
+            if not (ap.pending >> writer) & 1:
                 del ap.pending_stamps[writer]
         self._invalidate_cached(node, ap)
 
@@ -885,15 +836,8 @@ class Aurc(DsmProtocol):
             token = self.new_token()
             note_prefetch(self.sim, pid, "issue", ap.page,
                           authority=authority, tokens=[token])
-            done = self.register_pending(token, None)
-            stamps = {writer: seq
-                      for writer, (interval, dst, seq) in
-                      ap.pending_stamps.items()
-                      if dst == authority and seq}
-            covered = {writer: interval
-                       for writer, (interval, _d, _s) in
-                       ap.pending_stamps.items()}
-            self._pending[token] = (done, (ap, covered))
+            stamps, covered = ap.fetch_stamps(authority)
+            done = self.register_pending(token, (ap, covered))
             request = AurcPageRequest(requester=pid, page=ap.page,
                                       token=token, stamps=stamps,
                                       prefetch=True)
@@ -930,19 +874,10 @@ class Aurc(DsmProtocol):
                    for node in self.cluster.nodes)
 
     def coherence_state_report(self) -> Dict[str, int]:
-        """Bytes of live coherence metadata vs the pre-compaction dict
-        representation (for the scale sweeps' memory accounting)."""
-        compact = 0
-        dict_equiv = 0
-        pages = 0
-        for st in self.states:
-            pages += len(st.pages)
-            for ap in st.pages.values():
-                compact += ap.state_nbytes()
-                dict_equiv += ap.state_dict_equiv_nbytes()
-        for entry in self.directory.values():
-            compact += entry.nbytes()
-            dict_equiv += entry.nbytes()
-        return {"coherence_state_bytes": compact,
-                "coherence_state_dict_bytes": dict_equiv,
-                "coherence_pages": pages}
+        """The per-page views plus the home directories (which never
+        were dicts, so they count the same on both sides)."""
+        report = super().coherence_state_report()
+        directory = sum(e.nbytes() for e in self.directory.values())
+        report["coherence_state_bytes"] += directory
+        report["coherence_state_dict_bytes"] += directory
+        return report

@@ -1,4 +1,4 @@
-"""Per-node page state for the TreadMarks protocols.
+"""Per-node page state: the shared watermark view and the TreadMarks page.
 
 Each node tracks, for every shared page it has touched:
 
@@ -6,19 +6,24 @@ Each node tracks, for every shared page it has touched:
 * per-writer **applied**/**notified** interval watermarks.  A write
   notice (w, i) is *pending* while ``notified[w] > applied[w]``; a page
   is valid only when it has a frame and no pending notices;
-* write-collection state: the **twin** flag and the **dirty mask** (the
-  bit vector of words written since the last diff creation), plus the
-  list of completed-but-undiffed interval ids;
-* the **diff store** of already-created diffs (reused across requesters);
-* prefetch bookkeeping (referenced flag, in-flight event).
+* prefetch bookkeeping (referenced flag, in-flight event);
+* (TreadMarks) write collection -- the armed flag and the **dirty mask**
+  of words written since the last interval close -- and the **diff
+  store** of already-created diffs (reused across requesters).
 
-The watermark representation keeps validity checks O(sharers) and makes
-"which diffs do I still need" a per-writer range query, matching how
-TreadMarks walks its write-notice lists.
+The first three are :class:`PageView`, the base of :class:`TmPage` and
+``aurc.AurcPage``.  Validity is queried far more often than it changes,
+so the view maintains ``pending`` -- an int bitset, bit ``w`` set iff
+``notified[w] > applied[w]`` -- at the only two places those maps are
+written (``_note``, ``mark_applied``) instead of rescanning them per
+query.  The mask has no order, so ``pending_writers()`` filters
+``notified``'s insertion-ordered ids by it: arrival order is the
+diff-request issue order the goldens pin.
 """
 
 from __future__ import annotations
 
+import sys
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -26,18 +31,16 @@ import numpy as np
 from repro.dsm.compact import NodeIntMap
 from repro.dsm.diffs import DiffRecord, apply_diff, diff_from_mask
 
-__all__ = ["TmPage"]
+__all__ = ["PageView", "TmPage"]
 
 
-class TmPage:
-    """One node's view of one shared page (TreadMarks)."""
+class PageView:
+    """One node's view of one page: what TreadMarks and AURC share."""
 
     __slots__ = (
-        "page", "words", "frame", "applied", "notified", "write_active",
-        "has_twin", "dirty_mask", "last_closed_id", "diff_store",
-        "unmaterialized", "referenced", "prefetch_event",
-        "prefetch_issued_at", "prefetch_ready", "pf_useless_streak",
-        "copyset", "audit",
+        "page", "words", "frame", "applied", "notified", "pending",
+        "referenced", "prefetch_event", "prefetch_issued_at",
+        "prefetch_ready", "audit",
     )
 
     def __init__(self, page: int, words: int, audit=None):
@@ -53,30 +56,12 @@ class TmPage:
         # issue order, which the golden cycle fixtures pin).
         self.applied = NodeIntMap()
         self.notified = NodeIntMap()
-        # -- write collection (this node as writer) -----------------------
-        self.write_active = False      # twin made / bit vector armed
-        self.has_twin = False
-        self.dirty_mask: Optional[np.ndarray] = None
-        self.last_closed_id = 0
-        self.diff_store: List[DiffRecord] = []
-        # Diffs whose *data* is pinned (snapshotted at interval close, so
-        # values are exact) but whose creation *cost* has not been charged
-        # yet -- TreadMarks materializes lazily at the first diff request.
-        self.unmaterialized: List[DiffRecord] = []
+        self.pending = 0  # bit w set iff notified[w] > applied[w]
         # -- prefetch bookkeeping -----------------------------------------
         self.referenced = False
         self.prefetch_event = None
         self.prefetch_issued_at: Optional[float] = None
         self.prefetch_ready = False
-        # Consecutive useless prefetches of this page (the adaptive
-        # strategy stops prefetching a page after repeated misfires).
-        self.pf_useless_streak = 0
-        # Nodes that fetched this page or its diffs from us, mapped to
-        # the newest of our intervals they were served: the approximate
-        # copyset (and per-reader watermark) the Lazy Hybrid variant
-        # consults before piggybacking updates on lock grants.  The
-        # bitset-backed map keeps membership O(1) at 1024 nodes.
-        self.copyset = NodeIntMap()
 
     # -- validity ------------------------------------------------------------
 
@@ -85,12 +70,14 @@ class TmPage:
         return self.frame is not None
 
     def pending_writers(self) -> List[int]:
-        """Writers whose notices have not been covered by applied diffs."""
-        return [w for w, notice in self.notified.items()
-                if notice > self.applied.get(w, 0)]
+        """Writers with notices no applied diff covers, in arrival order."""
+        pending = self.pending
+        if not pending:
+            return []
+        return [w for w in self.notified if (pending >> w) & 1]
 
     def is_valid(self) -> bool:
-        return self.has_frame and not self.pending_writers()
+        return self.frame is not None and not self.pending
 
     def ensure_frame(self) -> np.ndarray:
         if self.frame is None:
@@ -99,20 +86,18 @@ class TmPage:
 
     # -- notices --------------------------------------------------------------
 
-    def record_notice(self, writer: int, interval_id: int) -> bool:
-        """Merge a write notice; returns True if it newly invalidated."""
-        was_valid = self.is_valid()
-        if interval_id > self.notified.get(writer, 0):
-            self.notified[writer] = interval_id
-        newly_invalid = was_valid and not self.is_valid()
-        if self.audit is not None:
-            self.audit.notice(self.page, writer, interval_id,
-                              newly_invalid)
-        return newly_invalid
+    def _note(self, writer: int, interval_id: int) -> bool:
+        """Merge a write notice; True if it advanced ``notified[writer]``."""
+        if not self.notified.raise_to(writer, interval_id):
+            return False
+        if interval_id > self.applied.get(writer, 0):
+            self.pending |= 1 << writer
+        return True
 
     def mark_applied(self, writer: int, through_id: int) -> None:
-        if through_id > self.applied.get(writer, 0):
-            self.applied[writer] = through_id
+        if self.applied.raise_to(writer, through_id):
+            if through_id >= self.notified.get(writer, 0):
+                self.pending &= ~(1 << writer)
             if self.audit is not None:
                 self.audit.applied_through(self.page, writer, through_id)
 
@@ -125,6 +110,59 @@ class TmPage:
             self.audit.installed(self.page, snapshot)
         for writer, through_id in snapshot.items():
             self.mark_applied(writer, through_id)
+
+    # -- memory accounting ----------------------------------------------------
+
+    def state_nbytes(self) -> int:
+        """Bytes of per-node coherence metadata on this page (not the
+        frame or diff payloads: those scale with the app, not the machine)."""
+        return (self.applied.nbytes() + self.notified.nbytes()
+                + sys.getsizeof(self.pending))
+
+    def state_dict_equiv_nbytes(self) -> int:
+        """Bytes the pre-compaction dict representation would cost."""
+        return (self.applied.dict_equiv_nbytes()
+                + self.notified.dict_equiv_nbytes())
+
+
+class TmPage(PageView):
+    """One node's view of one shared page (TreadMarks)."""
+
+    __slots__ = (
+        "write_active", "dirty_mask", "last_closed_id", "diff_store",
+        "unmaterialized", "pf_useless_streak", "copyset",
+    )
+
+    def __init__(self, page: int, words: int, audit=None):
+        super().__init__(page, words, audit)
+        # -- write collection (this node as writer) -----------------------
+        self.write_active = False      # twin made / bit vector armed
+        self.dirty_mask: Optional[np.ndarray] = None
+        self.last_closed_id = 0
+        self.diff_store: List[DiffRecord] = []
+        # Diffs whose *data* is pinned (snapshotted at interval close, so
+        # values are exact) but whose creation *cost* has not been charged
+        # yet -- TreadMarks materializes lazily at the first diff request.
+        self.unmaterialized: List[DiffRecord] = []
+        # Consecutive useless prefetches of this page (the adaptive
+        # strategy stops prefetching a page after repeated misfires).
+        self.pf_useless_streak = 0
+        # Nodes that fetched this page or its diffs from us, mapped to
+        # the newest of our intervals they were served: the approximate
+        # copyset (and per-reader watermark) the Lazy Hybrid variant
+        # consults before piggybacking updates on lock grants.  The
+        # bitset-backed map keeps membership O(1) at 1024 nodes.
+        self.copyset = NodeIntMap()
+
+    def record_notice(self, writer: int, interval_id: int) -> bool:
+        """Merge a write notice; returns True if it newly invalidated."""
+        was_valid = self.is_valid()
+        self._note(writer, interval_id)
+        newly_invalid = was_valid and self.pending != 0
+        if self.audit is not None:
+            self.audit.notice(self.page, writer, interval_id,
+                              newly_invalid)
+        return newly_invalid
 
     # -- write collection -----------------------------------------------------
 
@@ -163,7 +201,6 @@ class TmPage:
         if not self.write_active:
             return False
         self.write_active = False
-        self.has_twin = False
         assert self.dirty_mask is not None and self.frame is not None
         diff = diff_from_mask(writer, self.page, self.last_closed_id,
                               interval_id, self.dirty_mask, self.frame,
@@ -221,14 +258,8 @@ class TmPage:
     # -- memory accounting ----------------------------------------------------
 
     def state_nbytes(self) -> int:
-        """Bytes of per-node coherence metadata on this page (excludes
-        the data frame and diff payloads -- those scale with the app,
-        not the machine size)."""
-        return (self.applied.nbytes() + self.notified.nbytes()
-                + self.copyset.nbytes())
+        return super().state_nbytes() + self.copyset.nbytes()
 
     def state_dict_equiv_nbytes(self) -> int:
-        """Bytes the pre-compaction dict representation would cost."""
-        return (self.applied.dict_equiv_nbytes()
-                + self.notified.dict_equiv_nbytes()
+        return (super().state_dict_equiv_nbytes()
                 + self.copyset.dict_equiv_nbytes())

@@ -230,8 +230,11 @@ def _payload_bytes(payload: Any, params: MachineParams) -> int:
                 + payload.size_bytes(params.word_bytes,
                                      params.words_per_page))
     if isinstance(payload, (list, tuple)):
-        if all(isinstance(x, (int, float)) for x in payload):
-            return 4 * len(payload)  # a vector clock
+        if payload and isinstance(payload[0], (int, float)):
+            # A vector clock.  Every sequence the protocols ship is all
+            # numbers (``VectorClock.as_tuple()``) or holds none, so the
+            # first entry decides -- no pass over n entries per message.
+            return 4 * len(payload)
         return sum(_payload_bytes(item, params) for item in payload)
     return 16
 
@@ -281,6 +284,19 @@ class DsmProtocol:
 
     def proc_barrier(self, pid: int, barrier: int):
         raise NotImplementedError
+
+    def coherence_state_report(self) -> Dict[str, int]:
+        """Bytes of live coherence metadata in ``states[*].pages`` vs the
+        pre-compaction dict representation (scale-sweep memory accounting)."""
+        compact = dict_equiv = pages = 0
+        for st in self.states:
+            pages += len(st.pages)
+            for view in st.pages.values():
+                compact += view.state_nbytes()
+                dict_equiv += view.state_dict_equiv_nbytes()
+        return {"coherence_state_bytes": compact,
+                "coherence_state_dict_bytes": dict_equiv,
+                "coherence_pages": pages}
 
     # -- plumbing -------------------------------------------------------------
 

@@ -11,8 +11,9 @@ and barrier messages.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 __all__ = ["VectorClock", "IntervalRecord", "IntervalLog"]
 
@@ -91,40 +92,56 @@ class IntervalRecord:
 class IntervalLog:
     """A node's knowledge of completed intervals, indexed by writer.
 
-    Supports the two queries the protocol needs:
+    Each writer's records are an id-sorted ``(ids, records)`` list pair,
+    created on its first :meth:`add` (most of a large machine's n x n
+    writer slots stay ``None``), so the queries are a ``bisect`` and a
+    slice and nothing is ever re-sorted:
 
+    * :meth:`add` -- merge a record learned from a peer (idempotent).
     * :meth:`records_after` -- the interval records of ``writer`` with id
       greater than some bound (what a lock grantor must ship to a
-      requester whose vector clock lags).
-    * :meth:`add` -- merge a record learned from a peer (idempotent).
+      requester whose vector clock lags); :meth:`records_behind` is the
+      same over every writer against a vector clock.
     """
 
     def __init__(self, n_procs: int):
-        self.n_procs = n_procs
-        self._by_writer: List[Dict[int, IntervalRecord]] = [
-            {} for _ in range(n_procs)
-        ]
+        self._by_writer: List[Optional[tuple]] = [None] * n_procs
+        self._count = 0
 
     def add(self, record: IntervalRecord) -> bool:
         """Insert a record; returns True if it was new."""
         slot = self._by_writer[record.writer]
-        if record.interval_id in slot:
+        if slot is None:
+            slot = self._by_writer[record.writer] = ([], [])
+        ids, records = slot
+        # Records nearly always arrive in id order: ``at`` is the end.
+        at = bisect_left(ids, record.interval_id)
+        if at < len(ids) and ids[at] == record.interval_id:
             return False
-        slot[record.interval_id] = record
+        ids.insert(at, record.interval_id)
+        records.insert(at, record)
+        self._count += 1
         return True
 
     def records_after(self, writer: int,
                       after_id: int) -> List[IntervalRecord]:
         """All known records of ``writer`` with interval id > ``after_id``."""
         slot = self._by_writer[writer]
-        return [slot[i] for i in sorted(slot) if i > after_id]
+        if slot is None:
+            return []
+        ids, records = slot
+        return records[bisect_right(ids, after_id):]
 
     def records_behind(self, clock: VectorClock) -> List[IntervalRecord]:
         """Every known record not covered by ``clock`` (grant payload)."""
         out: List[IntervalRecord] = []
-        for writer in range(self.n_procs):
-            out.extend(self.records_after(writer, clock[writer]))
+        for writer, slot in enumerate(self._by_writer):
+            if slot is not None:
+                ids, records = slot
+                after_id = clock[writer]
+                if ids[-1] > after_id:  # else: fully covered
+                    out.extend(records[bisect_right(ids, after_id):])
         return out
 
     def count(self) -> int:
-        return sum(len(slot) for slot in self._by_writer)
+        return self._count

@@ -411,7 +411,7 @@ class TreadMarks(DsmProtocol):
             applied = tp.applied.get(diff.writer, 0)
             if diff.to_id <= applied or diff.from_id > applied:
                 continue  # stale, or a gap in the interval chain
-            if any(w != diff.writer for w in tp.pending_writers()):
+            if tp.pending & ~(1 << diff.writer):
                 # Another writer's hb-earlier intervals are still
                 # unapplied; applying this diff now and theirs later
                 # would roll shared words backwards.  Let the demand
@@ -970,18 +970,3 @@ class TreadMarks(DsmProtocol):
         processor = sum(node.cpu.breakdown.diff_cycles
                         for node in self.cluster.nodes)
         return processor + sum(self.controller_diff_cycles)
-
-    def coherence_state_report(self) -> Dict[str, int]:
-        """Bytes of live coherence metadata vs the pre-compaction dict
-        representation (for the scale sweeps' memory accounting)."""
-        compact = 0
-        dict_equiv = 0
-        pages = 0
-        for st in self.states:
-            pages += len(st.pages)
-            for tp in st.pages.values():
-                compact += tp.state_nbytes()
-                dict_equiv += tp.state_dict_equiv_nbytes()
-        return {"coherence_state_bytes": compact,
-                "coherence_state_dict_bytes": dict_equiv,
-                "coherence_pages": pages}

@@ -7,6 +7,7 @@ insertion order* (pending-writer iteration order feeds diff-request
 issue order).
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -72,6 +73,29 @@ def test_matches_dict_model_including_order(ops):
     assert list(m.items()) == list(model.items())
     assert m.as_dict() == model
     assert m == model
+
+
+@given(ops=st.lists(st.tuples(st.integers(0, 300), st.integers(-1, 6)),
+                    max_size=60))
+@settings(max_examples=100, deadline=None)
+def test_raise_to_is_the_guarded_watermark_update(ops):
+    model = {}
+    m = NodeIntMap()
+    for key, value in ops:
+        raised = value > model.get(key, 0)
+        if raised:
+            model[key] = value
+        assert m.raise_to(key, value) == raised
+    assert list(m.items()) == list(model.items())
+
+
+def test_node_ids_are_sixteen_bit():
+    m = NodeIntMap()
+    m[65535] = 1
+    assert m[65535] == 1
+    with pytest.raises(OverflowError):
+        m[65536] = 1
+    assert 65536 not in m and len(m) == 1
 
 
 def test_compact_beats_dict_equivalent_at_scale():
