@@ -15,13 +15,26 @@ further and serialize the tree build on processor 0 (DESIGN.md section
 but not the page-level sharing the evaluation is about.
 
 Verification is exact: the reference solution runs the same build and
-traversal functions serially, so simulated positions must match to the
-last bit.
+the same traversal kernel, :func:`compute_accels`, over all bodies at
+once, where each worker runs it over its own block, and simulated
+positions must still match to the last bit.  That holds because the
+kernel is batch-independent.  It walks the tree one level per pass
+over a frontier of (body, node) pairs kept in body order, a body's
+nodes in octant order of their parents; every pair's term is computed
+elementwise and a body's terms are added one at a time in frontier
+order, level after level.  So a body's acceleration and its term count
+are functions of the tree alone, bit for bit, whichever bodies share
+its batch or chunk.  The term count is what the force phase charges as
+compute, and it equals that of the depth-first per-body traversal this
+kernel replaced (the same cells are accepted, the same bodies reached);
+the acceleration differs from it by summation order only.  That scalar
+traversal lives on as the oracle in ``tests/apps/oracles.py``, and
+``tests/apps/test_kernels.py`` holds both properties.
 """
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -29,11 +42,14 @@ from repro.apps import costs
 from repro.apps.base import Application, check_close
 from repro.dsm.shmem import DsmApi, SharedSegment
 
-__all__ = ["Barnes", "build_octree", "compute_accel"]
+__all__ = ["Barnes", "build_octree", "compute_accels"]
 
 _THETA = 0.6
 _SOFT2 = 0.05
 _DT = 0.01
+# Bodies traversed per batch: bounds the frontier temporaries (a few MB
+# at 4096 bodies) whatever the caller passes in.
+_CHUNK = 256
 
 
 def build_octree(pos: np.ndarray, mass: np.ndarray):
@@ -123,40 +139,81 @@ def build_octree(pos: np.ndarray, mass: np.ndarray):
             half[:n_nodes], n_nodes)
 
 
-def compute_accel(body: int, pos: np.ndarray, mass: np.ndarray,
-                  children: np.ndarray, com: np.ndarray,
-                  cmass: np.ndarray, half: np.ndarray,
-                  theta: float = _THETA) -> Tuple[np.ndarray, int]:
-    """Theta-criterion traversal; returns (acceleration, force terms)."""
-    acc = np.zeros(3)
-    terms = 0
-    stack: List[int] = [0]
-    p = pos[body]
-    while stack:
-        node = stack.pop()
-        delta = com[node] - p
-        dist2 = float((delta ** 2).sum()) + _SOFT2
-        dist = np.sqrt(dist2)
-        if (2 * half[node]) / dist < theta:
-            acc += cmass[node] * delta / (dist2 * dist)
-            terms += 1
-            continue
-        for octant in range(8):
-            slot = children[node, octant]
-            if slot == 0:
-                continue
-            if slot < 0:
-                other = -int(slot) - 1
-                if other == body:
-                    continue
-                d = pos[other] - p
-                d2 = float((d ** 2).sum()) + _SOFT2
-                dd = np.sqrt(d2)
-                acc += mass[other] * d / (d2 * dd)
-                terms += 1
-            else:
-                stack.append(int(slot) - 2)
+def compute_accels(bodies: np.ndarray, pos: np.ndarray, mass: np.ndarray,
+                   children: np.ndarray, com: np.ndarray,
+                   cmass: np.ndarray, half: np.ndarray,
+                   theta: float = _THETA) -> Tuple[np.ndarray, np.ndarray]:
+    """Theta-criterion traversal for a batch of bodies.
+
+    Returns ``(acc[k, 3], terms[k])`` for the ``k`` body indices in
+    ``bodies``: each body's acceleration and the number of force terms
+    its traversal evaluated (what the force phase charges as compute).
+    A body's row depends only on the tree, never on which other bodies
+    share the call (see the module docstring).
+    """
+    bodies = np.asarray(bodies, dtype=np.int64)
+    acc = np.zeros((len(bodies), 3))
+    terms = np.zeros(len(bodies), dtype=np.int64)
+    tree = (children, com[:, 0].copy(), com[:, 1].copy(), com[:, 2].copy(),
+            cmass, 2 * half)
+    for lo in range(0, len(bodies), _CHUNK):
+        hi = lo + _CHUNK
+        acc[lo:hi], terms[lo:hi] = _traverse(bodies[lo:hi], pos, mass,
+                                             tree, theta)
     return acc, terms
+
+
+def _traverse(bodies: np.ndarray, pos: np.ndarray, mass: np.ndarray,
+              tree, theta: float) -> Tuple[np.ndarray, np.ndarray]:
+    """One chunk of :func:`compute_accels`, one tree level per pass.
+
+    The frontier is the (row, node) pairs still to be judged, ``row``
+    indexing ``bodies``.  It starts as every row at the root and stays
+    sorted by row, with a row's nodes in octant order of their parents:
+    a pass replaces each opened cell by its child cells in place.
+    """
+    children, cx, cy, cz, cmass, width = tree
+    k = len(bodies)
+    px, py, pz = pos[bodies].T
+    acc = np.zeros((3, k))
+    terms = np.zeros(k, dtype=np.int64)
+
+    def interact(row, counted, source_mass, dx, dy, dz, d2):
+        # ``bincount`` adds a row's pairs one by one in frontier order,
+        # so the sum never depends on the other rows.  Pairs not
+        # counted (an opened cell, the body itself) weigh 0.0 and leave
+        # the running sum as it is.
+        weight = np.where(counted, source_mass, 0.0)
+        scale = d2 * np.sqrt(d2)
+        acc[0] += np.bincount(row, weight * dx / scale, k)
+        acc[1] += np.bincount(row, weight * dy / scale, k)
+        acc[2] += np.bincount(row, weight * dz / scale, k)
+        terms[:] += np.bincount(row[counted], minlength=k)
+
+    row = np.arange(k)
+    node = np.zeros(k, dtype=np.int64)
+    while len(row):
+        dx, dy, dz = cx[node] - px[row], cy[node] - py[row], cz[node] - pz[row]
+        d2 = dx * dx + dy * dy + dz * dz + _SOFT2
+        far = width[node] / np.sqrt(d2) < theta
+        interact(row, far, cmass[node], dx, dy, dz, d2)
+        # Open the rest: octants holding a body interact now, octants
+        # holding a cell are the next frontier.
+        slot = children[node[~far]].ravel()
+        row = np.repeat(row[~far], 8)
+        leaf = slot < 0
+        other = -slot[leaf] - 1
+        leaf_row = row[leaf]
+        dx, dy, dz = (pos[other, 0] - px[leaf_row],
+                      pos[other, 1] - py[leaf_row],
+                      pos[other, 2] - pz[leaf_row])
+        d2 = dx * dx + dy * dy + dz * dz + _SOFT2
+        interact(leaf_row, other != bodies[leaf_row], mass[other],
+                 dx, dy, dz, d2)
+        cell = slot > 0
+        row = row[cell]
+        node = slot[cell] - 2
+    return acc.T, terms
 
 
 class Barnes(Application):
@@ -197,10 +254,9 @@ class Barnes(Application):
         vel = np.zeros_like(pos)
         for _ in range(self.steps):
             children, com, cmass, half, _n = build_octree(pos, self.mass)
-            acc = np.zeros_like(pos)
-            for body in range(self.n):
-                acc[body], _terms = compute_accel(
-                    body, pos, self.mass, children, com, cmass, half)
+            acc, _terms = compute_accels(
+                np.arange(self.n), pos, self.mass, children, com, cmass,
+                half)
             vel += acc * _DT
             pos = pos + vel * _DT
         return pos
@@ -242,14 +298,10 @@ class Barnes(Application):
             masses = yield from api.read(self.mass_base, n)
             children = child_flat.astype(np.int64).reshape(n_nodes, 8)
             com = com_flat.reshape(n_nodes, 3)
-            my_acc = np.zeros((max(hi - lo, 0), 3))
-            total_terms = 0
-            for body in range(lo, hi):
-                my_acc[body - lo], terms = compute_accel(
-                    body, pos, masses, children, com, cmass, half)
-                total_terms += terms
+            my_acc, terms = compute_accels(
+                np.arange(lo, hi), pos, masses, children, com, cmass, half)
             yield from api.compute(
-                total_terms * costs.BARNES_CYCLES_PER_FORCE_TERM)
+                int(terms.sum()) * costs.BARNES_CYCLES_PER_FORCE_TERM)
             if hi > lo:
                 yield from api.write(self.acc_base + lo * 3,
                                      my_acc.ravel())

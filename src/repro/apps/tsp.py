@@ -123,26 +123,32 @@ class Tsp(Application):
         how fresh the shared bound is) shapes simulated time.
         """
         remaining = [c for c in range(self.nc) if c not in path]
-        best = bound
-        visited = 0
-        dist = self.dist
+        # Plain floats: the search is pure Python, and float arithmetic
+        # on list rows is the same IEEE double as numpy scalars at a
+        # fraction of the dispatch cost.
+        dist = self.dist.tolist()
+        home = [row[path[0]] for row in dist]
+        best = float(bound)
+        visited = 1
 
         def dfs(last: int, cost_so_far: float, rest: List[int]):
+            # Entered only for a counted node that beats the bound; the
+            # children it cannot extend are counted here, not called.
             nonlocal best, visited
-            visited += 1
-            if cost_so_far >= best:
-                return
             if not rest:
-                total = cost_so_far + dist[last, path[0]]
+                total = cost_so_far + home[last]
                 if total < best:
                     best = total
                 return
-            for idx in range(len(rest)):
-                city = rest[idx]
-                dfs(city, cost_so_far + dist[last, city],
-                    rest[:idx] + rest[idx + 1:])
+            row = dist[last]
+            for idx, city in enumerate(rest):
+                visited += 1
+                step = cost_so_far + row[city]
+                if step < best:
+                    dfs(city, step, rest[:idx] + rest[idx + 1:])
 
-        dfs(path[-1], cost, remaining)
+        if cost < best:
+            dfs(path[-1], float(cost), remaining)
         return best, visited
 
     # -- the worker ----------------------------------------------------------

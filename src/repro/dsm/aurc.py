@@ -558,9 +558,6 @@ class Aurc(DsmProtocol):
         return (merged_vc.as_tuple(),
                 st.log.records_behind(st.last_barrier_vc))
 
-    def barrier_release_payload(self, node: Node, dst: int, merged):
-        return merged
-
     def barrier_process_release(self, node: Node, payload):
         yield from self._merge_coherence_info(node, payload)
         st = self.states[node.node_id]

@@ -16,9 +16,8 @@ Protocol hooks:
 
 * ``barrier_arrive_payload(node)`` -> payload for the arrival message;
 * ``barrier_merge(node, payloads)`` -- raw generator on the manager,
-  merging all arrival payloads (returns the merged state);
-* ``barrier_release_payload(node, dst, merged)`` -> payload for one
-  node's release message;
+  merging all arrival payloads (returns the merged state, which is
+  the payload of every node's release message);
 * ``barrier_process_release(node, payload)`` -- raw generator on each
   node completing the barrier (invalidations, clock merge).
 """
@@ -28,7 +27,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
-from repro.dsm.protocol import BarrierArrive, BarrierRelease
+from repro.dsm.protocol import (
+    BarrierArrive,
+    BarrierRelease,
+    payload_bytes,
+)
 from repro.hardware.node import Node
 from repro.sim import Event
 from repro.stats.breakdown import Category
@@ -162,17 +165,16 @@ class BarrierService:
         mstate.payloads = []
         mstate.reqs = {}
         merged = yield from self.protocol.barrier_merge(node, payloads)
+        # Every node is released with ``merged`` itself: walk its
+        # records for the wire size once, not once per destination.
+        merged_size = payload_bytes(merged, self.params)
         for dst in range(self.protocol.n):
-            payload = self.protocol.barrier_release_payload(node, dst,
-                                                            merged)
+            release = BarrierRelease(
+                barrier=msg.barrier, epoch=mstate.epoch, payload=merged,
+                req=reqs.get(dst, 0), payload_size=merged_size)
             if dst == node.node_id:
-                self._deliver_release(node, BarrierRelease(
-                    barrier=msg.barrier, epoch=mstate.epoch,
-                    payload=payload, req=reqs.get(dst, 0)))
+                self._deliver_release(node, release)
             else:
-                release = BarrierRelease(barrier=msg.barrier,
-                                         epoch=mstate.epoch, payload=payload,
-                                         req=reqs.get(dst, 0))
                 yield from self.protocol.send(node, dst, release)
 
     def _deliver_release(self, node: Node, msg: BarrierRelease) -> None:

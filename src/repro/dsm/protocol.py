@@ -35,6 +35,7 @@ __all__ = [
     "LockRequest", "LockForward", "LockGrant", "LockRelease",
     "BarrierArrive", "BarrierRelease",
     "AurcPageRequest", "AurcPageReply",
+    "payload_bytes",
     "DsmProtocol",
 ]
 
@@ -145,8 +146,8 @@ class LockGrant(Message):
     req: int = 0
 
     def size_bytes(self, params: MachineParams) -> int:
-        return params.control_message_bytes + _payload_bytes(self.payload,
-                                                             params)
+        return params.control_message_bytes + payload_bytes(self.payload,
+                                                            params)
 
 
 @dataclass
@@ -167,8 +168,8 @@ class BarrierArrive(Message):
     req: int = 0  # request id of the arriver's wait span (tracing only)
 
     def size_bytes(self, params: MachineParams) -> int:
-        return params.control_message_bytes + _payload_bytes(self.payload,
-                                                             params)
+        return params.control_message_bytes + payload_bytes(self.payload,
+                                                            params)
 
 
 @dataclass
@@ -179,10 +180,12 @@ class BarrierRelease(Message):
     epoch: int
     payload: Any = None
     req: int = 0
+    # ``payload_bytes(payload, params)``, taken once by the manager: it
+    # ships the same merged payload to every node.
+    payload_size: int = field(kw_only=True)
 
     def size_bytes(self, params: MachineParams) -> int:
-        return params.control_message_bytes + _payload_bytes(self.payload,
-                                                             params)
+        return params.control_message_bytes + self.payload_size
 
 
 @dataclass
@@ -211,7 +214,7 @@ class AurcPageReply(Message):
                 + len(self.versions) * 8)
 
 
-def _payload_bytes(payload: Any, params: MachineParams) -> int:
+def payload_bytes(payload: Any, params: MachineParams) -> int:
     """Wire size of a grant/barrier payload.
 
     Payloads are nested structures of interval records (write notices),
@@ -235,7 +238,7 @@ def _payload_bytes(payload: Any, params: MachineParams) -> int:
             # numbers (``VectorClock.as_tuple()``) or holds none, so the
             # first entry decides -- no pass over n entries per message.
             return 4 * len(payload)
-        return sum(_payload_bytes(item, params) for item in payload)
+        return sum(payload_bytes(item, params) for item in payload)
     return 16
 
 

@@ -47,9 +47,7 @@ class VectorClock:
 
     def merge(self, other: "VectorClock") -> None:
         """Element-wise maximum, in place."""
-        for i, value in enumerate(other._clock):
-            if value > self._clock[i]:
-                self._clock[i] = value
+        self._clock = list(map(max, self._clock, other._clock))
 
     def dominates(self, other: "VectorClock") -> bool:
         """True if self >= other element-wise (other's intervals all seen)."""

@@ -451,9 +451,6 @@ class TreadMarks(DsmProtocol):
         return (merged_vc.as_tuple(),
                 st.log.records_behind(st.last_barrier_vc))
 
-    def barrier_release_payload(self, node: Node, dst: int, merged):
-        return merged
-
     def barrier_process_release(self, node: Node, payload):
         """Raw generator: merge, invalidate, advance the barrier VC."""
         yield from self._merge_coherence_info(node, payload)
