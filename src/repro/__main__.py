@@ -1434,25 +1434,26 @@ def _cmd_submit(args) -> int:
         else:
             specs = [dict(base, protocol=args.protocol)]
 
-    client = _serve_client(args)
-    try:
-        if len(specs) == 1 and not args.sweep and not args.protocols:
-            doc = client.submit_run(specs[0])
-        else:
-            doc = client.submit_sweep(specs)
-    except ServeError as exc:
-        print(f"rejected ({exc.status}): "
-              f"{exc.doc.get('error', 'request failed')}",
-              file=sys.stderr)
-        if exc.retry_after is not None:
-            print(f"retry after {exc.retry_after:.2f}s",
+    with _serve_client(args) as client:
+        try:
+            if len(specs) == 1 and not args.sweep \
+                    and not args.protocols:
+                doc = client.submit_run(specs[0])
+            else:
+                doc = client.submit_sweep(specs)
+        except ServeError as exc:
+            print(f"rejected ({exc.status}): "
+                  f"{exc.doc.get('error', 'request failed')}",
                   file=sys.stderr)
-        return 2
-    _print_job_line(doc)
-    job_id = doc.get("job", {}).get("id", "")
-    if args.wait and job_id:
-        doc = client.wait(job_id)
+            if exc.retry_after is not None:
+                print(f"retry after {exc.retry_after:.2f}s",
+                      file=sys.stderr)
+            return 2
         _print_job_line(doc)
+        job_id = doc.get("job", {}).get("id", "")
+        if args.wait and job_id:
+            doc = client.wait(job_id)
+            _print_job_line(doc)
     _write_job_doc(doc, args.json)
     if args.wait:
         return 0 if doc.get("job", {}).get("state") == "done" else 1
@@ -1463,7 +1464,8 @@ def _cmd_status(args) -> int:
     from repro.serve import ServeError
 
     try:
-        doc = _serve_client(args).job(args.job_id)
+        with _serve_client(args) as client:
+            doc = client.job(args.job_id)
     except ServeError as exc:
         print(f"error ({exc.status}): "
               f"{exc.doc.get('error', 'request failed')}",
@@ -1482,22 +1484,22 @@ def _cmd_status(args) -> int:
 def _cmd_watch_job(args) -> int:
     from repro.serve import ServeError
 
-    client = _serve_client(args)
     final_state = None
-    try:
-        for event in client.events(args.job_id):
-            if event.get("kind") == "_end":
-                final_state = event.get("state")
-                break
-            print(json.dumps(event, sort_keys=True))
-    except ServeError as exc:
-        print(f"error ({exc.status}): "
-              f"{exc.doc.get('error', 'request failed')}",
-              file=sys.stderr)
-        return 2
-    print(f"{args.job_id} finished: {final_state}")
-    if args.json:
-        _write_job_doc(client.job(args.job_id), args.json)
+    with _serve_client(args) as client:
+        try:
+            for event in client.events(args.job_id):
+                if event.get("kind") == "_end":
+                    final_state = event.get("state")
+                    break
+                print(json.dumps(event, sort_keys=True))
+        except ServeError as exc:
+            print(f"error ({exc.status}): "
+                  f"{exc.doc.get('error', 'request failed')}",
+                  file=sys.stderr)
+            return 2
+        print(f"{args.job_id} finished: {final_state}")
+        if args.json:
+            _write_job_doc(client.job(args.job_id), args.json)
     return 0 if final_state == "done" else 1
 
 

@@ -31,6 +31,7 @@ enforces this cycle-for-cycle.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import os
@@ -39,7 +40,7 @@ import threading
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.dsm.prefetch import PrefetchStats
 from repro.harness import telemetry
@@ -158,9 +159,44 @@ class SimRequest:
         }
 
     def fingerprint(self, salt: Optional[str] = None) -> str:
+        """sha256 of :meth:`payload`, memoised per (request, salt).
+
+        A server answers the same few requests over and over, and
+        building the payload (``asdict`` of ~40 machine parameters, a
+        JSON dump) costs two orders of magnitude more than looking the
+        digest up.  Every value involved is frozen, so the digest
+        cannot go stale.
+        """
+        if salt is None:
+            salt = code_salt()
+        leaves = [self.nprocs, self.verify, self.config.prefetch]
+        leaves.extend(vars(self.config.mode).values())
+        leaves.extend(value for _, value in self.size_kwargs)
+        if self.params is not None:
+            leaves.extend(vars(self.params).values())
+        types = tuple(map(type, leaves))
+        if not _MEMO_SAFE.issuperset(types):
+            # An unhashable or exotic size value: just compute.
+            return self._digest(salt)
+        return _memoised_digest(self, salt, types)
+
+    def _digest(self, salt: str) -> str:
         blob = json.dumps(self.payload(salt), sort_keys=True,
                           separators=(",", ":"), default=repr)
         return hashlib.sha256(blob.encode()).hexdigest()
+
+
+# 1, 1.0 and True compare (and hash) equal but serialise differently,
+# so requests that are == can still have different digests.  The memo
+# key therefore carries the type of every leaf value, and only requests
+# whose leaves are all of these plain types are memoised at all.
+_MEMO_SAFE = frozenset((bool, int, float, str, type(None)))
+
+
+@functools.lru_cache(maxsize=4096)
+def _memoised_digest(request: SimRequest, salt: str,
+                     _leaf_types: tuple) -> str:
+    return request._digest(salt)
 
 
 def execute_request(request: SimRequest) -> dict:
@@ -420,18 +456,37 @@ class ResultCache:
 
     # -- the index journal -------------------------------------------------
 
-    def _journal(self, op: str, key: str,
-                 nbytes: Optional[int] = None) -> None:
+    @staticmethod
+    def _journal_line(op: str, key: str,
+                      nbytes: Optional[int] = None) -> str:
         record = {"op": op, "key": key, "ts": time.time()}
         if nbytes is not None:
             record["bytes"] = nbytes
-        line = json.dumps(record, separators=(",", ":")) + "\n"
+        return json.dumps(record, separators=(",", ":")) + "\n"
+
+    def _append(self, lines: str) -> None:
         try:
             with self._index_lock:
                 with open(self.index_path, "a") as fh:
-                    fh.write(line)
+                    fh.write(lines)
         except OSError:
             pass
+
+    def _journal(self, op: str, key: str,
+                 nbytes: Optional[int] = None) -> None:
+        self._append(self._journal_line(op, key, nbytes))
+
+    def touch_many(self, keys: Iterable[str]) -> None:
+        """Mark ``keys`` used now, in one append.
+
+        For a caller that serves hits from its own memory (the serve
+        job table) and owes the store their recency: replays exactly
+        like touching each key in turn, at one ``open`` for the lot.
+        """
+        lines = "".join(self._journal_line("touch", key)
+                        for key in keys)
+        if lines:
+            self._append(lines)
 
     def load_index(self) -> Dict[str, Tuple[int, float]]:
         """Replay the journal into ``{key: (bytes, last_used_ts)}``.

@@ -131,7 +131,9 @@ class AsyncBridge:
         self._bus.subscribe(self)
 
     def __call__(self, event: Dict[str, Any]) -> None:
-        if self.closed:
+        # With no stream attached there is nobody to deliver to, and
+        # the hop is a write to the loop's self-pipe per event.
+        if self.closed or not self._queues:
             return
         try:
             self._loop.call_soon_threadsafe(self._dispatch, event)

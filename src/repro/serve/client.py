@@ -1,9 +1,11 @@
 """Blocking HTTP client for the serve API (CLI and test harness).
 
 Plain ``http.client`` on purpose: the client must work anywhere the
-repo does (no new deps), and the serve API is a small JSON control
-plane, not a throughput path.  :class:`ServeError` carries the HTTP
-status plus the server's JSON error document, so callers can branch on
+repo does (no new deps).  A :class:`ServeClient` keeps one connection
+open across calls -- a store hit costs its fixed per-request work, and
+a TCP handshake per call was most of it -- so it is not thread-safe;
+give each thread its own.  :class:`ServeError` carries the HTTP status
+plus the server's JSON error document, so callers can branch on
 429/503 and honor ``Retry-After``.
 """
 
@@ -32,7 +34,11 @@ class ServeError(Exception):
 
 
 class ServeClient:
-    """One serve endpoint + tenant identity."""
+    """One serve endpoint + tenant identity, over one kept connection.
+
+    Use as a context manager, or call :meth:`close`, to drop the
+    connection before the object goes away.
+    """
 
     def __init__(self, url: str = DEFAULT_URL, tenant: str = "anon",
                  timeout: float = 60.0):
@@ -43,39 +49,61 @@ class ServeClient:
         self.port = parts.port or 80
         self.tenant = tenant
         self.timeout = timeout
+        # Opens its socket on first use, and again after a close.
+        self._conn = HTTPConnection(self.host, self.port,
+                                    timeout=timeout)
+
+    def close(self) -> None:
+        self._conn.close()
+
+    def __enter__(self) -> "ServeClient":
+        return self
+
+    def __exit__(self, *_exc) -> None:
+        self.close()
 
     # -- plumbing ----------------------------------------------------------
-
-    def _connect(self) -> HTTPConnection:
-        return HTTPConnection(self.host, self.port,
-                              timeout=self.timeout)
 
     def _headers(self) -> Dict[str, str]:
         return {"X-Repro-Tenant": self.tenant,
                 "Content-Type": "application/json"}
 
+    def _exchange(self, method: str, path: str,
+                  payload: Optional[bytes]):
+        try:
+            self._conn.request(method, path, body=payload,
+                               headers=self._headers())
+            response = self._conn.getresponse()
+            return response, response.read()
+        except BaseException:
+            self._conn.close()      # never reuse a half-used socket
+            raise
+
     def _request(self, method: str, path: str,
                  body: Optional[dict] = None) -> dict:
-        conn = self._connect()
+        payload = None if body is None else json.dumps(body).encode()
+        reused = self._conn.sock is not None
         try:
-            payload = None if body is None \
-                else json.dumps(body).encode()
-            conn.request(method, path, body=payload,
-                         headers=self._headers())
-            response = conn.getresponse()
-            raw = response.read()
-            try:
-                doc = json.loads(raw) if raw else {}
-            except json.JSONDecodeError:
-                doc = {"error": raw.decode("utf-8", "replace")}
-            if response.status >= 400:
-                retry = response.getheader("Retry-After")
-                raise ServeError(
-                    response.status, doc,
-                    retry_after=float(retry) if retry else None)
-            return doc
-        finally:
-            conn.close()
+            response, raw = self._exchange(method, path, payload)
+        except ConnectionError:
+            # That the server has closed a kept connection (idle
+            # timeout, restart) only shows on the next use.  Every call
+            # is idempotent -- submissions are addressed by fingerprint
+            # -- so one retry on a fresh connection is safe; a fresh
+            # connection that fails is a real error.
+            if not reused:
+                raise
+            response, raw = self._exchange(method, path, payload)
+        try:
+            doc = json.loads(raw) if raw else {}
+        except json.JSONDecodeError:
+            doc = {"error": raw.decode("utf-8", "replace")}
+        if response.status >= 400:
+            retry = response.getheader("Retry-After")
+            raise ServeError(
+                response.status, doc,
+                retry_after=float(retry) if retry else None)
+        return doc
 
     # -- API ---------------------------------------------------------------
 
@@ -106,6 +134,8 @@ class ServeClient:
         Yields each event dict (heartbeat blank lines are skipped);
         the terminal ``_end`` record is yielded last.
         """
+        # A stream ends when the server closes it, so it cannot share
+        # the kept connection.
         conn = HTTPConnection(self.host, self.port,
                               timeout=timeout or self.timeout)
         try:

@@ -2,8 +2,16 @@
 
 Deliberately stdlib-only: an ``asyncio.start_server`` stream handler
 with just enough HTTP to serve a JSON job API and long-lived event
-streams.  One connection, one request (``Connection: close``), which
-keeps parsing trivial and is plenty for a sweep-traffic control plane.
+streams.  Connections are persistent (HTTP/1.1 keep-alive, pipelined
+requests answered in order): a store hit is a ~1.6 KB reply, and what
+it costs is the fixed per-request work, of which a TCP handshake and a
+handler task per request used to be the largest part.  A connection
+closes when the client asks (``Connection: close``, HTTP/1.0), after
+any reply >= 400, after an event stream, when it has sat idle for
+``_IDLE_TIMEOUT`` and when the server stops.  The request head is read
+with one ``readuntil`` and parsed in place; head and body share one
+deadline.  Line ends are CRLF: a bare LF in the head is a 400, not a
+second way to end a header.
 
 Routes::
 
@@ -27,7 +35,7 @@ from __future__ import annotations
 import asyncio
 import json
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Set, Tuple
 
 from repro.harness import telemetry
 from repro.harness.parallel import EvictionPolicy, ResultCache
@@ -38,6 +46,8 @@ __all__ = ["ServeConfig", "ReproServer", "run_server"]
 
 _MAX_BODY = 4 << 20          # 4 MiB of JSON specs is plenty
 _MAX_HEADER_LINES = 100
+_IDLE_TIMEOUT = 30.0         # between requests on a kept connection
+_READ_DEADLINE = 30.0        # first byte of a request to its last
 _STREAM_IDLE_HEARTBEAT = 15.0
 
 _REASONS = {200: "OK", 202: "Accepted", 400: "Bad Request",
@@ -96,6 +106,9 @@ class ReproServer:
         self.registry = self.jobs.registry
         self._server: Optional[asyncio.base_events.Server] = None
         self._bridge: Optional[telemetry.AsyncBridge] = None
+        # Connections waiting for their next request; stop() closes them.
+        self._idle: Set[asyncio.StreamWriter] = set()
+        self._stopping = False
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -116,8 +129,15 @@ class ReproServer:
             await self._server.serve_forever()
 
     async def stop(self) -> None:
+        self._stopping = True
         if self._server is not None:
             self._server.close()
+            # Kept-alive connections with no request in flight would
+            # otherwise sit out their idle timeout -- and hold up
+            # wait_closed(), which from Python 3.12 on waits for every
+            # connection.  Busy ones close after their reply.
+            for writer in list(self._idle):
+                writer.close()
             await self._server.wait_closed()
             self._server = None
         if self._bridge is not None:
@@ -129,24 +149,31 @@ class ReproServer:
 
     async def _handle(self, reader: asyncio.StreamReader,
                       writer: asyncio.StreamWriter) -> None:
+        """Serve one connection: requests in turn until it closes.
+
+        Both time limits are plain timers that end the pending read
+        from outside (close the connection; fail the reader) rather
+        than ``wait_for`` around it, which costs a task and two turns
+        of the loop per request.
+        """
+        self.registry.inc("serve_connections")
+        loop = asyncio.get_running_loop()
         try:
-            try:
-                method, path, headers, body = \
-                    await self._read_request(reader)
-            except _HttpError as exc:
-                await self._send_error(writer, exc)
-                return
-            self.registry.inc("serve_requests", method=method)
-            try:
-                await self._route(method, path, headers, body, writer)
-            except _HttpError as exc:
-                await self._send_error(writer, exc)
-            except (ConnectionResetError, BrokenPipeError):
-                pass
-            except Exception as exc:   # a handler bug must not kill
-                self.registry.inc("serve_errors")  # the accept loop
-                await self._send_error(writer, _HttpError(
-                    500, f"{type(exc).__name__}: {exc}"))
+            keep_alive = True
+            while keep_alive and not self._stopping:
+                self._idle.add(writer)
+                reaper = loop.call_later(_IDLE_TIMEOUT, writer.close)
+                try:
+                    first = await reader.read(1)
+                finally:
+                    reaper.cancel()
+                    self._idle.discard(writer)
+                if not first:          # closed: by the client, the
+                    return             # reaper or stop()
+                keep_alive = await self._serve_request(first, reader,
+                                                       writer)
+        except (ConnectionResetError, BrokenPipeError):
+            pass
         finally:
             try:
                 writer.close()
@@ -154,36 +181,90 @@ class ReproServer:
             except (ConnectionResetError, BrokenPipeError, OSError):
                 pass
 
-    async def _read_request(self, reader: asyncio.StreamReader):
+    async def _serve_request(self, first: bytes,
+                             reader: asyncio.StreamReader,
+                             writer: asyncio.StreamWriter) -> bool:
+        """Read, route and answer one request; True to keep the
+        connection open for another."""
+        deadline = asyncio.get_running_loop().call_later(
+            _READ_DEADLINE, reader.set_exception,
+            _HttpError(408, "timed out reading the request"))
         try:
-            request_line = await asyncio.wait_for(reader.readline(),
-                                                  30.0)
-        except asyncio.TimeoutError:
-            raise _HttpError(408, "timed out reading request line")
-        parts = request_line.decode("latin-1").split()
+            try:
+                method, path, headers, body, keep_alive = \
+                    await self._read_request(first, reader)
+            finally:
+                deadline.cancel()
+            self.registry.inc("serve_requests", method=method)
+            reply = await self._route(method, path, headers, body,
+                                      writer)
+        except _HttpError as exc:
+            await self._send_error(writer, exc)
+            return False
+        except SpecError as exc:
+            await self._send_error(writer, _HttpError(400, str(exc)))
+            return False
+        except (ConnectionResetError, BrokenPipeError):
+            return False
+        except Exception as exc:       # a handler bug must not kill
+            self.registry.inc("serve_errors")      # the accept loop
+            await self._send_error(writer, _HttpError(
+                500, f"{type(exc).__name__}: {exc}"))
+            return False
+        if reply is None:              # an event stream: close-delimited
+            return False
+        keep_alive = keep_alive and not self._stopping
+        status, doc = reply
+        await self._send_json(writer, status, doc, close=not keep_alive)
+        return keep_alive
+
+    @staticmethod
+    async def _read_request(first: bytes, reader: asyncio.StreamReader):
+        """Parse one request whose first byte has already arrived.
+
+        Returns ``(method, path, headers, body, keep_alive)``.  Header
+        names are lower-cased, values stripped, a repeated header keeps
+        its last value.
+        """
+        try:
+            head = first + await reader.readuntil(b"\r\n\r\n")
+        except asyncio.LimitOverrunError:
+            raise _HttpError(400, "request head too large")
+        except asyncio.IncompleteReadError:
+            raise _HttpError(400, "connection closed inside the "
+                                  "request head")
+        lines = head[:-4].decode("latin-1").split("\r\n")
+        if head.count(b"\n") != len(lines) + 1:
+            raise _HttpError(400, "bare LF in the request head")
+        parts = lines[0].split()
         if len(parts) != 3:
             raise _HttpError(400, "malformed request line")
-        method, path, _version = parts
-        headers: Dict[str, str] = {}
-        for _ in range(_MAX_HEADER_LINES):
-            line = await reader.readline()
-            if line in (b"\r\n", b"\n", b""):
-                break
-            name, _, value = line.decode("latin-1").partition(":")
-            headers[name.strip().lower()] = value.strip()
-        else:
+        method, path, version = parts
+        if len(lines) > _MAX_HEADER_LINES:
             raise _HttpError(400, "too many headers")
-        body = b""
+        headers: Dict[str, str] = {}
+        for line in lines[1:]:
+            name, _, value = line.partition(":")
+            headers[name.strip().lower()] = value.strip()
         length_s = headers.get("content-length", "0")
         try:
             length = int(length_s)
         except ValueError:
+            length = -1
+        if length < 0:
             raise _HttpError(400, f"bad Content-Length {length_s!r}")
         if length > _MAX_BODY:
             raise _HttpError(413, f"body over {_MAX_BODY} bytes")
+        body = b""
         if length:
-            body = await reader.readexactly(length)
-        return method.upper(), path, headers, body
+            try:
+                body = await reader.readexactly(length)
+            except asyncio.IncompleteReadError:
+                raise _HttpError(400, "connection closed inside the "
+                                      "request body")
+        keep_alive = version == "HTTP/1.1" and "close" not in \
+            headers.get("connection", "").lower()
+        return method.upper(), path, headers, body, keep_alive
 
     @staticmethod
     def _json_body(body: bytes) -> dict:
@@ -199,13 +280,14 @@ class ReproServer:
 
     async def _send_json(self, writer: asyncio.StreamWriter,
                          status: int, doc: dict,
-                         headers: Optional[Dict[str, str]] = None
-                         ) -> None:
+                         headers: Optional[Dict[str, str]] = None,
+                         close: bool = True) -> None:
         payload = json.dumps(doc, sort_keys=True).encode()
         head = [f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}",
                 "Content-Type: application/json",
-                f"Content-Length: {len(payload)}",
-                "Connection: close"]
+                f"Content-Length: {len(payload)}"]
+        if close:                  # HTTP/1.1 keeps alive by default
+            head.append("Connection: close")
         for name, value in (headers or {}).items():
             head.append(f"{name}: {value}")
         writer.write(("\r\n".join(head) + "\r\n\r\n").encode()
@@ -226,25 +308,23 @@ class ReproServer:
 
     async def _route(self, method: str, path: str,
                      headers: Dict[str, str], body: bytes,
-                     writer: asyncio.StreamWriter) -> None:
+                     writer: asyncio.StreamWriter
+                     ) -> Optional[Tuple[int, dict]]:
+        """The reply as ``(status, document)``; None when the route
+        wrote its own (an event stream)."""
         path = path.split("?", 1)[0]
         tenant = headers.get("x-repro-tenant", "anon") or "anon"
         if path == "/healthz" and method == "GET":
-            await self._send_json(writer, 200, {"ok": True})
-            return
+            return 200, {"ok": True}
         if path == "/v1/metrics" and method == "GET":
-            doc = {"metrics": self.jobs.metrics_json(),
-                   "admission": self.admission.stats_json(),
-                   "queue_depth": self.jobs.queue_depth}
-            await self._send_json(writer, 200, doc)
-            return
+            return 200, {"metrics": self.jobs.metrics_json(),
+                         "admission": self.admission.stats_json(),
+                         "queue_depth": self.jobs.queue_depth}
         if path == "/v1/runs" and method == "POST":
             spec = self._json_body(body)
             self._admit(tenant, cost=1.0)
-            job = await self._submit_run(spec, tenant)
-            await self._send_json(
-                writer, 200 if job.terminal else 202, job.to_json())
-            return
+            job = await self.jobs.submit_run(spec, tenant)
+            return (200 if job.terminal else 202), job.to_json()
         if path == "/v1/sweeps" and method == "POST":
             doc = self._json_body(body)
             runs = doc.get("runs")
@@ -252,14 +332,8 @@ class ReproServer:
                 raise _HttpError(400,
                                  "sweep needs a non-empty 'runs' list")
             self._admit(tenant, cost=float(len(runs)))
-            try:
-                sweep = await self.jobs.submit_sweep(runs, tenant)
-            except SpecError as exc:
-                raise _HttpError(400, str(exc))
-            await self._send_json(
-                writer, 200 if sweep.terminal else 202,
-                sweep.to_json())
-            return
+            sweep = await self.jobs.submit_sweep(runs, tenant)
+            return (200 if sweep.terminal else 202), sweep.to_json()
         if path.startswith("/v1/jobs/"):
             rest = path[len("/v1/jobs/"):]
             if rest.endswith("/events"):
@@ -267,17 +341,14 @@ class ReproServer:
                 if method != "GET":
                     raise _HttpError(405, "events is GET-only")
                 await self._stream_events(job_id, headers, writer)
-                return
+                return None
             job = self.jobs.get(rest)
             if job is None:
                 raise _HttpError(404, f"unknown job {rest!r}")
             if method == "GET":
-                await self._send_json(writer, 200, job.to_json())
-                return
+                return 200, job.to_json()
             if method == "DELETE":
-                job = self.jobs.cancel(rest)
-                await self._send_json(writer, 200, job.to_json())
-                return
+                return 200, self.jobs.cancel(rest).to_json()
             raise _HttpError(405, f"{method} not allowed on jobs")
         raise _HttpError(404, f"no route for {method} {path}")
 
@@ -301,12 +372,6 @@ class ReproServer:
             headers={"Retry-After": str(retry)},
             extra={"queue_depth": verdict.queue_depth,
                    "reason": "saturated"})
-
-    async def _submit_run(self, spec: dict, tenant: str):
-        try:
-            return await self.jobs.submit_run(spec, tenant)
-        except SpecError as exc:
-            raise _HttpError(400, str(exc))
 
     # -- event streaming ---------------------------------------------------
 

@@ -3,15 +3,20 @@
 A *job* is one simulation request (or a sweep of them) addressed by its
 PR-3 content fingerprint -- the job id IS the fingerprint, so identical
 submissions from any client resolve to the same job.  Submissions are
-deduplicated three ways, cheapest first:
+deduplicated cheapest first:
 
 1. **In-flight coalescing** -- an identical request already queued or
    running returns that live job (``dedupe: "coalesced"``); N clients
    asking for the same simulation share one worker future.
-2. **Store hits** -- a fingerprint already in the sharded result store
-   materializes a completed job immediately (``dedupe: "cached"``)
-   without touching the pool.
-3. **Sweep-member dedupe** -- members of one sweep (and of concurrent
+2. **Job-table hits** -- a fingerprint whose job finished in this
+   process is answered from memory (``dedupe: "cached"``, event source
+   ``memo``): no thread hop, no file.  The store is owed the hit's
+   recency, which is journalled in batches (see ``_TOUCH_BATCH``).
+3. **Store hits** -- a fingerprint already in the sharded result store
+   (an earlier server, a figure run) materializes a completed job
+   (``dedupe: "cached"``, event source ``store``) without touching
+   the pool.
+4. **Sweep-member dedupe** -- members of one sweep (and of concurrent
    sweeps) collapse onto shared member jobs by fingerprint.
 
 Misses are queued FIFO *per tenant* and dispatched round-robin across
@@ -32,7 +37,7 @@ import hashlib
 import time
 from collections import OrderedDict, deque
 from concurrent.futures import ProcessPoolExecutor
-from typing import Any, Deque, Dict, List, Optional
+from typing import Any, Deque, Dict, List, Optional, Set
 
 from repro.harness import telemetry
 from repro.harness.parallel import (
@@ -58,6 +63,11 @@ _TERMINAL = ("done", "failed", "cancelled", "timeout")
 _JOB_HISTORY_MAX = 4096
 # Per-job event-history bound (replayable via /events).
 _EVENT_HISTORY_MAX = 256
+# Job-table hits whose recency the store has not been told yet are
+# journalled at this many distinct keys (and before every eviction and
+# at close), so a crash loses the recency of at most this many entries
+# -- never an entry.
+_TOUCH_BATCH = 256
 
 
 class SpecError(ValueError):
@@ -191,6 +201,10 @@ class JobManager:
         self.jobs: "OrderedDict[str, Job]" = OrderedDict()
         self._queues: Dict[str, Deque[Job]] = {}
         self._tenant_rr: Deque[str] = deque()
+        # member job id -> {sweep id: sweep} for the sweeps still
+        # waiting on that member.
+        self._live_sweeps: Dict[str, Dict[str, Job]] = {}
+        self._touched: Set[str] = set()
         self._running = 0
         self._puts_since_evict = 0
         self._pool: Optional[ProcessPoolExecutor] = None
@@ -208,6 +222,7 @@ class JobManager:
             while queue:
                 job = queue.popleft()
                 self._finish(job, "cancelled", error="server shutdown")
+        await self._flush_touched()
         if self._pool is not None:
             pool, self._pool = self._pool, None
             await asyncio.to_thread(pool.shutdown, True,
@@ -254,42 +269,57 @@ class JobManager:
         """Admit one run spec; returns its (possibly shared) job."""
         request = request_from_spec(spec)
         key = request.fingerprint(self.salt)
-        job = self.jobs.get(key)
-        if job is not None and not job.terminal:
-            # In-flight coalescing: same fingerprint, one worker future.
-            self.registry.inc("serve_dedupe", source="coalesced")
-            self._publish(job, "job_coalesced", tenant=tenant)
-            shared = self._shared_view(job, "coalesced")
-            return shared
-        if self.cache is not None:
-            doc = await asyncio.to_thread(self.cache.get, key)
-            if doc is not None:
+        while True:
+            job = self.jobs.get(key)
+            if job is not None and not job.terminal:
+                # In-flight coalescing: same fingerprint, one worker
+                # future.
+                self.registry.inc("serve_dedupe", source="coalesced")
+                self._publish(job, "job_coalesced", tenant=tenant)
+                return self._shared_view(job, "coalesced")
+            if job is not None and job.state == "done" \
+                    and job.result is not None:
+                # The job table still holds the result (whatever has
+                # happened to the store entry since): serve it.
                 self.registry.inc("serve_dedupe", source="cached")
-                job = Job(key, "run", tenant, request=request,
-                          spec=dict(spec))
                 job.dedupe = "cached"
-                job.state = "done"
-                job.finished_ts = time.time()
-                job.wall_seconds = doc.get("wall_seconds")
-                job.result = doc
-                self._remember(job)
-                self._publish(job, "job_cached", source="store",
-                              wall_seconds=doc.get("wall_seconds", 0.0))
+                self._publish(job, "job_cached", source="memo",
+                              tenant=tenant,
+                              wall_seconds=job.result.get(
+                                  "wall_seconds", 0.0))
+                self._touched.add(key)
+                if len(self._touched) >= _TOUCH_BATCH:
+                    await self._flush_touched()
                 return job
-        if job is not None and job.state == "done" \
-                and job.result is not None:
-            # Store detached or entry evicted mid-flight: the in-memory
-            # job table still remembers the result -- serve it.
+            if self.cache is None:
+                break
+            doc = await asyncio.to_thread(self.cache.get, key)
+            if self.jobs.get(key) is not job:
+                continue    # the table moved while the store was read
+            if doc is None:
+                break
             self.registry.inc("serve_dedupe", source="cached")
+            job = Job(key, "run", tenant, request=request,
+                      spec=dict(spec))
             job.dedupe = "cached"
-            self._publish(job, "job_cached", source="memo",
-                          wall_seconds=job.result.get(
-                              "wall_seconds", 0.0))
+            job.state = "done"
+            job.finished_ts = time.time()
+            job.wall_seconds = doc.get("wall_seconds")
+            job.result = doc
+            self._remember(job)
+            self._publish(job, "job_cached", source="store",
+                          wall_seconds=doc.get("wall_seconds", 0.0))
             return job
         job = Job(key, "run", tenant, request=request, spec=dict(spec))
         self._remember(job)
         self._enqueue(job)
         return job
+
+    async def _flush_touched(self) -> None:
+        """Journal the recency of the hits served from the job table."""
+        if self._touched and self.cache is not None:
+            keys, self._touched = self._touched, set()
+            await asyncio.to_thread(self.cache.touch_many, keys)
 
     def _shared_view(self, job: Job, dedupe: str) -> Job:
         """The coalesced caller sees the live job with its own dedupe
@@ -320,6 +350,9 @@ class JobManager:
             self._publish(sweep, "sweep_submitted",
                           submitted=len(members),
                           members=len(unique))
+            for member_id in unique:
+                self._live_sweeps.setdefault(
+                    member_id, {})[sweep_id] = sweep
         self._refresh_sweep(sweep)
         return sweep
 
@@ -344,6 +377,11 @@ class JobManager:
                             for mid in sweep.members or ()
                             if mid in self.jobs}}
             self._publish(sweep, "sweep_finished", state=sweep.state)
+            for member_id in sweep.members or ():
+                waiting = self._live_sweeps.get(member_id, {})
+                waiting.pop(sweep.id, None)
+                if not waiting:
+                    self._live_sweeps.pop(member_id, None)
 
     # -- scheduling --------------------------------------------------------
 
@@ -448,10 +486,8 @@ class JobManager:
         self._publish(job, f"job_{'finished' if state == 'done' else state}",
                       **fields)
         self._gauges()
-        for sweep in self.jobs.values():
-            if sweep.kind == "sweep" and not sweep.terminal \
-                    and sweep.members and job.id in sweep.members:
-                self._refresh_sweep(sweep)
+        for sweep in list(self._live_sweeps.get(job.id, {}).values()):
+            self._refresh_sweep(sweep)
 
     async def _maybe_evict(self) -> None:
         if self.eviction is None or not self.eviction.bounded \
@@ -461,6 +497,8 @@ class JobManager:
         if self._puts_since_evict < self.evict_every:
             return
         self._puts_since_evict = 0
+        # The LRU floor must see the hits served from memory.
+        await self._flush_touched()
         stats = await asyncio.to_thread(self.cache.evict, self.eviction)
         if stats["evicted"]:
             self.registry.inc("serve_evictions", stats["evicted"])

@@ -6,13 +6,18 @@ of its fingerprint inputs -- serial, process-pool, and cache-served
 executions must be cycle-for-cycle identical.
 """
 
+import dataclasses
+import hashlib
 import json
+import types
 
 import pytest
 
 from repro.harness.experiments import (
     fig13_messaging_overhead,
     fig14_network_bandwidth,
+    fig15_memory_latency,
+    fig16_memory_bandwidth,
     fig_overlap_modes,
 )
 from repro.harness.parallel import (
@@ -67,6 +72,82 @@ def test_fingerprint_covers_every_simulation_input():
     assert _em3d(verify=True).fingerprint() != base
     assert _em3d().fingerprint(salt="deadbeef") != base
     assert _em3d().fingerprint(salt=code_salt()) == base
+
+
+def _uncached(request, salt=None):
+    """The digest as it was computed before the memo: the oracle."""
+    blob = json.dumps(request.payload(salt), sort_keys=True,
+                      separators=(",", ":"), default=repr)
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+class _Recorder:
+    """A runner that collects the requests of a sweep and runs none."""
+
+    def __init__(self):
+        self.requests = []
+
+    def run_batch(self, requests):
+        self.requests.extend(requests)
+        return [types.SimpleNamespace(execution_cycles=1.0)
+                for _ in requests]
+
+
+def test_fingerprint_memo_returns_the_uncached_digest():
+    recorder = _Recorder()
+    for figure in (fig13_messaging_overhead, fig14_network_bandwidth,
+                   fig15_memory_latency, fig16_memory_bandwidth):
+        figure(quick=True, runner=recorder)
+    fig13_messaging_overhead(quick=True, runner=recorder,
+                             aurc_full_update_overhead=True)
+    assert len(recorder.requests) > 40
+    assert len(set(recorder.requests)) > 25
+    for salt in (None, "salt-a", "salt-b"):
+        for _ in range(2):           # fill, then hit
+            for request in recorder.requests:
+                assert request.fingerprint(salt) == \
+                    _uncached(request, salt)
+    # Equal to the memoised request, but a new object: still a hit.
+    rebuilt = dataclasses.replace(recorder.requests[5])
+    assert rebuilt is not recorder.requests[5]
+    assert rebuilt.fingerprint("salt-a") == _uncached(rebuilt, "salt-a")
+
+
+def test_fingerprint_memo_keeps_equal_but_differently_typed_apart():
+    """3 == 3.0 == True, and they hash alike, but they serialise
+    differently: requests that compare equal can have different
+    digests, in whichever order they are first seen."""
+    config = ProtocolConfig.aurc()
+
+    def variants():
+        yield [SimRequest("Em3d", 4, config,
+                          params=MachineParams(memory_cycles_per_word=v))
+               for v in (3.0, 3)]
+        yield [SimRequest("Em3d", 4, config,
+                          size_kwargs=(("n_nodes", v),))
+               for v in (1, 1.0, True)]
+        yield [SimRequest("Em3d", 4, config, verify=v) for v in (0, False)]
+        yield [SimRequest("Em3d", v, config) for v in (1, True)]
+        yield [SimRequest("Em3d", 4, ProtocolConfig.aurc(prefetch=v))
+               for v in (True, 1)]
+
+    for salt in ("fwd", "rev"):
+        for group in variants():
+            assert len(set(group)) == 1            # all equal...
+            if salt == "rev":
+                group.reverse()
+            digests = [request.fingerprint(salt) for request in group]
+            assert digests == [_uncached(r, salt) for r in group]
+            assert len(set(digests)) == len(group)   # ...none shared
+
+
+def test_fingerprint_falls_back_for_values_it_cannot_memoise():
+    config = ProtocolConfig.aurc()
+    for value in ([1, 2], {"a": 1}, (1, 2), 1.5 + 2j, object):
+        request = SimRequest("Em3d", 4, config,
+                             size_kwargs=(("shape", value),))
+        for _ in range(2):
+            assert request.fingerprint("s") == _uncached(request, "s")
 
 
 # -- the disk cache --------------------------------------------------------

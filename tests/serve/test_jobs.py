@@ -12,7 +12,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from repro.harness.parallel import ResultCache
+from repro.harness.parallel import EvictionPolicy, ResultCache
 from repro.harness.telemetry import TelemetryBus
 from repro.serve import jobs as jobs_module
 from repro.serve.jobs import JobManager, SpecError, request_from_spec
@@ -267,5 +267,281 @@ def test_close_cancels_queued_jobs(monkeypatch):
         assert queued.state == "cancelled"
         assert "shutdown" in queued.error
         assert running.terminal
+
+    asyncio.run(scenario())
+
+
+# -- the job table answers before the store --------------------------------
+
+def _kinds(job):
+    return [event["kind"] for event in job.history]
+
+
+def test_hits_reuse_the_job_and_keep_its_history(tmp_path, monkeypatch):
+    """A hit used to build a fresh Job over the table entry, so the
+    replayable history of a computed job shrank to ``job_cached``."""
+    async def scenario():
+        cache = ResultCache(str(tmp_path))
+        manager = _manager(monkeypatch, cache=cache)
+        first = await manager.submit_run(_spec(), "alice")
+        await _wait_terminal(first)
+        reads = []
+        monkeypatch.setattr(cache, "get",
+                            lambda key: reads.append(key))
+        for _ in range(2):
+            hit = await manager.submit_run(_spec(), "bob")
+            assert hit is first
+            assert hit.state == "done" and hit.dedupe == "cached"
+        assert reads == []                 # answered from memory
+        assert _kinds(first) == ["job_queued", "job_started",
+                                 "job_finished", "job_cached",
+                                 "job_cached"]
+        cached = [e for e in first.history if e["kind"] == "job_cached"]
+        assert {e["source"] for e in cached} == {"memo"}
+        assert {e["tenant"] for e in cached} == {"bob"}
+        counters = manager.registry.to_json()["counters"]
+        assert [c["value"] for c in counters
+                if c["name"] == "serve_dedupe"
+                and c["labels"] == {"source": "cached"}] == [2.0]
+        await manager.close()
+
+    asyncio.run(scenario())
+
+
+def test_first_hit_after_a_restart_is_the_store_then_the_table(
+        tmp_path, monkeypatch):
+    async def scenario():
+        cache = ResultCache(str(tmp_path))
+        before = _manager(monkeypatch, cache=cache)
+        await _wait_terminal(await before.submit_run(_spec(), "alice"))
+        await before.close()
+
+        def boom(request):
+            raise AssertionError("pool must not run")
+
+        after = _manager(monkeypatch, worker=boom, cache=cache)
+        docs = []
+        for _ in range(3):
+            job = await after.submit_run(_spec(), "alice")
+            docs.append(job.to_json())
+        assert [e["source"] for e in job.history] == \
+            ["store", "memo", "memo"]
+        for doc in docs:
+            assert doc["job"]["state"] == "done"
+            assert doc["job"]["dedupe"] == "cached"
+            assert doc["result"] == _result()
+            assert doc.keys() == docs[0].keys()
+            assert doc["job"].keys() == docs[0]["job"].keys()
+        await after.close()
+
+    asyncio.run(scenario())
+
+
+def test_a_result_outlives_its_store_entry(tmp_path, monkeypatch):
+    async def scenario():
+        cache = ResultCache(str(tmp_path))
+        manager = _manager(monkeypatch, cache=cache)
+        job = await manager.submit_run(_spec(), "alice")
+        await _wait_terminal(job)
+        assert cache.delete(job.id)          # evicted behind our back
+        monkeypatch.setattr(jobs_module, "execute_request",
+                            lambda request: 1 / 0)
+        again = await manager.submit_run(_spec(), "alice")
+        assert again is job and again.dedupe == "cached"
+        manager.cache = None                 # store detached
+        again = await manager.submit_run(_spec(), "alice")
+        assert again is job
+        await manager.close()
+
+    asyncio.run(scenario())
+
+
+def test_table_is_looked_at_again_after_the_store_read(tmp_path,
+                                                      monkeypatch):
+    """Two submissions of one unknown fingerprint both go to the store
+    and both miss; the second must find the first's job when it comes
+    back, not start a second simulation."""
+    calls = []
+    release = threading.Event()
+
+    def worker(request):
+        calls.append(request.label)
+        release.wait(5.0)
+        return _result()
+
+    async def scenario():
+        cache = ResultCache(str(tmp_path))
+        manager = _manager(monkeypatch, worker=worker, cache=cache)
+        first, second = await asyncio.gather(
+            manager.submit_run(_spec(), "alice"),
+            manager.submit_run(_spec(), "bob"))
+        assert first is second
+        assert second.dedupe == "coalesced"
+        release.set()
+        await _wait_terminal(first)
+        assert len(calls) == 1
+        await manager.close()
+
+    asyncio.run(scenario())
+
+
+# -- recency of hits served from memory ------------------------------------
+
+def test_touch_many_replays_like_touching_one_by_one(tmp_path):
+    keys = [f"{i:02x}" * 32 for i in range(6)]
+    order = [keys[4], keys[1], keys[5], keys[1], keys[0]]
+    one_by_one = ResultCache(str(tmp_path / "a"))
+    batched = ResultCache(str(tmp_path / "b"))
+    for cache in (one_by_one, batched):
+        for key in keys:
+            cache.put(key, _result())
+    for key in order:
+        one_by_one._journal("touch", key)
+    batched.touch_many(order)
+    batched.touch_many([])                     # no-op, no blank line
+
+    def lru(cache):
+        index = cache.load_index()
+        assert set(index) == set(keys)
+        return sorted(index, key=lambda key: index[key][1])
+
+    assert lru(batched) == lru(one_by_one) \
+        == [keys[2], keys[3], keys[4], keys[5], keys[1], keys[0]]
+    with open(batched.index_path) as fh:
+        assert len(fh.read().splitlines()) == len(keys) + len(order)
+    # A key the index has never seen stays unknown, as with one touch.
+    batched.touch_many(["ff" * 32])
+    assert "ff" * 32 not in batched.load_index()
+
+
+def test_memory_hits_reach_the_index_by_close(tmp_path, monkeypatch):
+    async def scenario():
+        cache = ResultCache(str(tmp_path))
+        manager = _manager(monkeypatch, cache=cache)
+        jobs = [await manager.submit_run(_spec(procs=p), "alice")
+                for p in (2, 3, 4)]
+        for job in jobs:
+            await _wait_terminal(job)
+        put = cache.load_index()
+        with open(cache.index_path) as fh:
+            lines_before = len(fh.read().splitlines())
+        for i in range(1000):
+            hit = await manager.submit_run(_spec(procs=2 + i % 2),
+                                           "alice")
+            assert hit.dedupe == "cached"
+        await manager.close()
+        index = cache.load_index()
+        for job in jobs[:2]:
+            assert index[job.id][1] > put[job.id][1]
+        assert index[jobs[2].id] == put[jobs[2].id]    # never hit
+        with open(cache.index_path) as fh:
+            # One line per hit KEY, not per hit.
+            assert len(fh.read().splitlines()) == lines_before + 2
+
+    asyncio.run(scenario())
+
+
+def test_pending_touches_flush_at_the_batch_size(tmp_path, monkeypatch):
+    monkeypatch.setattr(jobs_module, "_TOUCH_BATCH", 3)
+
+    async def scenario():
+        cache = ResultCache(str(tmp_path))
+        manager = _manager(monkeypatch, cache=cache)
+        flushed = []
+        touch_many = cache.touch_many
+        monkeypatch.setattr(
+            cache, "touch_many",
+            lambda keys: (flushed.append(set(keys)),
+                          touch_many(keys))[1])
+        jobs = [await manager.submit_run(_spec(procs=p), "alice")
+                for p in (2, 3, 4, 6)]
+        for job in jobs:
+            await _wait_terminal(job)
+        for procs in (2, 3, 2, 3):
+            await manager.submit_run(_spec(procs=procs), "alice")
+        assert flushed == []                   # two keys pending
+        await manager.submit_run(_spec(procs=4), "alice")
+        assert flushed == [{jobs[0].id, jobs[1].id, jobs[2].id}]
+        assert manager._touched == set()
+        await manager.submit_run(_spec(procs=6), "alice")
+        await manager.close()
+        assert flushed[1:] == [{jobs[3].id}]
+
+    asyncio.run(scenario())
+
+
+def test_eviction_sees_the_hits_served_from_memory(tmp_path,
+                                                   monkeypatch):
+    """Bounded to one entry with a 60 s floor: the entries hit from
+    the job table were used just now and must survive; the one that
+    was not hit is the only candidate."""
+    async def scenario():
+        cache = ResultCache(str(tmp_path))
+        manager = _manager(
+            monkeypatch, cache=cache, evict_every=1,
+            eviction=EvictionPolicy(max_entries=1, floor_seconds=60.0))
+        jobs = [await manager.submit_run(_spec(procs=p), "alice")
+                for p in (2, 3, 4)]
+        for job in jobs:
+            await _wait_terminal(job)
+        # Age every entry past the floor, as if put long ago.
+        index = cache.load_index()
+        cache._rewrite_index({key: (nbytes, ts - 3600.0)
+                              for key, (nbytes, ts) in index.items()})
+        for procs in (2, 3):
+            await manager.submit_run(_spec(procs=procs), "alice")
+        assert manager._touched == {jobs[0].id, jobs[1].id}
+        # The next completion runs the eviction pass.
+        await _wait_terminal(
+            await manager.submit_run(_spec(procs=6), "alice"))
+        for _ in range(200):
+            if manager._puts_since_evict == 0 and not manager._touched:
+                break
+            await asyncio.sleep(0.01)
+        live = set(cache.load_index())
+        assert jobs[0].id in live and jobs[1].id in live
+        assert jobs[2].id not in live          # idle for an hour
+        await manager.close()
+
+    asyncio.run(scenario())
+
+
+# -- sweeps waiting on a member --------------------------------------------
+
+def test_live_sweep_map_follows_sweep_lifetimes(monkeypatch):
+    release = threading.Event()
+
+    def worker(request):
+        release.wait(5.0)
+        if request.nprocs == 3:
+            raise RuntimeError("boom")
+        return _result()
+
+    async def scenario():
+        manager = _manager(monkeypatch, worker=worker, workers=4)
+        a = await manager.submit_sweep(
+            [_spec(procs=2), _spec(procs=4)], "alice")
+        b = await manager.submit_sweep(
+            [_spec(procs=2), _spec(procs=3)], "bob")
+        shared = request_from_spec(_spec(procs=2)).fingerprint()
+        assert set(manager._live_sweeps[shared]) == {a.id, b.id}
+        assert set(manager._live_sweeps) == set(a.members + b.members)
+        release.set()
+        for sweep in (a, b):
+            await _wait_terminal(sweep)
+        assert a.state == "done" and b.state == "failed"
+        assert _kinds(a).count("sweep_finished") == 1
+        assert _kinds(b).count("sweep_finished") == 1
+        for member_id in a.members + b.members:
+            await _wait_terminal(manager.get(member_id))
+        assert manager._live_sweeps == {}
+        # A sweep whose members are all done already is born terminal
+        # and never enters the map.
+        again = await manager.submit_sweep(
+            [_spec(procs=4), _spec(procs=2)], "carol")
+        assert again is a and manager._live_sweeps == {}
+        fresh = await manager.submit_sweep([_spec(procs=4)], "carol")
+        assert fresh.state == "done" and manager._live_sweeps == {}
+        await manager.close()
 
     asyncio.run(scenario())

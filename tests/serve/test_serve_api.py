@@ -37,6 +37,7 @@ class _Server:
         self._loop = None
         self._stop_event = None
         self._thread = threading.Thread(target=self._run, daemon=True)
+        self._clients = []
 
     def _run(self):
         try:
@@ -66,11 +67,15 @@ class _Server:
     def __exit__(self, *_exc):
         self._loop.call_soon_threadsafe(self._stop_event.set)
         self._thread.join(15.0)
+        for client in self._clients:    # each keeps a connection open
+            client.close()
 
     def client(self, tenant="anon", timeout=60.0):
         host, port = self.addr
-        return ServeClient(f"http://{host}:{port}", tenant=tenant,
-                           timeout=timeout)
+        client = ServeClient(f"http://{host}:{port}", tenant=tenant,
+                             timeout=timeout)
+        self._clients.append(client)
+        return client
 
 
 def _config(tmp_path, **overrides):
@@ -154,6 +159,24 @@ def test_event_stream_replays_and_ends(tmp_path):
         replay = [event["kind"] for event in client.events(job_id)]
         assert replay.count("job_finished") == 1
         assert replay[-1] == "_end"
+
+
+def test_hits_do_not_erase_the_replayable_history(tmp_path):
+    """Compute, hit twice, replay: the hits used to replace the job
+    with a fresh one whose history was a lone ``job_cached``."""
+    with _Server(_config(tmp_path)) as server:
+        client = server.client()
+        job_id = client.submit_run(_spec())["job"]["id"]
+        client.wait(job_id)
+        for _ in range(2):
+            hit = client.submit_run(_spec())
+            assert hit["job"]["dedupe"] == "cached"
+            assert hit["job"]["state"] == "done"
+            assert hit["result"]["execution_cycles"] > 0
+            assert not validate_report(hit)
+        replay = [event["kind"] for event in client.events(job_id)]
+        assert replay == ["job_queued", "job_started", "job_finished",
+                          "job_cached", "job_cached", "_end"]
 
 
 def test_sse_stream_formats_data_frames(tmp_path):
