@@ -419,7 +419,7 @@ class TreadMarks(DsmProtocol):
                 continue
             yield self.sim.pooled_timeout(
                 diff.dirty_words * self.params.diff_cycles_per_word)
-            yield from node.memory.access_scattered(diff.dirty_words)
+            yield from node.memory.access(diff.dirty_words, scattered=True)
             tp.apply_incoming(diff)
             self._invalidate_cached(node, tp)
             self.stats.hybrid_diffs_applied += 1
@@ -620,7 +620,7 @@ class TreadMarks(DsmProtocol):
         for diff in apply_order(diffs):
             yield self.sim.pooled_timeout(
                 diff.dirty_words * self.params.diff_cycles_per_word)
-            yield from node.memory.access_scattered(diff.dirty_words)
+            yield from node.memory.access(diff.dirty_words, scattered=True)
             tp.apply_incoming(diff)
             self.stats.diffs_applied += 1
             self.stats.diff_words_applied += diff.dirty_words
@@ -871,7 +871,7 @@ class TreadMarks(DsmProtocol):
         for diff in msg.diffs:
             yield self.sim.pooled_timeout(
                 diff.dirty_words * self.params.diff_cycles_per_word)
-            yield from node.memory.access_scattered(diff.dirty_words)
+            yield from node.memory.access(diff.dirty_words, scattered=True)
             self.stats.diffs_applied += 1
             self.stats.diff_words_applied += diff.dirty_words
             applied_words += diff.dirty_words

@@ -7,7 +7,7 @@ lives here:
   sensitivity knobs of section 5.3.
 * :mod:`repro.hardware.memory` -- DRAM with setup + per-word timing and
   contention.
-* :mod:`repro.hardware.bus` -- memory bus and PCI bus.
+* :mod:`repro.hardware.bus` -- PCI bus.
 * :mod:`repro.hardware.cache` -- direct-mapped first-level cache and the
   write buffer.
 * :mod:`repro.hardware.tlb` -- software-filled TLB.

@@ -1,15 +1,11 @@
-"""Bus models: the node's memory bus and its PCI I/O bus.
+"""The node's PCI I/O bus.
 
-The memory bus carries processor<->memory and controller<->memory traffic;
-the PCI bus carries controller<->NIC<->memory traffic (paper figure 3:
-both the protocol controller and the network interface sit on PCI behind a
-bridge).  Both are single-master-at-a-time resources with burst timing.
-
-In this reproduction the memory bus's occupancy is folded into the
+The PCI bus carries controller<->NIC<->memory traffic (paper figure 3:
+both the protocol controller and the network interface sit on PCI behind
+a bridge); it is a single-master-at-a-time resource with burst timing.
+The memory bus has no model of its own: its occupancy is folded into the
 :class:`~repro.hardware.memory.MainMemory` port (a burst holds DRAM and
-bus together), so :class:`PciBus` is the interesting model here; a thin
-:class:`MemoryBus` alias is kept for components that want to charge
-bus-only traffic (e.g. write-through of dirty words that hit in cache).
+bus together).
 """
 
 from __future__ import annotations
@@ -17,7 +13,7 @@ from __future__ import annotations
 from repro.hardware.params import MachineParams
 from repro.sim import Resource, Simulator
 
-__all__ = ["PciBus", "MemoryBus"]
+__all__ = ["PciBus"]
 
 
 class PciBus:
@@ -100,35 +96,3 @@ class PciBus:
 
     def utilization(self) -> float:
         return self.port.utilization()
-
-
-class MemoryBus:
-    """The processor-memory bus for traffic that bypasses DRAM timing.
-
-    Used for write-through traffic snooped by the protocol controller:
-    each written word crosses the bus even when the DRAM write is
-    overlapped, so heavy write bursts can still congest the node.
-    """
-
-    def __init__(self, sim: Simulator, params: MachineParams,
-                 node_id: int = 0):
-        self.sim = sim
-        self.params = params
-        self.port = Resource(sim, capacity=1, name=f"membus{node_id}")
-        self.total_words = 0
-
-    def transfer_words(self, nwords: int):
-        """Generator: occupy the bus for ``nwords`` single-word beats."""
-        if nwords <= 0:
-            return
-        cycles = nwords * self.params.memory_cycles_per_word
-        port = self.port
-        req = port.try_acquire()
-        if req is None:
-            req = port.request()
-            yield req
-        try:
-            yield self.sim.pooled_timeout(cycles)
-        finally:
-            port.release(req)
-        self.total_words += nwords

@@ -289,7 +289,7 @@ class ProtocolController:
             yield fused
             return
         yield from self.core_work(core)
-        yield from self.memory.access_scattered(dirty_words)
+        yield from self.memory.access(dirty_words, scattered=True)
 
     def dma_diff_create(self, dirty_words: int):
         """Generator: DMA diff creation -- bit-vector scan (~200 cycles
@@ -304,7 +304,7 @@ class ProtocolController:
                 return
         yield from self.core_work(core)
         if dirty_words:
-            yield from self.memory.access_scattered(dirty_words)
+            yield from self.memory.access(dirty_words, scattered=True)
 
     def dma_diff_apply(self, dirty_words: int):
         """Generator: DMA diff application -- scatter the diff's words into
@@ -318,7 +318,7 @@ class ProtocolController:
                 return
         yield from self.core_work(core)
         if dirty_words:
-            yield from self.memory.access_scattered(dirty_words)
+            yield from self.memory.access(dirty_words, scattered=True)
 
     def page_copy(self, nwords: Optional[int] = None):
         """Generator: stream a full page between memory and the NIC."""

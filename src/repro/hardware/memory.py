@@ -26,31 +26,32 @@ class MainMemory:
         self.total_words = 0
         self.total_accesses = 0
 
+    def _cycles(self, nwords: int, scattered: bool) -> float:
+        """Port occupancy of one burst: one row setup per burst, or per
+        cache-line group when the words are ``scattered``."""
+        params = self.params
+        cycles = nwords * params.memory_cycles_per_word
+        if scattered:
+            groups = -(-nwords // params.words_per_line)
+            return groups * params.memory_setup_cycles + cycles
+        return cycles + params.memory_setup_cycles
+
     def burst_timeout(self, nwords: int, lead_cycles: float = 0.0,
-                      scattered: bool = False, setup: bool = True):
+                      scattered: bool = False):
         """Fused ``lead_cycles`` + DRAM burst as one timeout, or None.
 
         Equivalent to a plain ``lead_cycles`` wait (e.g. controller
-        core work) followed by :meth:`access` / :meth:`access_scattered`
-        when the port is idle and nothing else is scheduled strictly
-        inside the combined window.  Statistics are accounted exactly;
-        the caller yields the returned timeout.  None means take the
-        event-per-burst path.
+        core work) followed by :meth:`access` when the port is idle and
+        nothing else is scheduled strictly inside the combined window.
+        Statistics are accounted exactly; the caller yields the returned
+        timeout.  None means take the event-per-burst path.
         """
         if nwords <= 0:
             return None
         port = self.port
         if port.users or port.queue_length:
             return None
-        params = self.params
-        if scattered:
-            groups = -(-nwords // params.words_per_line)
-            cycles = (groups * params.memory_setup_cycles
-                      + nwords * params.memory_cycles_per_word)
-        else:
-            cycles = nwords * params.memory_cycles_per_word
-            if setup:
-                cycles += params.memory_setup_cycles
+        cycles = self._cycles(nwords, scattered)
         total = lead_cycles + cycles
         sim = self.sim
         heap = sim._heap
@@ -61,17 +62,18 @@ class MainMemory:
         self.total_accesses += 1
         return sim.pooled_timeout(total)
 
-    def access(self, nwords: int, setup: bool = True):
+    def access(self, nwords: int, scattered: bool = False):
         """Generator: occupy the memory port for one burst of ``nwords``.
 
-        ``setup=False`` models back-to-back streaming that amortized the
-        row setup (used by DMA engines continuing a burst).
+        ``scattered`` words sit at non-contiguous addresses: diff
+        gathers/scatters touch isolated words across a page, so roughly
+        every cache-line-sized group pays its own row setup -- this is
+        what makes TreadMarks diff operations sensitive to memory
+        latency (paper figure 15).
         """
         if nwords <= 0:
             return
-        cycles = nwords * self.params.memory_cycles_per_word
-        if setup:
-            cycles += self.params.memory_setup_cycles
+        cycles = self._cycles(nwords, scattered)
         port = self.port
         req = port.try_acquire()
         if req is None:
@@ -84,7 +86,7 @@ class MainMemory:
         self.total_words += nwords
         self.total_accesses += 1
 
-    def access_k(self, nwords: int, k, setup: bool = True) -> None:
+    def access_k(self, nwords: int, k) -> None:
         """Continuation form of :meth:`access`: call ``k()`` when done.
 
         Schedules the same (time, seq) slots as the generator form, so
@@ -94,9 +96,7 @@ class MainMemory:
         if nwords <= 0:
             k()
             return
-        cycles = nwords * self.params.memory_cycles_per_word
-        if setup:
-            cycles += self.params.memory_setup_cycles
+        cycles = self._cycles(nwords, False)
         port = self.port
         req = port.try_acquire()
         if req is not None:
@@ -112,35 +112,6 @@ class MainMemory:
         self.total_words += nwords
         self.total_accesses += 1
         k()
-
-    def access_scattered(self, nwords: int):
-        """Generator: access ``nwords`` at non-contiguous addresses.
-
-        Diff gathers/scatters touch isolated words across a page, so
-        roughly every cache-line-sized group pays its own row setup --
-        this is what makes TreadMarks diff operations sensitive to
-        memory latency (paper figure 15).
-        """
-        if nwords <= 0:
-            return
-        groups = -(-nwords // self.params.words_per_line)
-        cycles = (groups * self.params.memory_setup_cycles
-                  + nwords * self.params.memory_cycles_per_word)
-        port = self.port
-        req = port.try_acquire()
-        if req is None:
-            req = port.request()
-            yield req
-        try:
-            yield self.sim.pooled_timeout(cycles)
-        finally:
-            port.release(req)
-        self.total_words += nwords
-        self.total_accesses += 1
-
-    def access_page(self):
-        """Generator: burst-transfer one full page."""
-        yield from self.access(self.params.words_per_page)
 
     def service_cycles(self, nwords: int) -> float:
         """Uncontended service time for an ``nwords`` burst."""

@@ -47,13 +47,11 @@ ROUTE_MEMO_MAX_NODES = 64
 
 
 class _TransferFlight:
-    """State struct for one contended mesh transfer (continuation form).
+    """State struct for one contended mesh transfer.
 
-    Mirrors the contended branch of :meth:`MeshNetwork.transfer`: acquire
-    the route's links head-first (holding the links behind the worm's
-    head), pay the serialized duration, release, then invoke ``k``.
-    Every schedule lands on the same (time, seq) slot the generator form
-    would use, so simulated cycles are bit-identical.
+    The contended branch of :meth:`MeshNetwork.transfer`: acquire the
+    route's links head-first (holding the links behind the worm's head),
+    pay the serialized duration, release, then invoke ``k(False)``.
     """
 
     __slots__ = ("net", "src", "dst", "path", "idx", "held", "start",
@@ -191,9 +189,6 @@ class MeshNetwork:
         links = routes[(src, dst)] = self.topology.compute_route(src, dst)
         return links
 
-    def _compute_route(self, src: int, dst: int) -> List[tuple]:
-        return self.topology.compute_route(src, dst)
-
     def hops(self, src: int, dst: int) -> int:
         return self.topology.hops(src, dst)
 
@@ -212,12 +207,15 @@ class MeshNetwork:
 
     def transfer(self, src: int, dst: int, nbytes: int,
                  traffic_class: str = "protocol", req: int = 0,
-                 tail_cycles: float = 0.0, tail_accounts=()):
-        """Generator: move ``nbytes`` from ``src`` to ``dst`` with contention.
+                 tail_cycles: float = 0.0, tail_accounts=(),
+                 k=None) -> None:
+        """Move ``nbytes`` from ``src`` to ``dst`` with contention, then
+        call ``k(folded)``.
 
-        The caller (NIC) blocks for the full transfer; asynchronous sends
-        wrap this in their own process.  ``req`` tags the trace event
-        with the request id riding this transfer (0 = untracked).
+        ``req`` tags the trace event with the request id riding this
+        transfer (0 = untracked).  ``k`` runs synchronously for local
+        loopback (src == dst); generator callers go through
+        ``sim.await_k(net.transfer, ...)``.
 
         ``tail_cycles``/``tail_accounts`` let the caller fold its
         immediately-following delivery bursts (destination PCI / DRAM)
@@ -225,115 +223,8 @@ class MeshNetwork:
         resources are idle and nothing else is scheduled strictly inside
         the combined window, the whole flight collapses to one event,
         with every resource accounted exactly as held/released bursts.
-        Returns True when the tail was folded in (the caller must skip
-        its own tail bursts), else False.
-        """
-        if src == dst:
-            return False  # local loopback: no mesh traversal
-        sim = self.sim
-        start = sim.now
-        path = self.route(src, dst)
-        metrics = sim.metrics
-        head = len(path) * self._head_per_hop
-        serialization = nbytes * self.params.link_cycles_per_byte
-        duration = head + serialization
-        links = self._links
-        folded = False
-        fuse = True
-        faults = self.faults
-        if faults is not None and faults.route_armed(path):
-            # Armed routes must never take the fused quiet window: the
-            # spike draw has to happen at this transfer's position in
-            # event order, and its extra cycles must not be silently
-            # folded into a pooled timeout sized before the draw.
-            fuse = False
-            spike = faults.link_spike(path)
-            if spike > 0.0:
-                duration += spike
-                if metrics is not None:
-                    metrics.inc("net_spike_cycles", spike,
-                                traffic_class=traffic_class)
-        if fuse:
-            for link_key in path:
-                link = links[link_key]
-                if link.users or link._queue:
-                    fuse = False
-                    break
-        if fuse:
-            for resource, _cycles in tail_accounts:
-                if resource.users or resource.queue_length:
-                    fuse = False
-                    break
-        if fuse:
-            window = duration + tail_cycles
-            heap = sim._heap
-            if not sim._nowq and (not heap or heap[0][0] > start + window):
-                for link_key in path:
-                    links[link_key].account_uncontended(duration)
-                for resource, cycles in tail_accounts:
-                    resource.account_uncontended(cycles)
-                yield sim.pooled_timeout(window)
-                folded = tail_cycles > 0
-                blocked = 0.0
-                latency = duration
-            else:
-                fuse = False
-        if not fuse:
-            held = []
-            try:
-                for link_key in path:
-                    link = links[link_key]
-                    link_req = link.try_acquire()
-                    if link_req is None:
-                        link_req = link.request()
-                        yield link_req
-                    held.append((link_key, link_req))
-                blocked = sim.now - start
-                yield sim.pooled_timeout(duration)
-            finally:
-                for link_key, link_req in held:
-                    links[link_key].release(link_req)
-            latency = sim.now - start
-        self._account(src, dst, nbytes, latency, blocked, traffic_class,
-                      start, len(path), req)
-        return folded
-
-    def _account(self, src: int, dst: int, nbytes: int, latency: float,
-                 blocked: float, traffic_class: str, start: float,
-                 hops: int, req: int) -> None:
-        """Post-transfer stats/metrics/trace, shared by both forms."""
-        stats = self.stats
-        stats.messages += 1
-        stats.bytes += nbytes
-        stats.total_latency += latency
-        stats.total_blocked += blocked
-        per_class = stats.per_class_bytes
-        per_class[traffic_class] = per_class.get(traffic_class, 0) + nbytes
-        metrics = self.sim.metrics
-        if metrics is not None:
-            metrics.inc("net_transfers", traffic_class=traffic_class)
-            metrics.inc("net_bytes", nbytes, traffic_class=traffic_class)
-            metrics.inc("net_blocked_cycles", blocked,
-                        traffic_class=traffic_class)
-        tracer = self.sim.tracer
-        if tracer is not None and tracer.wants("net"):
-            tracer.emit("net", node=src, track="net", action=traffic_class,
-                        dst=dst, bytes=nbytes, hops=hops,
-                        blocked=blocked, begin=start,
-                        dur=latency,
-                        **({"req": req} if req else {}))
-
-    def transfer_k(self, src: int, dst: int, nbytes: int,
-                   traffic_class: str = "protocol", req: int = 0,
-                   tail_cycles: float = 0.0, tail_accounts=(),
-                   k=None) -> None:
-        """Continuation form of :meth:`transfer`: call ``k(folded)``.
-
-        Identical timing, fusing, and accounting decisions to the
-        generator form -- every schedule lands on the same (time, seq)
-        slot, so simulated cycles are bit-identical.  ``k`` runs
-        synchronously for local loopback (src == dst), mirroring the
-        generator's immediate return.
+        ``folded`` is True when the tail was folded in (the caller must
+        skip its own tail bursts).
         """
         if src == dst:
             k(False)  # local loopback: no mesh traversal
@@ -341,7 +232,6 @@ class MeshNetwork:
         sim = self.sim
         start = sim.now
         path = self.route(src, dst)
-        metrics = sim.metrics
         head = len(path) * self._head_per_hop
         serialization = nbytes * self.params.link_cycles_per_byte
         duration = head + serialization
@@ -349,11 +239,15 @@ class MeshNetwork:
         fuse = True
         faults = self.faults
         if faults is not None and faults.route_armed(path):
-            # Same rule as the generator form: armed routes never fuse.
+            # Armed routes must never take the fused quiet window: the
+            # spike draw has to happen at this transfer's position in
+            # event order, and its extra cycles must not be silently
+            # folded into a timeout sized before the draw.
             fuse = False
             spike = faults.link_spike(path)
             if spike > 0.0:
                 duration += spike
+                metrics = sim.metrics
                 if metrics is not None:
                     metrics.inc("net_spike_cycles", spike,
                                 traffic_class=traffic_class)
@@ -390,6 +284,31 @@ class MeshNetwork:
         self._account(src, dst, nbytes, duration, 0.0, traffic_class,
                       start, hops, req)
         k(tail_cycles > 0)
+
+    def _account(self, src: int, dst: int, nbytes: int, latency: float,
+                 blocked: float, traffic_class: str, start: float,
+                 hops: int, req: int) -> None:
+        """Post-transfer stats/metrics/trace, fused or contended."""
+        stats = self.stats
+        stats.messages += 1
+        stats.bytes += nbytes
+        stats.total_latency += latency
+        stats.total_blocked += blocked
+        per_class = stats.per_class_bytes
+        per_class[traffic_class] = per_class.get(traffic_class, 0) + nbytes
+        metrics = self.sim.metrics
+        if metrics is not None:
+            metrics.inc("net_transfers", traffic_class=traffic_class)
+            metrics.inc("net_bytes", nbytes, traffic_class=traffic_class)
+            metrics.inc("net_blocked_cycles", blocked,
+                        traffic_class=traffic_class)
+        tracer = self.sim.tracer
+        if tracer is not None and tracer.wants("net"):
+            tracer.emit("net", node=src, track="net", action=traffic_class,
+                        dst=dst, bytes=nbytes, hops=hops,
+                        blocked=blocked, begin=start,
+                        dur=latency,
+                        **({"req": req} if req else {}))
 
     def link_utilization(self) -> float:
         """Mean utilization across all links."""

@@ -177,7 +177,7 @@ class _MessageFlight:
             # into its fused timeout when the whole flight is quiet.
             pci_c = (nic.params.pci_transfer_cycles(self.nbytes)
                      if self.nbytes > 0 else 0.0)
-            nic.network.transfer_k(
+            nic.network.transfer(
                 nic.node_id, dst, self.nbytes, self.traffic_class,
                 req=self.req, tail_cycles=pci_c,
                 tail_accounts=(((self.dst_nic.pci.port, pci_c),)
@@ -230,7 +230,7 @@ class _UpdateFlight:
         # DRAM) into its fused timeout when the whole flight is quiet.
         pci_c = engine.params.pci_transfer_cycles(batch.nbytes)
         mem_c = mem.service_cycles(nwords)
-        nic.network.transfer_k(
+        nic.network.transfer(
             nic.node_id, batch.dst, batch.nbytes,
             traffic_class="update",
             tail_cycles=pci_c + mem_c,
@@ -589,11 +589,10 @@ class NetworkInterface:
         dst_nic = self.peer(dst)
         pci_c = (self.params.pci_transfer_cycles(nbytes)
                  if nbytes > 0 else 0.0)
-        folded = yield from self.network.transfer(
-            self.node_id, dst, nbytes, traffic_class, req=req,
-            tail_cycles=pci_c,
-            tail_accounts=(((dst_nic.pci.port, pci_c),)
-                           if pci_c > 0 else ()))
+        folded = yield from self.sim.await_k(
+            self.network.transfer, self.node_id, dst, nbytes,
+            traffic_class, req, pci_c,
+            ((dst_nic.pci.port, pci_c),) if pci_c > 0 else ())
         if folded:
             dst_nic.pci.total_bytes += nbytes
         else:

@@ -22,7 +22,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Generator, List, Optional
 
-from repro.hardware.bus import MemoryBus, PciBus
+from repro.hardware.bus import PciBus
 from repro.hardware.cache import DirectMappedCache, WriteBuffer
 from repro.hardware.controller import ProtocolController
 from repro.hardware.memory import MainMemory
@@ -317,7 +317,6 @@ class Node:
         self.node_id = node_id
         self.memory = MainMemory(sim, params, node_id)
         self.pci = PciBus(sim, params, node_id)
-        self.membus = MemoryBus(sim, params, node_id)
         self.cache = DirectMappedCache(params)
         self.tlb = Tlb(params)
         self.write_buffer = WriteBuffer(params)

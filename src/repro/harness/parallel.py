@@ -349,10 +349,7 @@ class ResultCache:
     against it.  The journal is advisory: torn lines (a crash mid-
     append or mid-evict) are skipped on load, and any index/directory
     disagreement is repaired by :meth:`rebuild_index`, which rescans
-    the shards.  Caches written by older versions -- flat
-    ``<key>.json`` files at the root, no index -- keep hitting: reads
-    fall back to the legacy path and migrate entries into their shard
-    one hit at a time.
+    the shards.
     """
 
     def __init__(self, root: Optional[str] = None):
@@ -363,10 +360,6 @@ class ResultCache:
 
     def path_for(self, key: str) -> str:
         return os.path.join(self.root, key[:2], f"{key}.json")
-
-    def legacy_path_for(self, key: str) -> str:
-        """Where the pre-sharding flat layout stored this key."""
-        return os.path.join(self.root, f"{key}.json")
 
     @property
     def index_path(self) -> str:
@@ -390,25 +383,9 @@ class ResultCache:
         return doc
 
     def get(self, key: str) -> Optional[dict]:
-        path = self.path_for(key)
-        doc = self._load_entry(path)
+        doc = self._load_entry(self.path_for(key))
         if doc is not None:
             self._journal("touch", key)
-            return doc
-        # Legacy flat layout: serve the hit, then migrate the entry into
-        # its shard so old caches re-shard progressively as they are
-        # read rather than in one stop-the-world pass.
-        legacy = self.legacy_path_for(key)
-        doc = self._load_entry(legacy)
-        if doc is None:
-            return None
-        try:
-            os.makedirs(os.path.dirname(path), exist_ok=True)
-            os.replace(legacy, path)
-            self._journal("put", key, nbytes=os.path.getsize(path))
-        except OSError:
-            # Migration is best-effort; the flat entry keeps serving.
-            pass
         return doc
 
     def put(self, key: str, doc: dict,
@@ -442,17 +419,13 @@ class ResultCache:
                     pass
 
     def delete(self, key: str) -> bool:
-        """Remove one entry (sharded or legacy); True if a file went."""
-        removed = False
-        for path in (self.path_for(key), self.legacy_path_for(key)):
-            try:
-                os.unlink(path)
-                removed = True
-            except OSError:
-                pass
-        if removed:
-            self._journal("del", key)
-        return removed
+        """Remove one entry; True if its file went."""
+        try:
+            os.unlink(self.path_for(key))
+        except OSError:
+            return False
+        self._journal("del", key)
+        return True
 
     # -- the index journal -------------------------------------------------
 
@@ -534,32 +507,27 @@ class ResultCache:
             names = os.listdir(self.root)
         except OSError:
             return False
-        for name in names:
-            if name.endswith(".json") or (
-                    len(name) == 2
-                    and os.path.isdir(os.path.join(self.root, name))):
-                return True
-        return False
+        return any(len(name) == 2
+                   and os.path.isdir(os.path.join(self.root, name))
+                   for name in names)
 
     def _scan_files(self):
-        """Yield ``(key, path)`` for every entry file, both layouts."""
+        """Yield ``(key, path)`` for every entry file."""
         try:
             names = os.listdir(self.root)
         except OSError:
             return
         for name in sorted(names):
             path = os.path.join(self.root, name)
-            if name.endswith(".json") and os.path.isfile(path):
-                yield name[:-len(".json")], path
-            elif len(name) == 2 and os.path.isdir(path):
-                try:
-                    shard = sorted(os.listdir(path))
-                except OSError:
-                    continue
-                for entry in shard:
-                    if entry.endswith(".json"):
-                        yield entry[:-len(".json")], \
-                            os.path.join(path, entry)
+            if len(name) != 2 or not os.path.isdir(path):
+                continue
+            try:
+                shard = sorted(os.listdir(path))
+            except OSError:
+                continue
+            for entry in shard:
+                if entry.endswith(".json"):
+                    yield entry[:-len(".json")], os.path.join(path, entry)
 
     def rebuild_index(self) -> Dict[str, Tuple[int, float]]:
         """Rescan the shards and rewrite the journal atomically.
@@ -619,8 +587,7 @@ class ResultCache:
         verified: Dict[str, Tuple[int, float]] = {}
         dirty = False
         for key, (nbytes, ts) in entries.items():
-            if os.path.exists(self.path_for(key)) \
-                    or os.path.exists(self.legacy_path_for(key)):
+            if os.path.exists(self.path_for(key)):
                 verified[key] = (nbytes, ts)
             else:
                 dirty = True

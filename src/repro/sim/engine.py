@@ -31,9 +31,9 @@ Performance notes (the kernel is the simulator's hot loop):
   the run loop right after their callbacks fire, when nothing can
   reference them anymore; recycling never reorders the heap, so it is
   invisible to simulated time.
-* :meth:`Simulator.run` specializes its loop for the three ``until``
-  shapes instead of re-checking both stop conditions per event, and
-  inlines :meth:`step`'s pop/advance/dispatch sequence.
+* :meth:`Simulator.run` has one dispatch loop that inlines
+  :meth:`step`'s pop/advance/dispatch sequence; draining waits on an
+  event nothing triggers, and a time limit steps through :meth:`step`.
 * ``succeed``/``fail`` inline the zero-delay schedule (the common case)
   rather than calling :meth:`Simulator._schedule`.
 * Zero-delay schedules land in a same-cycle batch queue (``_nowq``, a
@@ -47,7 +47,8 @@ Performance notes (the kernel is the simulator's hot loop):
   nested generators: one pooled callback object per hop, no `Process`,
   no generator frames.  Cold paths (barriers, epilogues, prefetch
   finalization, the NIC reliability layer) keep the richer generator
-  form -- see DESIGN.md section 7.
+  form and reach continuation-only hops through
+  :meth:`Simulator.await_k` -- see DESIGN.md section 7.
 """
 
 from __future__ import annotations
@@ -332,6 +333,20 @@ class Continuation:
         return f"<Continuation {self.fn!r} at {hex(id(self))}>"
 
 
+class _Waiter(Event):
+    """The ``k`` that :meth:`Simulator.await_k` hands a continuation hop.
+
+    Calling it fires the event synchronously: its waiters resume inside
+    the dispatch slot that completed the hop, with no event of its own.
+    """
+
+    __slots__ = ()
+
+    def __call__(self, value: Any = None) -> None:
+        self._value = value
+        self._resume_waiters()
+
+
 class Process(Event):
     """A running generator; also an event that fires when it returns.
 
@@ -577,6 +592,23 @@ class Simulator:
         self._seq += 1
         heappush(self._heap, (self.now + delay, self._seq, cont))
 
+    def await_k(self, fn: Callable, *args: Any):
+        """Generator: run the continuation hop ``fn(*args, k=...)`` and
+        return the value ``k`` is called with.
+
+        The caller resumes inside the dispatch slot that completed the
+        hop, exactly where a generator form of ``fn`` would have
+        returned, and does not yield at all when ``k`` runs before
+        ``fn`` returns -- so ``yield from sim.await_k(fn, ...)``
+        occupies the same ``(time, seq)`` slots as ``yield from`` a
+        generator twin of ``fn``.
+        """
+        waiter = _Waiter(self)
+        fn(*args, k=waiter)
+        if waiter.callbacks is None:
+            return waiter._value
+        return (yield waiter)
+
     # -- free-list pools ---------------------------------------------------
 
     def pooled_event(self) -> Event:
@@ -685,96 +717,30 @@ class Simulator:
         ``until`` may be ``None`` (drain), a number (stop the clock there),
         or an :class:`Event` (stop when it triggers and return its value).
 
-        Each ``until`` shape gets its own loop so the hot path checks
-        only the stop condition that can actually apply; the heap's time
-        ordering makes the per-event monotonicity re-check redundant
-        here (it stays in :meth:`step` for manual stepping).
+        One dispatch loop serves the event and drain shapes (draining
+        waits on an event nothing triggers); the heap's time ordering
+        makes the per-event monotonicity re-check redundant here (it
+        stays in :meth:`step`, which a time limit steps through).
         """
+        if until is not None and not isinstance(until, Event):
+            stop_time = float(until)
+            if stop_time < self.now:
+                raise ValueError("until lies in the past")
+            while self.peek() <= stop_time:
+                self.step()
+            self.now = stop_time
+            return None
+        stop_event = Event(self) if until is None else until
         heap = self._heap
         nowq = self._nowq
         pop = heapq.heappop
         popleft = nowq.popleft
         processed = 0
         try:
-            if isinstance(until, Event):
-                stop_event = until
-                while nowq or heap:
-                    if (stop_event._value is not _PENDING
-                            or stop_event._exception is not None):
-                        break
-                    if nowq:
-                        if heap and heap[0] < nowq[0]:
-                            entry = pop(heap)
-                        else:
-                            entry = popleft()
-                    else:
-                        entry = pop(heap)
-                    self.now = entry[0]
-                    event = entry[2]
-                    event._resume_waiters()
-                    processed += 1
-                    if event._recycle:
-                        cls = event.__class__
-                        if cls is Timeout:
-                            pool = self._timeout_pool
-                            if len(pool) < _POOL_MAX:
-                                event._recycle = False
-                                pool.append(event)
-                        elif cls is Continuation:
-                            pool = self._cont_pool
-                            if len(pool) < _POOL_MAX:
-                                event._recycle = False
-                                pool.append(event)
-                        elif cls is Event:
-                            pool = self._event_pool
-                            if len(pool) < _POOL_MAX:
-                                event._recycle = False
-                                pool.append(event)
-                if stop_event._exception is not None:
-                    raise stop_event._exception
-                if stop_event._value is not _PENDING:
-                    return stop_event._value
-                raise RuntimeError(
-                    "simulation ran out of events before `until` event fired")
-            if until is not None:
-                stop_time = float(until)
-                if stop_time < self.now:
-                    raise ValueError("until lies in the past")
-                # nowq entries always carry the current time, which the
-                # initial check pinned at <= stop_time, so only the heap
-                # needs the stop-time guard.
-                while nowq or (heap and heap[0][0] <= stop_time):
-                    if nowq:
-                        if heap and heap[0] < nowq[0]:
-                            entry = pop(heap)
-                        else:
-                            entry = popleft()
-                    else:
-                        entry = pop(heap)
-                    self.now = entry[0]
-                    event = entry[2]
-                    event._resume_waiters()
-                    processed += 1
-                    if event._recycle:
-                        cls = event.__class__
-                        if cls is Timeout:
-                            pool = self._timeout_pool
-                            if len(pool) < _POOL_MAX:
-                                event._recycle = False
-                                pool.append(event)
-                        elif cls is Continuation:
-                            pool = self._cont_pool
-                            if len(pool) < _POOL_MAX:
-                                event._recycle = False
-                                pool.append(event)
-                        elif cls is Event:
-                            pool = self._event_pool
-                            if len(pool) < _POOL_MAX:
-                                event._recycle = False
-                                pool.append(event)
-                self.now = stop_time
-                return None
             while nowq or heap:
+                if (stop_event._value is not _PENDING
+                        or stop_event._exception is not None):
+                    break
                 if nowq:
                     if heap and heap[0] < nowq[0]:
                         entry = pop(heap)
@@ -803,6 +769,13 @@ class Simulator:
                         if len(pool) < _POOL_MAX:
                             event._recycle = False
                             pool.append(event)
-            return None
         finally:
             self.events_processed += processed
+        if stop_event._exception is not None:
+            raise stop_event._exception
+        if stop_event._value is not _PENDING:
+            return stop_event._value
+        if until is None:
+            return None
+        raise RuntimeError(
+            "simulation ran out of events before `until` event fired")

@@ -307,20 +307,6 @@ class Store:
                 return self._next_item()
         return None
 
-    def get_item(self):
-        """Generator: wait for and return the next item.
-
-        Same fast path as :meth:`try_get`, but safe for None items (the
-        fast-path test is made before popping, not on the popped value).
-        """
-        if len(self) and not self._getters:
-            sim = self.sim
-            heap = sim._heap
-            if not sim._nowq and (not heap or heap[0][0] > sim.now):
-                return self._next_item()
-        item = yield self.get()
-        return item
-
     def _next_item(self) -> Any:
         return self._items.popleft()
 

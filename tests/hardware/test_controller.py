@@ -170,3 +170,24 @@ def test_page_copy_charges_pci_and_memory(rig):
     sim.run(until=done)
     assert sim.now == (params.pci_transfer_cycles(4096)
                        + params.memory_access_cycles(1024))
+
+
+def test_await_k_in_command_work_resumes_in_hop_slot(rig):
+    sim, params, ctrl = rig
+    log = []
+
+    def hop(k):
+        sim.call_in(25, k, "hop")
+        sim.call_in(25, log.append, (sim.now + 25, "rival"))
+
+    def work():
+        value = yield from sim.await_k(hop)
+        log.append((sim.now, value))
+        return value
+
+    done = ctrl.submit("hop", work)
+    sim.run()
+    assert done.value == "hop"
+    # The controller's _drive resumed the work generator inside the
+    # hop's completion slot, ahead of the rival queued behind it.
+    assert log == [(25, "hop"), (25, "rival")]

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.hardware.bus import MemoryBus, PciBus
+from repro.hardware.bus import PciBus
 from repro.hardware.memory import MainMemory
 from repro.hardware.params import MachineParams
 from repro.sim import Simulator
@@ -28,18 +28,6 @@ def test_memory_burst_timing(sim, params):
     p = sim.process(proc())
     sim.run()
     assert p.value == 10 + 8 * 3
-
-
-def test_memory_access_without_setup(sim, params):
-    mem = MainMemory(sim, params)
-
-    def proc():
-        yield from mem.access(8, setup=False)
-        return sim.now
-
-    p = sim.process(proc())
-    sim.run()
-    assert p.value == 24
 
 
 def test_memory_zero_words_is_free(sim, params):
@@ -75,7 +63,7 @@ def test_memory_page_burst(sim, params):
     mem = MainMemory(sim, params)
 
     def proc():
-        yield from mem.access_page()
+        yield from mem.access(params.words_per_page)
         return sim.now
 
     p = sim.process(proc())
@@ -121,19 +109,6 @@ def test_pci_contention(sim, params):
     sim.run()
     per = 10 + 10 * 3
     assert done == [("a", per), ("b", 2 * per)]
-
-
-def test_membus_word_beats(sim, params):
-    bus = MemoryBus(sim, params)
-
-    def proc():
-        yield from bus.transfer_words(16)
-        return sim.now
-
-    p = sim.process(proc())
-    sim.run()
-    assert p.value == 48
-    assert bus.total_words == 16
 
 
 def test_memory_sweep_knobs_change_timing(sim):

@@ -55,7 +55,7 @@ def test_uncontended_transfer_timing():
     sim, net = make_net(16)
 
     def proc():
-        yield from net.transfer(0, 1, 100)
+        yield from sim.await_k(net.transfer, 0, 1, 100)
         return sim.now
 
     p = sim.process(proc())
@@ -71,7 +71,7 @@ def test_transfer_respects_bandwidth_knob():
     net = MeshNetwork(sim, params)
 
     def proc():
-        yield from net.transfer(0, 1, 100)
+        yield from sim.await_k(net.transfer, 0, 1, 100)
         return sim.now
 
     p = sim.process(proc())
@@ -84,7 +84,7 @@ def test_link_contention_serializes_same_link():
     done = []
 
     def proc(tag):
-        yield from net.transfer(0, 1, 100)
+        yield from sim.await_k(net.transfer, 0, 1, 100)
         done.append((tag, sim.now))
 
     sim.process(proc("a"))
@@ -99,7 +99,7 @@ def test_disjoint_paths_proceed_in_parallel():
     done = []
 
     def proc(tag, src, dst):
-        yield from net.transfer(src, dst, 100)
+        yield from sim.await_k(net.transfer, src, dst, 100)
         done.append((tag, sim.now))
 
     sim.process(proc("a", 0, 1))
@@ -112,8 +112,8 @@ def test_stats_accumulate():
     sim, net = make_net(16)
 
     def proc():
-        yield from net.transfer(0, 3, 10, traffic_class="page")
-        yield from net.transfer(0, 3, 20, traffic_class="update")
+        yield from sim.await_k(net.transfer, 0, 3, 10, "page")
+        yield from sim.await_k(net.transfer, 0, 3, 20, "update")
 
     sim.process(proc())
     sim.run()
@@ -128,12 +128,14 @@ def test_wormhole_path_holding_blocks_crossing_traffic():
     order = []
 
     def long_haul():
-        yield from net.transfer(0, 3, 1000)  # holds row-0 links a while
+        # Holds the row-0 links a while.
+        yield from sim.await_k(net.transfer, 0, 3, 1000)
         order.append(("long", sim.now))
 
     def crosser():
         yield sim.timeout(10)
-        yield from net.transfer(1, 2, 10)  # needs link (1,2) held by long
+        # Needs link (1, 2), held by the long haul.
+        yield from sim.await_k(net.transfer, 1, 2, 10)
         order.append(("cross", sim.now))
 
     sim.process(long_haul())
@@ -147,7 +149,7 @@ def test_single_node_network_degenerates():
     sim, net = make_net(1)
 
     def proc():
-        yield from net.transfer(0, 0, 100)
+        yield from sim.await_k(net.transfer, 0, 0, 100)
         return sim.now
 
     p = sim.process(proc())
@@ -159,7 +161,7 @@ def test_utilization_reporting():
     sim, net = make_net(4)
 
     def proc():
-        yield from net.transfer(0, 3, 1000)
+        yield from sim.await_k(net.transfer, 0, 3, 1000)
 
     sim.process(proc())
     sim.run()

@@ -1,13 +1,17 @@
-"""Property-based tests for interconnect routing and timestamp algebra."""
+"""Property-based tests for interconnect routing, mesh-transfer parity,
+and timestamp algebra."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.dsm.timestamps import IntervalLog, IntervalRecord, VectorClock
+from repro.faults import FaultPlan, FaultSpec
+from repro.hardware.bus import PciBus
 from repro.hardware.network import MeshNetwork
 from repro.hardware.params import MachineParams
 from repro.hardware.topology import TOPOLOGIES, make_topology
 from repro.sim import Simulator
+from tests.hardware import oracles
 
 _PROC_COUNTS = [1, 2, 3, 4, 6, 8, 9, 12, 15, 16, 25]
 
@@ -121,6 +125,113 @@ def test_topology_channel_dependency_graph_is_acyclic(topo, n):
             else:
                 color[node] = BLACK
                 stack.pop()
+
+
+# -- mesh transfer parity -----------------------------------------------------
+#
+# The continuation ``MeshNetwork.transfer`` driven through ``sim.await_k``
+# must be indistinguishable from the generator form it replaced
+# (``tests/hardware/oracles.py``): same finish times and fold verdicts,
+# same statistics, same fault draws, same event sequence numbers.
+
+# Round sizes and delays make exact time ties likely (a one-hop 100-byte
+# flight ends at 6 + 200 = 206), so same-cycle ordering is exercised.
+_nbytes = st.sampled_from([0, 1, 100]) | st.integers(0, 4096)
+_delays = st.sampled_from([0, 6, 206, 212]) | st.integers(0, 400)
+_transfers = st.tuples(
+    st.integers(0, 15), st.integers(0, 15),        # src, dst (mod n)
+    _nbytes,
+    st.booleans(),                                 # fold a PCI tail
+    st.sampled_from(["protocol", "page", "update"]))
+
+
+@st.composite
+def mesh_schedules(draw):
+    return {
+        "topology": draw(st.sampled_from(TOPOLOGIES)),
+        "n": draw(st.sampled_from([c for c in _PROC_COUNTS
+                                   if 4 <= c <= 16])),
+        "procs": draw(st.lists(
+            st.tuples(_delays,
+                      st.lists(_transfers, min_size=1, max_size=4)),
+            min_size=1, max_size=12)),
+        # Processes that hold a node's PCI port, so tails sometimes
+        # find it busy.
+        "hogs": draw(st.lists(
+            st.tuples(st.integers(0, 15), _delays, st.integers(1, 2048)),
+            max_size=4)),
+        # (seed, spike_prob, only the first transfer's route armed)
+        "spikes": draw(st.none() | st.tuples(
+            st.integers(0, 2**16), st.sampled_from([0.2, 0.5, 1.0]),
+            st.booleans())),
+    }
+
+
+def _drive_mesh(schedule, via_oracle):
+    n = schedule["n"]
+    sim = Simulator()
+    params = MachineParams(n_processors=n, topology=schedule["topology"])
+    net = MeshNetwork(sim, params)
+    pcis = [PciBus(sim, params, node) for node in range(n)]
+    plan = None
+    if schedule["spikes"] is not None:
+        seed, prob, first_route_only = schedule["spikes"]
+        src, dst = (x % n for x in schedule["procs"][0][1][0][:2])
+        links = tuple(net.route(src, dst)) if first_route_only else ()
+        plan = FaultPlan(seed=seed, spec=FaultSpec(spike_prob=prob,
+                                                   spike_links=links))
+        plan.sim = sim
+        net.faults = plan
+    finished = []
+
+    def flight(pid, delay, transfers):
+        yield sim.timeout(delay)
+        for idx, (src, dst, nbytes, tail, tclass) in enumerate(transfers):
+            src, dst = src % n, dst % n
+            pci = pcis[dst]
+            pci_c = params.pci_transfer_cycles(nbytes) if tail else 0.0
+            accounts = ((pci.port, pci_c),) if pci_c > 0 else ()
+            args = (src, dst, nbytes, tclass, pid, pci_c, accounts)
+            if via_oracle:
+                folded = yield from oracles.transfer(net, *args)
+            else:
+                folded = yield from sim.await_k(net.transfer, *args)
+            finished.append((pid, idx, sim.now, folded))
+            if folded:
+                pci.total_bytes += nbytes
+            elif tail:
+                yield from pci.transfer(nbytes)
+
+    def hog(node, delay, nbytes):
+        yield sim.timeout(delay)
+        yield from pcis[node % n].transfer(nbytes)
+
+    for node, delay, nbytes in schedule["hogs"]:
+        sim.process(hog(node, delay, nbytes))
+    for pid, (delay, transfers) in enumerate(schedule["procs"]):
+        sim.process(flight(pid, delay, transfers))
+    sim.run()
+    resources = [link for _key, link in net.iter_links()]
+    resources += [pci.port for pci in pcis]
+    return {
+        "finished": finished,
+        "stats": net.stats,
+        "resources": [(r.busy_time, r.wait_time, r.total_requests)
+                      for r in resources],
+        "pci_bytes": [pci.total_bytes for pci in pcis],
+        "rng": plan.rng.getstate() if plan is not None else None,
+        "injected": plan.injected if plan is not None else None,
+        "seq": sim._seq,
+        "events": sim.events_processed,
+        "now": sim.now,
+    }
+
+
+@given(schedule=mesh_schedules())
+@settings(max_examples=80, deadline=None)
+def test_mesh_transfer_matches_generator_oracle(schedule):
+    assert _drive_mesh(schedule, via_oracle=False) \
+        == _drive_mesh(schedule, via_oracle=True)
 
 
 # -- vector clocks -----------------------------------------------------------

@@ -20,7 +20,7 @@ def test_scattered_access_pays_setup_per_line_group():
     mem = MainMemory(sim, params)
 
     def proc():
-        yield from mem.access_scattered(16)  # 2 line groups
+        yield from mem.access(16, scattered=True)  # 2 line groups
         return sim.now
 
     p = sim.process(proc())
@@ -36,7 +36,7 @@ def test_scattered_access_costs_more_than_burst():
         mem = MainMemory(sim, params)
 
         def proc():
-            gen = (mem.access_scattered(256) if kind == "scattered"
+            gen = (mem.access(256, scattered=True) if kind == "scattered"
                    else mem.access(256))
             yield from gen
             return sim.now
@@ -53,7 +53,7 @@ def test_scattered_zero_words_free():
     mem = MainMemory(sim, MachineParams())
 
     def proc():
-        yield from mem.access_scattered(0)
+        yield from mem.access(0, scattered=True)
         return sim.now
 
     p = sim.process(proc())
@@ -67,7 +67,7 @@ def test_memory_latency_knob_scales_scattered_cost():
         mem = MainMemory(sim, MachineParams().with_memory_latency(ns))
 
         def proc():
-            yield from mem.access_scattered(64)
+            yield from mem.access(64, scattered=True)
             return sim.now
 
         p = sim.process(proc())

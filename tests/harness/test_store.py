@@ -1,9 +1,9 @@
-"""The result store's index journal, eviction, and migration paths.
+"""The result store's layout, index journal, and eviction paths.
 
 Covers the serving-layer store contract: the JSONL index journal stays
 consistent with the shard directories through eviction, crashes that
-tear a journal line or strand an unlink, concurrent same-fingerprint
-writers, and caches laid out by older (flat, pre-index) versions.
+tear a journal line or strand an unlink, and concurrent same-fingerprint
+writers.
 """
 
 import json
@@ -40,7 +40,7 @@ def _scan_keys(cache):
     return {key for key, _path in cache._scan_files()}
 
 
-# -- layout and migration --------------------------------------------------
+# -- layout -----------------------------------------------------------------
 
 def test_put_writes_sharded_layout(tmp_path):
     cache = ResultCache(str(tmp_path))
@@ -49,45 +49,6 @@ def test_put_writes_sharded_layout(tmp_path):
     assert os.path.exists(tmp_path / "ab" / f"{key}.json")
     assert not os.path.exists(tmp_path / f"{key}.json")
     assert cache.get(key) == _doc()
-
-
-def test_legacy_flat_entry_hits_and_migrates(tmp_path):
-    cache = ResultCache(str(tmp_path))
-    key = _key(7)
-    entry = {"schema": CACHE_SCHEMA, "key": key, "result": _doc(7)}
-    with open(tmp_path / f"{key}.json", "w") as fh:
-        json.dump(entry, fh)
-
-    # The flat entry serves the hit, then lands in its shard.
-    assert cache.get(key) == _doc(7)
-    assert os.path.exists(tmp_path / key[:2] / f"{key}.json")
-    assert not os.path.exists(tmp_path / f"{key}.json")
-    # ...and the migration was journaled.
-    assert key in cache.load_index()
-    # Subsequent reads hit the sharded copy.
-    assert cache.get(key) == _doc(7)
-
-
-def test_legacy_cache_resharded_progressively(tmp_path):
-    cache = ResultCache(str(tmp_path))
-    keys = [_key(i) for i in range(20)]
-    for i, key in enumerate(keys):
-        entry = {"schema": CACHE_SCHEMA, "key": key,
-                 "result": _doc(i)}
-        with open(tmp_path / f"{key}.json", "w") as fh:
-            json.dump(entry, fh)
-
-    # Read half: only those migrate; the rest stay flat but readable.
-    for key in keys[:10]:
-        assert cache.get(key) is not None
-    flat = {name for name in os.listdir(tmp_path)
-            if name.endswith(".json")}
-    assert flat == {f"{key}.json" for key in keys[10:]}
-    for key in keys[10:]:
-        assert cache.get(key) is not None
-    assert not any(name.endswith(".json")
-                   for name in os.listdir(tmp_path))
-    assert _scan_keys(cache) == set(keys)
 
 
 def test_index_rebuilt_by_scan_when_missing(tmp_path):

@@ -137,3 +137,114 @@ def test_immediate_succeed_before_run():
     p = sim.process(proc())
     sim.run()
     assert p.value == "early"
+
+
+# -- await_k ------------------------------------------------------------------
+
+def test_await_k_synchronous_k_yields_nothing():
+    sim = Simulator()
+    gen = sim.await_k(lambda value, k: k(value), "now")
+    with pytest.raises(StopIteration) as stop:
+        next(gen)
+    assert stop.value.value == "now"
+
+
+def test_await_k_synchronous_k_leaves_counters_unchanged():
+    def run(with_hop):
+        sim = Simulator()
+
+        def proc():
+            yield sim.timeout(1)
+            if with_hop:
+                got = yield from sim.await_k(lambda k: k(7))
+                assert got == 7
+            yield sim.timeout(1)
+
+        sim.process(proc())
+        sim.run()
+        return sim.events_processed, sim._seq, sim.now
+
+    assert run(with_hop=True) == run(with_hop=False)
+
+
+def test_await_k_resumes_in_the_completing_slot():
+    def run(form):
+        sim = Simulator()
+        log = []
+
+        # A 10-cycle hop, plus a rival entry one sequence number behind
+        # the hop's completion at the same cycle; once as a continuation
+        # hop and once as its generator twin.
+        def hop(k):
+            sim.call_in(10, k, "done")
+            sim.call_in(10, log.append, ("rival", sim.now + 10))
+
+        def generator_hop():
+            timeout = sim.pooled_timeout(10)
+            sim.call_in(10, log.append, ("rival", sim.now + 10))
+            yield timeout
+            return "done"
+
+        def proc():
+            if form == "await_k":
+                value = yield from sim.await_k(hop)
+            else:
+                value = yield from generator_hop()
+            log.append((value, sim.now))
+
+        sim.process(proc())
+        sim.run()
+        return log, sim.events_processed, sim._seq
+
+    log, events, seq = run("await_k")
+    # Resumed inside the hop's slot: ahead of the rival queued behind it.
+    assert log == [("done", 10), ("rival", 10)]
+    assert (log, events, seq) == run("generator")
+
+
+def test_await_k_value_of_k_without_arguments_is_none():
+    sim = Simulator()
+
+    def proc():
+        value = yield from sim.await_k(lambda k: sim.call_in(3, k))
+        return value, sim.now
+
+    p = sim.process(proc())
+    sim.run()
+    assert p.value == (None, 3)
+
+
+# -- run ----------------------------------------------------------------------
+
+def test_run_until_time_dispatches_events_scheduled_at_that_time():
+    sim = Simulator()
+    log = []
+
+    def proc():
+        yield sim.timeout(5)
+        log.append("first")
+        sim.call_soon(log.append, "same cycle")
+        gate = sim.event()
+        gate.succeed()
+        yield gate
+        log.append("second")
+        yield sim.timeout(1)
+        log.append("too late")
+
+    sim.process(proc())
+    assert sim.run(until=5) is None
+    assert sim.now == 5
+    assert log == ["first", "same cycle", "second"]
+
+
+def test_run_drain_returns_none_and_counts_events():
+    sim = Simulator()
+
+    def proc():
+        yield sim.timeout(2)
+        yield sim.timeout(3)
+
+    sim.process(proc())
+    assert sim.run() is None
+    assert sim.now == 5
+    assert sim.events_processed == 4  # bootstrap, two timeouts, completion

@@ -299,22 +299,6 @@ def test_daemon_with_waiter_still_fires():
 
 # -- Store fast paths ---------------------------------------------------------
 
-def test_store_get_item_fast_path_preserves_none_items():
-    sim = Simulator()
-    store = Store(sim)
-    store.put(None)
-    store.put("x")
-
-    def getter():
-        first = yield from store.get_item()
-        second = yield from store.get_item()
-        return first, second
-
-    p = sim.process(getter())
-    sim.run()
-    assert p.value == (None, "x")
-
-
 def test_store_try_get_respects_quiet_window():
     sim = Simulator()
     store = Store(sim)
