@@ -1,32 +1,23 @@
 """Kernel microbenchmarks: event throughput of the simulation engine.
 
-Times the hot paths of :mod:`repro.sim` in isolation -- the bare
-timeout chain, pooled-event recycling, resource acquire/release (fast
-path vs. contended), the interruptible hold loop, and one end-to-end
-quick application run -- and reports events/sec for each.  CI runs
-``--quick`` as a smoke check that the kernel has not regressed by an
-order of magnitude; the numbers are also the denominators quoted in
-DESIGN.md's "Kernel performance" section.
-
-Usage::
-
-    PYTHONPATH=src python benchmarks/microbench.py
-    PYTHONPATH=src python benchmarks/microbench.py --quick --json out.json
+Each entry of :data:`BENCHES` runs one hot path of :mod:`repro.sim` in
+isolation -- the bare timeout chain, resource acquire/release (fast
+path vs. contended) and the interruptible hold loop -- and returns
+``(events processed, wall seconds)`` for a size multiplier.
+``benchmarks/e2e/probes.py`` times them as the benchmark's kernel
+probes.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import time
 
 from repro.hardware.node import ComputeProcessor
 from repro.hardware.params import MachineParams
-from repro.harness.bench import events_per_second
 from repro.sim import Resource, Simulator
 from repro.stats.breakdown import Category
 
-__all__ = ["BENCHES", "main"]
+__all__ = ["BENCHES"]
 
 
 def _timed(sim: Simulator):
@@ -45,19 +36,6 @@ def bench_timeout_chain(scale: int):
             yield sim.pooled_timeout(1)
 
     sim.process(chain(10_000 * scale))
-    return _timed(sim)
-
-
-def bench_parallel_timeouts(scale: int):
-    """16 interleaved timeout chains: a realistically deep heap."""
-    sim = Simulator()
-
-    def chain(n, step):
-        for _ in range(n):
-            yield sim.pooled_timeout(step)
-
-    for i in range(16):
-        sim.process(chain(1_000 * scale, 1 + i % 7))
     return _timed(sim)
 
 
@@ -112,69 +90,9 @@ def bench_hold_loop(scale: int):
     return _timed(sim)
 
 
-def bench_app_run(scale: int):
-    """One end-to-end quick Em3d/I+P+D run (verification excluded)."""
-    from repro.harness.experiments import scaled_app
-    from repro.harness.runner import ProtocolConfig, run_app
-
-    config = ProtocolConfig.treadmarks("I+P+D")
-    run_app(scaled_app("Em3d", 4, quick=True), config, verify=False)  # warm
-    events = 0
-    wall = 0.0
-    for _ in range(max(1, scale)):
-        app = scaled_app("Em3d", 4, quick=True)
-        start = time.perf_counter()
-        result = run_app(app, config, verify=False)
-        wall += time.perf_counter() - start
-        events += result.events_processed
-    return events, wall
-
-
 BENCHES = (
     ("timeout-chain", bench_timeout_chain),
-    ("parallel-timeouts", bench_parallel_timeouts),
     ("resource-fastpath", bench_resource_uncontended),
     ("resource-contended", bench_resource_contended),
     ("hold-loop", bench_hold_loop),
-    ("app-run", bench_app_run),
 )
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        description="simulation-kernel microbenchmarks")
-    parser.add_argument("--quick", action="store_true",
-                        help="smaller iteration counts (CI smoke)")
-    parser.add_argument("--repeat", type=int, default=3,
-                        help="best-of-N repetitions (default: 3)")
-    parser.add_argument("--json", metavar="FILE", default=None,
-                        help="also write the results as JSON")
-    args = parser.parse_args(argv)
-
-    scale = 1 if args.quick else 5
-    repeat = max(1, args.repeat)
-    rows = []
-    print(f"{'benchmark':<20} {'events':>9} {'seconds':>8} {'events/sec':>12}")
-    for name, fn in BENCHES:
-        best_wall = None
-        events = 0
-        for _ in range(repeat):
-            events, wall = fn(scale)
-            best_wall = wall if best_wall is None else min(best_wall, wall)
-        rate = events_per_second(events, best_wall)
-        rows.append({"name": name, "events": events,
-                     "wall_seconds": best_wall,
-                     "events_per_second": rate})
-        print(f"{name:<20} {events:>9d} {best_wall:>8.4f} {rate:>12,.0f}")
-    if args.json is not None:
-        doc = {"schema": "repro-microbench/1", "quick": args.quick,
-               "repeat": repeat, "benches": rows}
-        with open(args.json, "w") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"results -> {args.json}")
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

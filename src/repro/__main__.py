@@ -20,11 +20,6 @@ Commands
     ``--no-cache`` disables it), so regenerating a figure -- or a
     second figure sharing the same baselines -- is near-instant.
 
-``bench``
-    Run the benchmark regression matrix (the same one
-    ``benchmarks/regression.py`` records) and optionally write the
-    ``repro-bench/1`` archive.
-
 ``scale``
     Scale-out sweep: re-ask the paper's sensitivity questions at
     64-1024 nodes across topologies (mesh, torus, fattree, dragonfly)
@@ -71,7 +66,7 @@ Commands
 
 ``watch FILE``
     Render a sweep log (``repro-sweep-log/1`` JSONL, written by
-    ``--sweep-log`` on figure/bench/chaos) as live progress lines;
+    ``--sweep-log`` on figure/scale/chaos) as live progress lines;
     ``--follow`` tails a log still being written.
 
 ``diff A B``
@@ -79,16 +74,7 @@ Commands
     attribution (exhaustive -- zero residual by construction), named
     detail rows (retransmit backoff, controller queue-wait, ...), and
     counter/network deltas.  Either side may be ``golden:KEY`` to diff
-    against the pinned golden-cycles fixture, or a bench archive with
-    ``--pick APP/PROTOCOL`` to select a row.
-
-``regress``
-    Check a candidate ``repro-bench/1`` archive against the committed
-    ``BENCH_*.json`` history: deterministic execution cycles gate
-    hard (0.5% tolerance), host wall/throughput numbers get
-    median+/-MAD noise bands (advisory unless ``--strict-host``).
-    ``--tax`` also measures the telemetry on-vs-off overhead.
-    Exits 0 clean / 1 regression / 2 unusable input.
+    against the pinned golden-cycles fixture.
 
 ``serve``
     Run the simulation-as-a-service HTTP API: an asyncio front end
@@ -138,9 +124,9 @@ Examples::
     python -m repro figure 1 --quick
     python -m repro figure 13 --quick --jobs 4
     python -m repro figure 5 --app Ocean
-    python -m repro bench --out BENCH_pr4.json --jobs 2
     python -m repro scale --nodes 64 256 --topologies mesh torus
     python -m repro scale --nodes 1024 --protocols aurc --audit
+    python -m repro scale --nodes 64 --protocols aurc --out scale.json
     python -m repro run Em3d --protocol I+P+D --quick --procs 4 \\
         --fault-seed 1
     python -m repro chaos --seeds 3 --quick --report chaos.json
@@ -148,8 +134,6 @@ Examples::
     python -m repro watch sweep.jsonl --follow
     python -m repro diff base-metrics.json faulted-metrics.json
     python -m repro diff golden:Em3d/TM/I+P+D/4p/quick em3d-metrics.json
-    python -m repro regress --candidate BENCH_pr6.json \\
-        --history benchmarks/BENCH_*.json
     python -m repro serve --port 8642 --workers 4
     python -m repro submit Em3d --protocol I+P+D --quick --procs 4 \\
         --server http://127.0.0.1:8642 --wait
@@ -159,7 +143,7 @@ Examples::
     python -m repro watch-job JOB_ID --server http://127.0.0.1:8642
     python -m repro metrics /tmp/em3d-metrics.json
     python -m repro trace /tmp/em3d.json --category fault --limit 20
-    python -m repro validate BENCH_pr4.json /tmp/em3d-metrics.json
+    python -m repro validate scale.json /tmp/em3d-metrics.json
 """
 
 from __future__ import annotations
@@ -172,8 +156,9 @@ from contextlib import contextmanager
 
 from repro.dsm.overlap import ALL_MODES
 from repro.harness import experiments, figures
+from repro.harness.bench import config_for
 from repro.harness.parallel import ResultCache, SimRequest, SweepRunner
-from repro.harness.runner import ProtocolConfig, run_app
+from repro.harness.runner import run_app
 from repro.stats.exporters import (
     load_trace_file,
     load_trace_meta,
@@ -212,17 +197,21 @@ def _add_telemetry_flags(parser) -> None:
 def _telemetry_sinks(args):
     """Attach the --watch renderer and --sweep-log writer for the
     duration of a command; the log's ``_meta`` trailer records an
-    abnormal exit."""
+    abnormal exit.  A no-op for commands without those flags."""
+    watch = getattr(args, "watch", False)
+    log_path = getattr(args, "sweep_log", None)
+    if not watch and not log_path:
+        yield
+        return
     from repro.harness import telemetry
 
     bus = telemetry.bus()
     renderer = None
-    if getattr(args, "watch", False):
+    if watch:
         renderer = telemetry.LiveRenderer(
             echo=lambda line: print(line, file=sys.stderr))
         bus.subscribe(renderer)
     try:
-        log_path = getattr(args, "sweep_log", None)
         if log_path:
             context = {"command": args.command,
                        "argv": sys.argv[1:]}
@@ -236,6 +225,32 @@ def _telemetry_sinks(args):
             bus.unsubscribe(renderer)
 
 
+def _add_protocol_flags(parser, default: str) -> None:
+    parser.add_argument("--protocol", type=_protocol_name,
+                        default=default,
+                        help="an overlap mode (Base, I, I+D, P, I+P, "
+                             f"I+P+D) or 'aurc' (default: {default})")
+    parser.add_argument("--prefetch", action="store_true",
+                        help="AURC only: enable page prefetching")
+
+
+def _protocol_name(name: str) -> str:
+    """argparse ``type=`` for protocol names: a name ``config_for``
+    rejects stops the command with ``error: ...`` and exit 2 before
+    anything is simulated."""
+    try:
+        config_for(name)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return name
+
+
+def _write_json(path: str, doc) -> None:
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -244,12 +259,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run_p = sub.add_parser("run", help="simulate one application")
+    run_p.set_defaults(handler=_cmd_run)
     run_p.add_argument("app", choices=experiments.APP_ORDER)
-    run_p.add_argument("--protocol", default="Base",
-                       help="an overlap mode (Base, I, I+D, P, I+P, "
-                            "I+P+D) or 'aurc'")
-    run_p.add_argument("--prefetch", action="store_true",
-                       help="AURC only: enable page prefetching")
+    _add_protocol_flags(run_p, default="Base")
     run_p.add_argument("--procs", type=int, default=16)
     run_p.add_argument("--quick", action="store_true",
                        help="reduced problem size")
@@ -276,6 +288,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_sweep_flags(run_p, default_jobs=1)
 
     fig_p = sub.add_parser("figure", help="regenerate a paper figure")
+    fig_p.set_defaults(handler=_cmd_figure)
     fig_p.add_argument("number", type=int,
                        choices=[1, 2, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14,
                                 15, 16],
@@ -289,17 +302,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_sweep_flags(fig_p, default_jobs=os.cpu_count() or 1)
     _add_telemetry_flags(fig_p)
 
-    bench_p = sub.add_parser(
-        "bench", help="run the benchmark regression matrix")
-    bench_p.add_argument("--out", metavar="FILE", default=None,
-                         help="write the repro-bench/1 archive to FILE")
-    bench_p.add_argument("--procs", type=int, default=4)
-    bench_p.add_argument("--full", action="store_true",
-                         help="use full problem sizes (slow; default is "
-                              "the quick sizes CI uses)")
-    _add_sweep_flags(bench_p, default_jobs=os.cpu_count() or 1)
-    _add_telemetry_flags(bench_p)
-
     from repro.hardware.params import PRESETS
     from repro.hardware.topology import TOPOLOGIES
     from repro.harness.scale import SCALE_SIZES
@@ -308,12 +310,13 @@ def _build_parser() -> argparse.ArgumentParser:
         "scale",
         help="scale-out sweep across node counts, topologies, and "
              "machine presets")
+    scale_p.set_defaults(handler=_cmd_scale)
     scale_p.add_argument("--nodes", type=int, nargs="+", default=None,
                          metavar="N",
                          help="node counts to sweep (default: 64 256; "
                               "1024 is the supported smoke point)")
     scale_p.add_argument("--protocols", nargs="+", default=None,
-                         metavar="PROTO",
+                         type=_protocol_name, metavar="PROTO",
                          help="protocols to sweep "
                               "(default: I+D I+P+D aurc)")
     scale_p.add_argument("--topologies", nargs="+",
@@ -341,12 +344,9 @@ def _build_parser() -> argparse.ArgumentParser:
     prof_p = sub.add_parser(
         "profile",
         help="self-profile one simulation (events/sec + cProfile top-N)")
+    prof_p.set_defaults(handler=_cmd_profile)
     prof_p.add_argument("app", choices=experiments.APP_ORDER)
-    prof_p.add_argument("--protocol", default="I+P+D",
-                        help="an overlap mode (Base, I, I+D, P, I+P, "
-                             "I+P+D) or 'aurc' (default: I+P+D)")
-    prof_p.add_argument("--prefetch", action="store_true",
-                        help="AURC only: enable page prefetching")
+    _add_protocol_flags(prof_p, default="I+P+D")
     prof_p.add_argument("--procs", type=int, default=4)
     prof_p.add_argument("--quick", action="store_true",
                         help="reduced problem size")
@@ -366,12 +366,9 @@ def _build_parser() -> argparse.ArgumentParser:
     an_p = sub.add_parser(
         "analyze",
         help="run one application and print the causal span analysis")
+    an_p.set_defaults(handler=_cmd_analyze)
     an_p.add_argument("app", choices=experiments.APP_ORDER)
-    an_p.add_argument("--protocol", default="I+P+D",
-                      help="an overlap mode (Base, I, I+D, P, I+P, "
-                           "I+P+D) or 'aurc' (default: I+P+D)")
-    an_p.add_argument("--prefetch", action="store_true",
-                      help="AURC only: enable page prefetching")
+    _add_protocol_flags(an_p, default="I+P+D")
     an_p.add_argument("--procs", type=int, default=4)
     an_p.add_argument("--quick", action="store_true",
                       help="reduced problem size")
@@ -389,14 +386,11 @@ def _build_parser() -> argparse.ArgumentParser:
         "inspect",
         help="per-page coherence introspection: audit stream, "
              "sanitizer verdict, timelines, cross-run diff")
+    ins_p.set_defaults(handler=_cmd_inspect)
     ins_p.add_argument("source", nargs="?", default=None,
                        help="application to run with auditing, or a "
                             "saved repro-inspect/1 JSON file")
-    ins_p.add_argument("--protocol", default="I+P+D",
-                       help="an overlap mode (Base, I, I+D, P, I+P, "
-                            "I+P+D) or 'aurc' (default: I+P+D)")
-    ins_p.add_argument("--prefetch", action="store_true",
-                       help="AURC only: enable page prefetching")
+    _add_protocol_flags(ins_p, default="I+P+D")
     ins_p.add_argument("--procs", type=int, default=4)
     ins_p.add_argument("--quick", action="store_true",
                        help="reduced problem size")
@@ -425,6 +419,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "chaos",
         help="sweep fault seeds and report survival, memory "
              "correctness, and overhead")
+    chaos_p.set_defaults(handler=_cmd_chaos)
     chaos_p.add_argument("--seeds", type=int, default=3,
                          help="fault seeds per configuration "
                               "(default: 3)")
@@ -433,7 +428,7 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="applications to sweep "
                               "(default: Em3d Water)")
     chaos_p.add_argument("--protocols", nargs="+", default=None,
-                         metavar="PROTO",
+                         type=_protocol_name, metavar="PROTO",
                          help="protocols to sweep "
                               "(default: Base I+P+D)")
     chaos_p.add_argument("--procs", type=int, default=4)
@@ -450,6 +445,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     watch_p = sub.add_parser(
         "watch", help="render a sweep log as live progress lines")
+    watch_p.set_defaults(handler=_cmd_watch)
     watch_p.add_argument("file", help="repro-sweep-log/1 JSONL written "
                                       "by --sweep-log")
     watch_p.add_argument("--follow", action="store_true",
@@ -458,45 +454,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
     diff_p = sub.add_parser(
         "diff", help="differential analysis of two run documents")
-    diff_p.add_argument("a", help="run report / bench row / "
-                                  "golden:KEY baseline")
-    diff_p.add_argument("b", help="run report / bench row / golden:KEY")
-    diff_p.add_argument("--pick", metavar="APP/PROTOCOL", default=None,
-                        help="row to select when a side is a bench "
-                             "archive (e.g. Em3d/I+P+D)")
+    diff_p.set_defaults(handler=_cmd_diff)
+    diff_p.add_argument("a", help="run report or golden:KEY baseline")
+    diff_p.add_argument("b", help="run report or golden:KEY")
     diff_p.add_argument("--top", type=int, default=10,
                         help="rows per delta table (default: 10)")
     diff_p.add_argument("--json", metavar="FILE", default=None,
                         help="write the repro-diff/1 document to FILE")
 
-    reg_p = sub.add_parser(
-        "regress",
-        help="check a bench archive against the committed history")
-    reg_p.add_argument("--candidate", metavar="FILE", required=True,
-                       help="repro-bench/1 archive under test")
-    reg_p.add_argument("--history", metavar="FILE", nargs="+",
-                       required=True,
-                       help="committed BENCH_*.json archives")
-    reg_p.add_argument("--cycles-rtol", type=float, default=None,
-                       help="relative tolerance for deterministic "
-                            "execution cycles (default: 0.005)")
-    reg_p.add_argument("--strict-host", action="store_true",
-                       help="make wall/events-per-sec band violations "
-                            "blocking (history and candidate from the "
-                            "same host)")
-    reg_p.add_argument("--allow-missing", action="store_true",
-                       help="configs present in history but absent "
-                            "from the candidate are advisory, not "
-                            "blocking")
-    reg_p.add_argument("--tax", action="store_true",
-                       help="also measure telemetry on-vs-off overhead "
-                            "on the quick matrix (budget: 5%%)")
-    reg_p.add_argument("--json", metavar="FILE", default=None,
-                       help="write the repro-regress/1 report to FILE")
-
     serve_p = sub.add_parser(
         "serve",
         help="run the simulation-as-a-service HTTP API")
+    serve_p.set_defaults(handler=_cmd_serve)
     serve_p.add_argument("--host", default="127.0.0.1")
     serve_p.add_argument("--port", type=int, default=8642,
                          help="TCP port (0 = ephemeral; default: 8642)")
@@ -561,6 +530,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sm_p = sub.add_parser(
         "submit", help="submit a run or sweep to a serve endpoint")
+    sm_p.set_defaults(handler=_cmd_submit)
     sm_p.add_argument("app", nargs="?", choices=experiments.APP_ORDER,
                       help="application (omit only with --sweep FILE)")
     sm_p.add_argument("--protocol", default="Base",
@@ -586,20 +556,24 @@ def _build_parser() -> argparse.ArgumentParser:
 
     st_p = sub.add_parser(
         "status", help="fetch one job document from a serve endpoint")
+    st_p.set_defaults(handler=_cmd_status)
     st_p.add_argument("job_id")
     _add_client_flags(st_p)
 
     wj_p = sub.add_parser(
         "watch-job",
         help="stream a job's events from a serve endpoint")
+    wj_p.set_defaults(handler=_cmd_watch_job)
     wj_p.add_argument("job_id")
     _add_client_flags(wj_p)
 
     met_p = sub.add_parser("metrics",
                            help="summarize a JSON run report")
+    met_p.set_defaults(handler=_cmd_metrics)
     met_p.add_argument("file", help="report written by run --metrics")
 
     tr_p = sub.add_parser("trace", help="summarize or dump a trace file")
+    tr_p.set_defaults(handler=_cmd_trace)
     tr_p.add_argument("file", help="trace written by run --trace")
     tr_p.add_argument("--category", default=None,
                       help="only show events of this category")
@@ -610,11 +584,13 @@ def _build_parser() -> argparse.ArgumentParser:
     val_p = sub.add_parser(
         "validate",
         help="check report/benchmark JSON files against their schema")
+    val_p.set_defaults(handler=_cmd_validate)
     val_p.add_argument("files", nargs="+",
                        help="JSON files written by run --metrics or "
                             "the benchmark harness")
 
-    sub.add_parser("list", help="list applications and protocols")
+    sub.add_parser("list", help="list applications and protocols") \
+        .set_defaults(handler=_cmd_list)
     return parser
 
 
@@ -646,10 +622,7 @@ def _print_fault_summary(stats) -> None:
 
 
 def _cmd_run(args) -> int:
-    if args.protocol.lower() == "aurc":
-        config = ProtocolConfig.aurc(prefetch=args.prefetch)
-    else:
-        config = ProtocolConfig.treadmarks(args.protocol)
+    config = config_for(args.protocol, prefetch=args.prefetch)
     plan = _load_fault_plan(args)
     if args.trace is None and args.metrics is None and plan is None \
             and not args.audit:
@@ -727,10 +700,7 @@ def _cmd_profile(args) -> int:
     import pstats
     import time
 
-    if args.protocol.lower() == "aurc":
-        config = ProtocolConfig.aurc(prefetch=args.prefetch)
-    else:
-        config = ProtocolConfig.treadmarks(args.protocol)
+    config = config_for(args.protocol, prefetch=args.prefetch)
     verify = not args.no_verify
 
     def make_app():
@@ -781,10 +751,7 @@ def _cmd_profile(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    if args.protocol.lower() == "aurc":
-        config = ProtocolConfig.aurc(prefetch=args.prefetch)
-    else:
-        config = ProtocolConfig.treadmarks(args.protocol)
+    config = config_for(args.protocol, prefetch=args.prefetch)
     app = experiments.scaled_app(args.app, args.procs, quick=args.quick)
     from repro.sim.trace import Tracer
     tracer = Tracer(None, limit=2_000_000)
@@ -834,13 +801,11 @@ def _inspect_doc_for(spec, args):
     from repro.stats.coherence import INSPECT_SCHEMA, build_inspect_doc
 
     if spec in experiments.APP_ORDER:
-        if args.protocol.lower() == "aurc":
-            config = ProtocolConfig.aurc(prefetch=args.prefetch)
-        else:
-            config = ProtocolConfig.treadmarks(args.protocol)
         app = experiments.scaled_app(spec, args.procs,
                                      quick=args.quick)
-        result = run_app(app, config, audit=True)
+        result = run_app(app, config_for(args.protocol,
+                                         prefetch=args.prefetch),
+                         audit=True)
         return build_inspect_doc(result, result.audit)
     with open(spec) as fh:
         doc = json.load(fh)
@@ -871,9 +836,7 @@ def _cmd_inspect(args) -> int:
         diff = diff_inspect_docs(doc_a, doc_b)
         print(format_inspect_diff(diff))
         if args.json is not None:
-            with open(args.json, "w") as fh:
-                json.dump(diff, fh, indent=2, sort_keys=True)
-                fh.write("\n")
+            _write_json(args.json, diff)
             print(f"inspect diff -> {args.json}")
         return 0
     if args.source is None:
@@ -903,9 +866,7 @@ def _cmd_inspect(args) -> int:
         print()
         print(format_page(doc, args.page))
     if args.json is not None:
-        with open(args.json, "w") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(args.json, doc)
         print(f"inspect document -> {args.json}")
     if violations:
         for detail in audit.get("violations_detail", ())[:10]:
@@ -963,29 +924,12 @@ def _cmd_figure(args) -> int:
     return 0
 
 
-def _cmd_bench(args) -> int:
-    from repro.harness.bench import build_archive, run_matrix
-
-    runner = _make_runner(args)
-    rows = run_matrix(procs=args.procs, quick=not args.full,
-                      runner=runner)
-    print(f"[{runner.stats.summary()}]")
-    if args.out is not None:
-        doc = build_archive(rows, runner=runner,
-                            generated_by="repro bench")
-        with open(args.out, "w") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"archive -> {args.out}")
-    return 0
-
-
 def _cmd_scale(args) -> int:
-    from repro.harness.bench import build_archive
     from repro.harness.scale import (
         SCALE_NODE_COUNTS,
         SCALE_PROTOCOLS,
         audit_scale_run,
+        build_archive,
         scale_matrix,
     )
 
@@ -1002,11 +946,7 @@ def _cmd_scale(args) -> int:
                         app_name=args.app, runner=runner)
     print(f"[{runner.stats.summary()}]")
     if args.out is not None:
-        doc = build_archive(rows, runner=runner,
-                            generated_by="repro scale")
-        with open(args.out, "w") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(args.out, build_archive(rows, runner))
         print(f"archive -> {args.out}")
     if args.audit:
         n = max(nodes)
@@ -1053,9 +993,7 @@ def _cmd_chaos(args) -> int:
           f"memory+verify correct: {report['matched']}/{total}, "
           f"audit clean: {report['clean']}/{total}")
     if args.report is not None:
-        with open(args.report, "w") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(args.report, report)
         print(f"chaos report -> {args.report}")
     if not report["ok"]:
         print("CHAOS FAILURE: some faulted runs hung, diverged, "
@@ -1130,88 +1068,31 @@ def _cmd_watch(args) -> int:
         return 130
 
 
-def _resolve_diff_source(spec: str, pick):
-    """CLI side-spec -> normalized run document.
-
-    ``golden:KEY`` loads the pinned fixture row; a bench archive needs
-    ``--pick APP/PROTOCOL`` to select a row; anything else goes through
-    :func:`repro.stats.diff.load_run_doc` unchanged.
-    """
+def _resolve_diff_source(spec: str):
+    """CLI side-spec -> normalized run document: ``golden:KEY`` loads
+    the pinned fixture row, anything else is a run document file."""
     from repro.stats.diff import golden_doc, load_run_doc
 
     if spec.startswith("golden:"):
         return golden_doc(spec[len("golden:"):])
-    with open(spec) as fh:
-        doc = json.load(fh)
-    if isinstance(doc, dict) and isinstance(doc.get("runs"), list):
-        if pick is None:
-            raise ValueError(
-                f"{spec} is a bench archive with {len(doc['runs'])} "
-                f"rows; select one with --pick APP/PROTOCOL")
-        want = pick.lower()
-        for row in doc["runs"]:
-            key = f"{row.get('app', '')}/{row.get('protocol', '')}"
-            if key.lower() == want:
-                return load_run_doc(
-                    row, label=f"{os.path.basename(spec)}:{key}")
-        known = ", ".join(
-            f"{r.get('app')}/{r.get('protocol')}" for r in doc["runs"])
-        raise ValueError(f"--pick {pick!r} not in {spec}; rows: {known}")
-    return load_run_doc(doc, label=os.path.basename(spec))
+    return load_run_doc(spec)
 
 
 def _cmd_diff(args) -> int:
     from repro.stats.diff import diff_runs, format_diff
 
     try:
-        doc_a = _resolve_diff_source(args.a, args.pick)
-        doc_b = _resolve_diff_source(args.b, args.pick)
+        doc_a = _resolve_diff_source(args.a)
+        doc_b = _resolve_diff_source(args.b)
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     diff = diff_runs(doc_a, doc_b, top=args.top)
     print(format_diff(diff, top=args.top))
     if args.json is not None:
-        with open(args.json, "w") as fh:
-            json.dump(diff, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(args.json, diff)
         print(f"diff document -> {args.json}")
     return 0
-
-
-def _cmd_regress(args) -> int:
-    import time
-
-    from repro.stats import baseline
-
-    tax = None
-    if args.tax:
-        from repro.harness.telemetry import measure_telemetry_tax
-        print("measuring telemetry tax (quick matrix, on vs off)...")
-        tax = measure_telemetry_tax()
-        print(f"  telemetry on {tax['on_seconds']:.3f}s vs off "
-              f"{tax['off_seconds']:.3f}s: "
-              f"{100 * tax['overhead']:+.2f}%")
-    kwargs = {}
-    if args.cycles_rtol is not None:
-        kwargs["cycles_rtol"] = args.cycles_rtol
-    # Monotonic clock for the check's own duration: epoch time can step
-    # (NTP, suspend) and would misreport how long the gate took.
-    start = time.perf_counter()
-    report = baseline.check_regressions(
-        args.candidate, args.history,
-        strict_host=args.strict_host,
-        allow_missing=args.allow_missing,
-        telemetry_tax=tax, **kwargs)
-    report["check_seconds"] = time.perf_counter() - start
-    print(baseline.format_regressions(report))
-    print(f"[regress] checked in {report['check_seconds']:.3f}s")
-    if args.json is not None:
-        with open(args.json, "w") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"regress report -> {args.json}")
-    return report["exit_code"]
 
 
 def _format_labels(labels) -> str:
@@ -1402,9 +1283,7 @@ def _print_job_line(doc: dict) -> None:
 
 def _write_job_doc(doc: dict, path) -> None:
     if path:
-        with open(path, "w") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(path, doc)
         print(f"wrote {path}")
 
 
@@ -1513,40 +1392,15 @@ def _cmd_list(_args) -> int:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.command == "run":
-        return _cmd_run(args)
-    if args.command == "profile":
-        return _cmd_profile(args)
-    if args.command == "analyze":
-        return _cmd_analyze(args)
-    if args.command == "inspect":
-        return _cmd_inspect(args)
-    if args.command in ("figure", "bench", "chaos", "scale"):
-        handler = {"figure": _cmd_figure, "bench": _cmd_bench,
-                   "chaos": _cmd_chaos, "scale": _cmd_scale}[args.command]
+    try:
         with _telemetry_sinks(args):
-            return handler(args)
-    if args.command == "watch":
-        return _cmd_watch(args)
-    if args.command == "diff":
-        return _cmd_diff(args)
-    if args.command == "regress":
-        return _cmd_regress(args)
-    if args.command == "metrics":
-        return _cmd_metrics(args)
-    if args.command == "trace":
-        return _cmd_trace(args)
-    if args.command == "validate":
-        return _cmd_validate(args)
-    if args.command == "serve":
-        return _cmd_serve(args)
-    if args.command == "submit":
-        return _cmd_submit(args)
-    if args.command == "status":
-        return _cmd_status(args)
-    if args.command == "watch-job":
-        return _cmd_watch_job(args)
-    return _cmd_list(args)
+            return args.handler(args)
+    except BrokenPipeError:
+        # The reader went away (``repro trace FILE | head``).  Point
+        # stdout at /dev/null so the interpreter's final flush cannot
+        # raise a second time, and exit quietly.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

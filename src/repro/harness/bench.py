@@ -1,26 +1,46 @@
-"""Benchmark regression matrix, shared by ``repro bench`` and
-``benchmarks/regression.py``.
+"""Protocol names and the throughput guard shared across the harness.
 
-Runs a fixed matrix of quick app x protocol configurations through the
-parallel sweep layer and produces ``repro-bench/1`` archive rows:
-simulated execution cycles, host wall-clock seconds, per-category time
-fractions, and whether the row was served from the result cache.  With
-an attached :class:`~repro.harness.parallel.ResultCache`, a re-run on
-unchanged code is near-instant -- every row is a cache hit.
+:func:`config_for` is the one parser from a protocol name (``repro run
+--protocol``, ``repro scale --protocols``, a served run spec) to a
+:class:`~repro.harness.runner.ProtocolConfig`;
+:func:`events_per_second` is the one place a count is divided by a
+measured wall clock.
 """
 
 from __future__ import annotations
 
-import platform
-from typing import Optional, Sequence, Tuple
+from typing import Optional
 
-from repro.harness.parallel import SimRequest, SweepRunner
+from repro.dsm.overlap import ALL_MODES
 from repro.harness.runner import ProtocolConfig
-from repro.stats.breakdown import Category
 
-__all__ = ["CONFIGS", "SCHEMA", "config_for", "events_per_second",
-           "run_matrix", "faulted_matrix", "fault_overhead_row",
-           "build_archive"]
+__all__ = ["PROTOCOL_NAMES", "config_for", "events_per_second"]
+
+_TM_MODES = {mode.name.lower(): mode.name for mode in ALL_MODES}
+
+# Every name config_for accepts, in the order error messages list them.
+PROTOCOL_NAMES = tuple(_TM_MODES.values()) + ("aurc", "aurc+prefetch")
+
+
+def config_for(protocol: str, prefetch: bool = False) -> ProtocolConfig:
+    """Parse a protocol name, case-insensitively.
+
+    The six TreadMarks overlap modes (``Base`` ... ``I+P+D``), ``aurc``
+    and ``aurc+prefetch``.  ``prefetch`` turns on AURC prefetching and
+    is ignored for TreadMarks, whose prefetching is part of the mode
+    name.  Anything else raises ``ValueError`` naming every accepted
+    name.
+    """
+    name = protocol.lower() if isinstance(protocol, str) else None
+    if name == "aurc":
+        return ProtocolConfig.aurc(prefetch=prefetch)
+    if name == "aurc+prefetch":
+        return ProtocolConfig.aurc(prefetch=True)
+    mode = _TM_MODES.get(name)
+    if mode is None:
+        raise ValueError(f"unknown protocol {protocol!r}; choose from "
+                         f"{', '.join(PROTOCOL_NAMES)}")
+    return ProtocolConfig.treadmarks(mode)
 
 
 def events_per_second(events: float, wall: Optional[float]) -> float:
@@ -34,209 +54,3 @@ def events_per_second(events: float, wall: Optional[float]) -> float:
     if not wall or wall <= 0.0:
         return 0.0
     return events / wall
-
-# The regression matrix: small enough for CI, wide enough to cover the
-# base protocol, the full overlap pipeline (prefetch + controller), and
-# AURC's update-based path.
-CONFIGS: Tuple[Tuple[str, str], ...] = (
-    ("Em3d", "Base"),
-    ("Em3d", "I+P+D"),
-    ("Water", "Base"),
-    ("Water", "aurc"),
-)
-
-SCHEMA = "repro-bench/1"
-
-
-def config_for(protocol: str) -> ProtocolConfig:
-    if protocol.lower().startswith("aurc"):
-        return ProtocolConfig.aurc(prefetch="prefetch" in protocol.lower())
-    return ProtocolConfig.treadmarks(protocol)
-
-
-def run_matrix(procs: int = 4, quick: bool = True,
-               configs: Sequence[Tuple[str, str]] = CONFIGS,
-               runner: Optional[SweepRunner] = None,
-               warmup: bool = True, echo=print) -> list:
-    """Run every configuration; returns the archive's ``runs`` rows.
-
-    ``wall_seconds`` is the wall time the simulation actually took when
-    it was computed (preserved across cache hits); ``cached`` records
-    whether this invocation recomputed the row or served it from cache.
-
-    ``warmup`` runs one untimed simulation first when the matrix is
-    serial in-process, so the first row's wall clock measures the
-    simulator rather than one-time process warm-up (allocator growth,
-    bytecode specialization, lazy imports).  Pool workers cannot be
-    pre-warmed this way; serial mode is what the committed archives
-    record.
-    """
-    runner = runner if runner is not None else SweepRunner(jobs=1)
-    if warmup and runner.jobs == 1 and configs:
-        from repro.harness.experiments import scaled_app
-        from repro.harness.runner import run_app
-        app_name, protocol = configs[0]
-        run_app(scaled_app(app_name, procs, quick=quick),
-                config_for(protocol), verify=False)
-    requests = [
-        SimRequest.for_app(app_name, procs, config_for(protocol),
-                           quick=quick, verify=True)
-        for app_name, protocol in configs
-    ]
-    results = runner.run_batch(requests)
-
-    rows = []
-    for (app_name, _protocol), result in zip(configs, results):
-        merged = result.merged_breakdown
-        fractions = {category.value: merged.fraction(category)
-                     for category in Category}
-        events = result.events_processed
-        wall = result.wall_seconds
-        rows.append({
-            "app": app_name,
-            "protocol": result.protocol_label,
-            "n_procs": procs,
-            "quick": quick,
-            "execution_cycles": result.execution_cycles,
-            "wall_seconds": wall,
-            "events_processed": events,
-            "events_per_second": events_per_second(events, wall),
-            "cached": result.cached,
-            "fractions": fractions,
-            "diff_fraction": (merged.diff_cycles / merged.total
-                              if merged.total else 0.0),
-            "verified": result.verified,
-        })
-        if echo is not None:
-            origin = "cached" if result.cached else "simulated"
-            rate = events_per_second(events, wall)
-            echo(f"  {app_name:8s} {result.protocol_label:12s} "
-                 f"{result.execution_cycles / 1e6:8.2f} Mcycles  "
-                 f"{wall:6.2f} s  {events:7d} ev "
-                 f"{rate:9.0f} ev/s  [{origin}]")
-    return rows
-
-
-def faulted_matrix(procs: int = 4, quick: bool = True, seed: int = 7,
-                   configs: Sequence[Tuple[str, str]] = CONFIGS,
-                   echo=print) -> list:
-    """The regression matrix run under seeded chaos faults.
-
-    Row keys (app/protocol/procs/quick) match :func:`run_matrix`
-    exactly, but the fixed-seed straggler/fault schedule inflates every
-    row's simulated cycles deterministically.  This is the regression
-    gate's self-test: an archive recorded this way *must* be flagged by
-    ``repro regress`` against the clean history -- if it passes, the
-    gate is broken.  Runs go through ``run_app`` directly (faulted
-    results must never touch the result cache).
-    """
-    import time
-
-    from repro.faults import FaultPlan, FaultSpec
-    from repro.harness.experiments import scaled_app
-    from repro.harness.runner import run_app
-
-    rows = []
-    for app_name, protocol in configs:
-        config = config_for(protocol)
-        plan = FaultPlan(seed=seed, spec=FaultSpec.chaos())
-        start = time.perf_counter()
-        result = run_app(scaled_app(app_name, procs, quick=quick),
-                         config, faults=plan)
-        wall = time.perf_counter() - start
-        merged = result.merged_breakdown
-        events = result.events_processed
-        rows.append({
-            "app": app_name,
-            "protocol": result.protocol_label,
-            "n_procs": procs,
-            "quick": quick,
-            "execution_cycles": result.execution_cycles,
-            "wall_seconds": wall,
-            "events_processed": events,
-            "events_per_second": events_per_second(events, wall),
-            "cached": False,
-            "fractions": {category.value: merged.fraction(category)
-                          for category in Category},
-            "diff_fraction": (merged.diff_cycles / merged.total
-                              if merged.total else 0.0),
-            "verified": result.verified,
-            "faulted": True,
-            "fault_seed": seed,
-        })
-        if echo is not None:
-            echo(f"  {app_name:8s} {result.protocol_label:12s} "
-                 f"{result.execution_cycles / 1e6:8.2f} Mcycles  "
-                 f"{wall:6.2f} s  [faulted, seed {seed}]")
-    return rows
-
-
-def fault_overhead_row(procs: int = 4, quick: bool = True,
-                       seed: int = 7, echo=print) -> dict:
-    """One archive row measuring chaos-fault overhead on the full
-    overlap pipeline (Em3d under I+P+D).
-
-    Runs baseline and faulted back to back through ``run_app`` directly
-    -- never the sweep runner, so neither run touches the result cache
-    (a faulted result must not collide with its fault-free twin's
-    fingerprint).  The fixed seed makes the row's simulated cycles
-    fully deterministic, so it diffs cleanly across CI runs.
-    """
-    import time
-
-    from repro.faults import FaultPlan, FaultSpec
-    from repro.harness.experiments import scaled_app
-    from repro.harness.runner import run_app
-
-    app_name, protocol = "Em3d", "I+P+D"
-    config = config_for(protocol)
-    baseline = run_app(scaled_app(app_name, procs, quick=quick), config)
-    plan = FaultPlan(seed=seed, spec=FaultSpec.chaos())
-    start = time.perf_counter()
-    faulted = run_app(scaled_app(app_name, procs, quick=quick), config,
-                      faults=plan)
-    wall = time.perf_counter() - start
-    merged = faulted.merged_breakdown
-    overhead = (faulted.execution_cycles / baseline.execution_cycles
-                - 1.0)
-    row = {
-        "app": app_name,
-        "protocol": f"{faulted.protocol_label}/faults",
-        "n_procs": procs,
-        "quick": quick,
-        "execution_cycles": faulted.execution_cycles,
-        "wall_seconds": wall,
-        "events_processed": faulted.events_processed,
-        "events_per_second": events_per_second(
-            faulted.events_processed, wall),
-        "cached": False,
-        "fractions": {category.value: merged.fraction(category)
-                      for category in Category},
-        "diff_fraction": (merged.diff_cycles / merged.total
-                          if merged.total else 0.0),
-        "verified": faulted.verified,
-        "faulted": True,
-        "fault_seed": seed,
-        "fault_overhead": overhead,
-        "baseline_execution_cycles": baseline.execution_cycles,
-    }
-    if echo is not None:
-        echo(f"  {app_name:8s} {row['protocol']:12s} "
-             f"{faulted.execution_cycles / 1e6:8.2f} Mcycles  "
-             f"{wall:6.2f} s  (+{100 * overhead:.1f}% over fault-free, "
-             f"seed {seed})")
-    return row
-
-
-def build_archive(rows: list, runner: Optional[SweepRunner] = None,
-                  generated_by: str = "benchmarks/regression.py") -> dict:
-    """Assemble the ``repro-bench/1`` document around ``runs`` rows."""
-    doc = {
-        "schema": SCHEMA,
-        "generated_by": generated_by,
-        "python": platform.python_version(),
-        "runs": rows,
-    }
-    if runner is not None:
-        doc["execution"] = runner.stats.as_metadata()
-    return doc

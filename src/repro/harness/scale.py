@@ -19,6 +19,7 @@ without changing the question.
 
 from __future__ import annotations
 
+import platform
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.harness.bench import config_for, events_per_second
@@ -27,8 +28,8 @@ from repro.hardware.params import MachineParams
 from repro.stats.breakdown import Category
 
 __all__ = ["SCALE_NODE_COUNTS", "SCALE_PROTOCOLS", "SCALE_SIZES",
-           "REGRESSION_SCALE_CELLS", "scale_sizes", "scale_request",
-           "scale_matrix", "regression_scale_rows", "audit_scale_run"]
+           "scale_sizes", "scale_request", "scale_matrix",
+           "build_archive", "audit_scale_run"]
 
 # Default sweep points: 64 and 256 every time; 1024 is the smoke point
 # callers opt into explicitly (repro scale --nodes 1024).
@@ -108,11 +109,22 @@ def _row(doc: dict, app_name: str, nprocs: int, topology: str,
     return row
 
 
-def _run_cells(cells: Sequence[Tuple[int, str, str, str]],
-               app_name: str, runner: Optional[SweepRunner],
-               echo) -> List[dict]:
-    """Run ``(nprocs, protocol, topology, preset)`` cells -> rows."""
+def scale_matrix(node_counts: Sequence[int] = SCALE_NODE_COUNTS,
+                 protocols: Sequence[str] = SCALE_PROTOCOLS,
+                 topologies: Sequence[str] = ("mesh",),
+                 presets: Sequence[str] = ("paper1996",),
+                 app_name: str = "Em3d",
+                 runner: Optional[SweepRunner] = None,
+                 echo=print) -> List[dict]:
+    """Run the full cross product; returns archive ``runs`` rows.
+
+    Requests go through the sweep runner (memo, disk cache, optional
+    process pool), so re-running an unchanged sweep is near-instant.
+    """
     runner = runner if runner is not None else SweepRunner(jobs=1)
+    cells = [(n, proto, topo, preset)
+             for topo in topologies for preset in presets
+             for n in node_counts for proto in protocols]
     requests = [scale_request(app_name, n, proto, topology=topo,
                               preset=preset)
                 for n, proto, topo, preset in cells]
@@ -133,46 +145,15 @@ def _run_cells(cells: Sequence[Tuple[int, str, str, str]],
     return rows
 
 
-def scale_matrix(node_counts: Sequence[int] = SCALE_NODE_COUNTS,
-                 protocols: Sequence[str] = SCALE_PROTOCOLS,
-                 topologies: Sequence[str] = ("mesh",),
-                 presets: Sequence[str] = ("paper1996",),
-                 app_name: str = "Em3d",
-                 runner: Optional[SweepRunner] = None,
-                 echo=print) -> List[dict]:
-    """Run the full cross product; returns archive ``runs`` rows.
-
-    Requests go through the sweep runner (memo, disk cache, optional
-    process pool), so re-running an unchanged sweep is near-instant.
-    """
-    cells = [(n, proto, topo, preset)
-             for topo in topologies for preset in presets
-             for n in node_counts for proto in protocols]
-    return _run_cells(cells, app_name, runner, echo)
-
-
-# The scale rows recorded in the committed BENCH archive (and therefore
-# regenerated by CI's regression gate on every push).  Chosen to cover
-# every axis -- node count, topology, machine preset, protocol family --
-# while staying affordable: the 256-node cells dominate at ~1 min
-# total, and the 1024-node smoke point stays CLI-only
-# (``repro scale --nodes 1024``).
-REGRESSION_SCALE_CELLS: Tuple[Tuple[int, str, str, str], ...] = (
-    (64, "I+D", "mesh", "paper1996"),
-    (64, "I+P+D", "mesh", "paper1996"),
-    (64, "aurc", "mesh", "paper1996"),
-    (64, "I+D", "mesh", "rdma"),
-    (64, "aurc", "mesh", "rdma"),
-    (64, "I+D", "torus", "paper1996"),
-    (256, "I+P+D", "mesh", "paper1996"),
-    (256, "aurc", "mesh", "paper1996"),
-)
-
-
-def regression_scale_rows(runner: Optional[SweepRunner] = None,
-                          echo=print) -> List[dict]:
-    """The committed-archive scale rows (:data:`REGRESSION_SCALE_CELLS`)."""
-    return _run_cells(REGRESSION_SCALE_CELLS, "Em3d", runner, echo)
+def build_archive(rows: List[dict], runner: SweepRunner) -> dict:
+    """The ``repro-bench/1`` document ``repro scale --out`` writes."""
+    return {
+        "schema": "repro-bench/1",
+        "generated_by": "repro scale",
+        "python": platform.python_version(),
+        "runs": rows,
+        "execution": runner.stats.as_metadata(),
+    }
 
 
 def audit_scale_run(nprocs: int, protocol: str = "I+P+D",

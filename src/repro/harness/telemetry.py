@@ -21,9 +21,7 @@ truthiness check, so instrumented code paths pay nothing when nobody is
 watching.  The bus is process-local by design -- pool workers run with
 an empty bus and all telemetry is derived in the coordinating process
 from job completions, keeping the simulation kernel byte-identical
-with telemetry on or off.  :func:`measure_telemetry_tax` keeps that
-claim honest by timing the quick benchmark matrix with the full
-consumer stack attached vs. detached.
+with telemetry on or off.
 """
 
 from __future__ import annotations
@@ -35,7 +33,7 @@ from typing import Any, Callable, Dict, List, Optional
 __all__ = [
     "SWEEP_LOG_SCHEMA", "TelemetryBus", "SweepLogWriter", "LiveRenderer",
     "AsyncBridge", "bus", "publish", "read_sweep_log",
-    "sweep_log_duration", "sweep_log_summary", "measure_telemetry_tax",
+    "sweep_log_duration", "sweep_log_summary",
 ]
 
 SWEEP_LOG_SCHEMA = "repro-sweep-log/1"
@@ -375,12 +373,6 @@ class LiveRenderer:
                       f"{event.get('protocol', '?')} seed "
                       f"{event.get('seed', '?')}: {verdict}, memory "
                       f"{event.get('memory', '?')}{extra}")
-        elif kind == "telemetry_tax":
-            self.echo(f"[watch] telemetry tax: "
-                      f"{100 * event.get('overhead', 0.0):+.2f}% "
-                      f"(on {event.get('on_seconds', 0.0):.3f}s vs off "
-                      f"{event.get('off_seconds', 0.0):.3f}s, best of "
-                      f"{event.get('repeats', '?')})")
 
     def replay(self, records: List[Dict[str, Any]]) -> None:
         for record in records:
@@ -388,69 +380,3 @@ class LiveRenderer:
                 continue
             self(record)
 
-
-def measure_telemetry_tax(procs: int = 4, repeats: int = 3,
-                          log_path: Optional[str] = None) -> Dict[str, Any]:
-    """Time the quick benchmark matrix with telemetry on vs. off.
-
-    Self-accounting for the observability layer: both arms run the same
-    uncached serial matrix through the sweep runner; the "on" arm
-    additionally carries a sweep-log writer (to ``log_path`` or a
-    throwaway file) and a live renderer swallowing its output -- the
-    full consumer stack a watched sweep pays for.  Best-of-``repeats``
-    wall seconds per arm; the returned record (also published as a
-    ``telemetry_tax`` event, so it lands in the sweep log itself) is
-    the tracked overhead number CI bounds.
-    """
-    import os
-    import tempfile
-
-    from repro.harness.bench import run_matrix
-    from repro.harness.parallel import SweepRunner
-
-    def one_matrix() -> float:
-        runner = SweepRunner(jobs=1, cache=None)
-        start = time.perf_counter()
-        run_matrix(procs=procs, quick=True, runner=runner, echo=None)
-        return time.perf_counter() - start
-
-    # Measure both arms against a quiesced bus: any consumers the caller
-    # already attached (an outer sweep log, a --watch renderer) would
-    # otherwise bill their own cost to the "off" arm too.
-    outer_subscribers = list(_BUS._subscribers)
-    _BUS._subscribers.clear()
-    cleanup = None
-    if log_path is None:
-        fd, log_path = tempfile.mkstemp(suffix=".jsonl", prefix="tax-")
-        os.close(fd)
-        cleanup = log_path
-    try:
-        best_off = min(one_matrix() for _ in range(max(1, repeats)))
-        best_on = None
-        for _ in range(max(1, repeats)):
-            renderer = LiveRenderer(echo=lambda _line: None)
-            _BUS.subscribe(renderer)
-            try:
-                with SweepLogWriter(log_path,
-                                    context={"purpose": "telemetry-tax"}):
-                    wall = one_matrix()
-            finally:
-                _BUS.unsubscribe(renderer)
-            best_on = wall if best_on is None else min(best_on, wall)
-    finally:
-        _BUS._subscribers.extend(outer_subscribers)
-        if cleanup is not None:
-            try:
-                os.unlink(cleanup)
-            except OSError:
-                pass
-    overhead = (best_on - best_off) / best_off if best_off else 0.0
-    record = {
-        "procs": procs,
-        "repeats": max(1, repeats),
-        "off_seconds": best_off,
-        "on_seconds": best_on,
-        "overhead": overhead,
-    }
-    publish("telemetry_tax", **record)
-    return record

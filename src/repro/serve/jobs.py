@@ -40,13 +40,13 @@ from concurrent.futures import ProcessPoolExecutor
 from typing import Any, Deque, Dict, List, Optional, Set
 
 from repro.harness import telemetry
+from repro.harness.bench import config_for
 from repro.harness.parallel import (
     EvictionPolicy,
     ResultCache,
     SimRequest,
     execute_request,
 )
-from repro.harness.runner import ProtocolConfig
 from repro.stats.metrics import MetricsRegistry
 
 __all__ = [
@@ -100,15 +100,11 @@ def request_from_spec(spec: Any) -> SimRequest:
     if not isinstance(procs, int) or not 1 <= procs <= 1024:
         raise SpecError(f"procs must be an int in [1, 1024], got "
                         f"{procs!r}")
-    protocol = spec.get("protocol", "Base")
-    prefetch = bool(spec.get("prefetch", False))
     try:
-        if isinstance(protocol, str) and protocol.lower() == "aurc":
-            config = ProtocolConfig.aurc(prefetch=prefetch)
-        else:
-            config = ProtocolConfig.treadmarks(protocol)
-    except (KeyError, ValueError, TypeError, AttributeError):
-        raise SpecError(f"unknown protocol {protocol!r}")
+        config = config_for(spec.get("protocol", "Base"),
+                            prefetch=bool(spec.get("prefetch", False)))
+    except ValueError as exc:
+        raise SpecError(str(exc)) from None
     return SimRequest.for_app(app, procs, config,
                               quick=bool(spec.get("quick", True)),
                               verify=bool(spec.get("verify", False)))

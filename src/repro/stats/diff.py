@@ -27,17 +27,17 @@ and emits structured deltas:
   share.
 
 Accepted inputs (:func:`load_run_doc`): a ``repro-run-report/1`` or
-``/2`` document, a bare ``RunResult.to_json()`` document, a
-``repro-bench/1`` archive row, or a row of the 18-config golden-cycles
-fixture (via :func:`golden_doc`), so ``repro diff`` can compare live
-runs, archived reports, and the pinned golden baselines freely.
+``/2`` document, a bare ``RunResult.to_json()`` document, or a row of
+the 18-config golden-cycles fixture (via :func:`golden_doc`), so
+``repro diff`` can compare live runs, archived reports, and the pinned
+golden baselines freely.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 from repro.stats.breakdown import Category
 
@@ -76,32 +76,11 @@ _CAUSAL_LEG_LABELS = {
 }
 
 
-def _looks_like_run(doc: dict) -> bool:
-    return "execution_cycles" in doc and ("breakdown" in doc
-                                          or "fractions" in doc)
-
-
-def _bench_row_to_run(row: dict) -> dict:
-    """A repro-bench/1 archive row, reshaped into a run document.
-
-    Bench rows store category *fractions* (of the merged breakdown
-    total) instead of cycles; without the total they cannot be restored
-    to absolute cycles, so the reshaped doc keeps fractions only and
-    the differ falls back to fraction deltas.
-    """
-    run = dict(row)
-    run.setdefault("protocol", row.get("protocol", "?"))
-    return run
-
-
 def load_run_doc(source, label: Optional[str] = None) -> dict:
     """Normalize ``source`` into ``{"label", "run", "metrics", "causal"}``.
 
     ``source`` may be a path to a JSON file or an already-loaded dict in
-    any of the accepted shapes (run report v1/v2, bare run document,
-    bench archive row).  A bench *archive* (with a ``runs`` list) is
-    rejected -- pick a row first; ``repro diff`` does this with
-    ``--pick``.
+    either accepted shape (run report v1/v2, bare run document).
     """
     if isinstance(source, str):
         path = source
@@ -122,14 +101,9 @@ def load_run_doc(source, label: Optional[str] = None) -> dict:
         return {"label": label, "run": doc["run"],
                 "metrics": doc.get("metrics"),
                 "causal": doc.get("causal")}
-    if schema == "repro-bench/1" or "runs" in doc:
-        raise ValueError(
-            f"{label}: this is a bench archive with "
-            f"{len(doc.get('runs', []))} rows, not a single run; "
-            f"pick one row (repro diff --pick APP/PROTOCOL)")
-    if _looks_like_run(doc):
-        return {"label": label, "run": _bench_row_to_run(doc),
-                "metrics": None, "causal": None}
+    if "execution_cycles" in doc and "breakdown" in doc:
+        return {"label": label, "run": doc, "metrics": None,
+                "causal": None}
     raise ValueError(f"{label}: unrecognized run document "
                      f"(schema={schema!r})")
 
@@ -190,13 +164,6 @@ def _delta_entry(a: float, b: float, base_total: float) -> Dict[str, float]:
 
 def _breakdown_cycles(run: dict) -> Optional[Dict[str, float]]:
     data = run.get("breakdown")
-    if isinstance(data, dict):
-        return {c.value: float(data.get(c.value, 0.0)) for c in Category}
-    return None
-
-
-def _breakdown_fractions(run: dict) -> Optional[Dict[str, float]]:
-    data = run.get("fractions")
     if isinstance(data, dict):
         return {c.value: float(data.get(c.value, 0.0)) for c in Category}
     return None
@@ -274,24 +241,11 @@ def diff_runs(a, b, label_a: Optional[str] = None,
         if diff_a or diff_b:
             attribution["diff_overlay"] = _delta_entry(diff_a, diff_b,
                                                        total_a)
-    else:
-        fa, fb = _breakdown_fractions(ra), _breakdown_fractions(rb)
-        if fa is not None and fb is not None:
-            attribution = {
-                "basis": "category fractions (bench rows carry no "
-                         "absolute breakdown cycles)",
-                "categories": [
-                    {"name": c.value, "a": fa[c.value], "b": fb[c.value],
-                     "delta": fb[c.value] - fa[c.value]}
-                    for c in Category
-                ],
-            }
-    if attribution is not None:
         doc["attribution"] = attribution
 
     # -- named detail rows (overlapping): cycle counters + causal legs ---
     detail: List[Dict[str, Any]] = []
-    base_total = (attribution or {}).get("total", {}).get("a", 0.0) \
+    base_total = (attribution["total"]["a"] if attribution else 0.0) \
         or cycles_a
     counters_a = _sum_counters(na.get("metrics"))
     counters_b = _sum_counters(nb.get("metrics"))
@@ -393,7 +347,7 @@ def format_diff(doc: dict, top: int = 10) -> str:
                      "unexplained delta")
         return "\n".join(lines)
     attribution = doc.get("attribution")
-    if attribution and "total" in attribution:
+    if attribution:
         total = attribution["total"]
         lines.append(
             f"  attribution over {attribution['basis']} "
@@ -412,11 +366,6 @@ def format_diff(doc: dict, top: int = 10) -> str:
                 f"    twin/diff overlay {100 * overlay['pct']:+.2f}% "
                 f"({overlay['delta'] / 1e3:+.1f} Kcycles, overlaps the "
                 f"categories above)")
-    elif attribution:
-        lines.append(f"  attribution ({attribution['basis']}):")
-        for row in attribution["categories"]:
-            lines.append(f"    {row['name']:8s} "
-                         f"{100 * row['delta']:+7.2f} pp")
     for row in doc.get("detail", [])[:top]:
         lines.append(
             f"  detail: {row['name']:28s} {100 * row['pct']:+7.2f}%  "

@@ -194,20 +194,18 @@ class RunReport:
 
 
 # Schemas `repro validate` accepts.  Version 1 run reports (pre-causal)
-# remain readable; repro-bench/1 is the benchmark-regression archive;
-# repro-chaos/1 is the fault-sweep report `repro chaos` writes;
-# repro-diff/1 is the cross-run differential document (`repro diff`);
-# repro-regress/1 the regression-gate verdict (`repro regress`);
-# repro-inspect/1 the per-page coherence-audit document
-# (`repro inspect`).
+# remain readable; repro-bench/1 is the scale-sweep archive
+# (`repro scale --out`); repro-chaos/1 is the fault-sweep report
+# `repro chaos` writes; repro-diff/1 is the cross-run differential
+# document (`repro diff`); repro-inspect/1 the per-page coherence-audit
+# document (`repro inspect`).
 # repro-serve/1 is the job document the `repro serve` API returns
 # (and `repro submit/status` write with --json).
 # (The repro-sweep-log/1 JSONL stream is validated by its own reader,
 # repro.harness.telemetry.read_sweep_log -- it is not a JSON document.)
 KNOWN_SCHEMAS = ("repro-run-report/1", "repro-run-report/2",
                  "repro-bench/1", "repro-chaos/1", "repro-diff/1",
-                 "repro-regress/1", "repro-inspect/1",
-                 "repro-serve/1")
+                 "repro-inspect/1", "repro-serve/1")
 
 # Top-level keys that must be present per schema.
 _REQUIRED_KEYS = {
@@ -216,7 +214,6 @@ _REQUIRED_KEYS = {
     "repro-bench/1": ("generated_by", "runs"),
     "repro-chaos/1": ("spec", "rows", "survived", "ok"),
     "repro-diff/1": ("a", "b", "execution_cycles", "identical"),
-    "repro-regress/1": ("rows", "ok", "exit_code"),
     "repro-inspect/1": ("run", "pages", "audit", "state"),
     "repro-serve/1": ("job",),
 }
@@ -289,12 +286,6 @@ def validate_report(doc) -> List[str]:
         if "execution_cycles" in doc \
                 and not isinstance(doc["execution_cycles"], dict):
             problems.append("'execution_cycles' must be an object")
-    elif schema == "repro-regress/1":
-        if "rows" in doc and not isinstance(doc["rows"], list):
-            problems.append("'rows' must be a list")
-        if "error" not in doc and "candidate" not in doc:
-            problems.append("missing 'candidate' (or 'error' for an "
-                            "unusable-input verdict)")
     elif schema == "repro-serve/1":
         job = doc.get("job")
         if job is not None:

@@ -170,30 +170,6 @@ def test_figure_accepts_jobs_and_no_cache(capsys):
     assert "cache hits" in out  # the sweep-stats footer
 
 
-def test_bench_command_writes_valid_archive(tmp_path, capsys):
-    import json
-
-    out_file = str(tmp_path / "bench.json")
-    assert main(["bench", "--procs", "2", "--jobs", "1",
-                 "--out", out_file]) == 0
-    first = capsys.readouterr().out
-    assert "[simulated]" in first and "[cached]" not in first
-
-    with open(out_file) as fh:
-        doc = json.load(fh)
-    assert doc["schema"] == "repro-bench/1"
-    assert doc["generated_by"] == "repro bench"
-    assert doc["execution"]["cache_misses"] == len(doc["runs"])
-    assert all(row["verified"] for row in doc["runs"])
-    assert main(["validate", out_file]) == 0
-    capsys.readouterr()
-
-    # Re-running against the populated cache serves every row.
-    assert main(["bench", "--procs", "2", "--jobs", "1"]) == 0
-    rerun = capsys.readouterr().out
-    assert "[cached]" in rerun and "[simulated]" not in rerun
-
-
 def test_figure_sweep_log_and_watch_flags(tmp_path, capsys):
     from repro.harness.telemetry import read_sweep_log, sweep_log_summary
 
@@ -264,51 +240,6 @@ def test_diff_command_golden_side(tmp_path, capsys):
     assert "zero unexplained delta" in capsys.readouterr().out
 
 
-def test_diff_command_rejects_archive_without_pick(tmp_path, capsys):
-    import json
-
-    archive = str(tmp_path / "bench.json")
-    with open(archive, "w") as fh:
-        json.dump({"schema": "repro-bench/1", "generated_by": "t",
-                   "runs": [{"app": "Em3d", "protocol": "TM/Base",
-                             "n_procs": 4, "execution_cycles": 1.0,
-                             "fractions": {}}]}, fh)
-    assert main(["diff", archive, archive]) == 2
-    assert "--pick" in capsys.readouterr().err
-    assert main(["diff", archive, archive, "--pick",
-                 "Em3d/TM/Base"]) == 0
-
-
-def test_regress_command_exit_codes(tmp_path, capsys):
-    import json
-
-    def archive(name, cycles):
-        doc = {"schema": "repro-bench/1", "generated_by": "t", "runs": [
-            {"app": "Em3d", "protocol": "TM/Base", "n_procs": 4,
-             "quick": True, "execution_cycles": cycles,
-             "wall_seconds": 0.5, "events_per_second": 100.0,
-             "fractions": {}}]}
-        path = str(tmp_path / name)
-        with open(path, "w") as fh:
-            json.dump(doc, fh)
-        return path
-
-    history = archive("h.json", 1000.0)
-    clean = archive("clean.json", 1000.0)
-    slow = archive("slow.json", 1200.0)
-    report = str(tmp_path / "regress.json")
-    assert main(["regress", "--candidate", clean, "--history", history,
-                 "--json", report]) == 0
-    assert "regress: OK" in capsys.readouterr().out
-    assert main(["validate", report]) == 0
-    capsys.readouterr()
-    assert main(["regress", "--candidate", slow,
-                 "--history", history]) == 1
-    assert "REGRESSION" in capsys.readouterr().out
-    assert main(["regress", "--candidate", str(tmp_path / "nope.json"),
-                 "--history", history]) == 2
-
-
 def test_run_trace_flushed_on_abort(tmp_path, monkeypatch, capsys):
     import types
 
@@ -333,3 +264,86 @@ def test_run_trace_flushed_on_abort(tmp_path, monkeypatch, capsys):
     meta = load_trace_meta(trace_file)
     assert meta["events"] == 1
     assert meta["aborted"] == "RuntimeError: simulated crash"
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "Em3d", "--protocol", "Bogus"],
+    ["profile", "Em3d", "--protocol", "aurcx"],
+    ["analyze", "Em3d", "--protocol", ""],
+    ["inspect", "Em3d", "--protocol", "Bogus"],
+    ["scale", "--protocols", "aurc", "aurcx"],
+    ["chaos", "--protocols", "Bogus"],
+])
+def test_bad_protocol_name_exits_2_before_simulating(argv, monkeypatch,
+                                                     capsys):
+    import repro.__main__ as cli
+
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("simulated despite a bad protocol name")
+
+    monkeypatch.setattr(cli, "run_app", no_simulation)
+    with pytest.raises(SystemExit) as info:
+        cli.main(argv)
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "unknown protocol" in err
+    assert "Traceback" not in err
+
+
+def test_every_command_dispatches_through_its_handler():
+    import argparse
+
+    import repro.__main__ as cli
+
+    parser = cli._build_parser()
+    [commands] = [action for action in parser._actions
+                  if isinstance(action, argparse._SubParsersAction)]
+    assert len(commands.choices) == 17
+    for name, sub in commands.choices.items():
+        handler = getattr(cli, "_cmd_" + name.replace("-", "_"))
+        assert sub.get_default("handler") is handler, name
+
+
+def test_scale_command_writes_valid_archive(tmp_path, capsys):
+    import json
+
+    out_file = tmp_path / "scale.json"
+    argv = ["scale", "--nodes", "64", "--protocols", "aurc", "--jobs",
+            "1", "--out", str(out_file)]
+    assert main(argv) == 0
+    assert "[simulated]" in capsys.readouterr().out
+    text = out_file.read_text()
+    doc = json.loads(text)
+    assert text == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    assert doc["schema"] == "repro-bench/1"
+    assert doc["generated_by"] == "repro scale"
+    assert doc["execution"]["cache_misses"] == len(doc["runs"]) == 1
+    assert all(row["verified"] for row in doc["runs"])
+    assert main(["validate", str(out_file)]) == 0
+    capsys.readouterr()
+
+    # Re-running against the populated cache serves every row.
+    assert main(argv) == 0
+    rerun = capsys.readouterr().out
+    assert "[cached]" in rerun and "[simulated]" not in rerun
+
+
+def test_trace_piped_into_head_exits_quietly(tmp_path, capsys):
+    import os
+    import subprocess
+    import sys
+
+    import repro
+
+    trace = str(tmp_path / "trace.json")
+    assert main(["run", "Em3d", "--protocol", "I+P+D", "--procs", "4",
+                 "--quick", "--no-verify", "--trace", trace]) == 0
+    capsys.readouterr()
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    proc = subprocess.run(
+        f'"{sys.executable}" -m repro trace "{trace}" --limit 1000000 '
+        f'| head -1', shell=True, capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=src), timeout=120)
+    assert proc.stdout.count("\n") == 1
+    assert "Traceback" not in proc.stderr, proc.stderr
+    assert "BrokenPipeError" not in proc.stderr, proc.stderr

@@ -1,18 +1,14 @@
-"""Scale-sweep harness: sizes, row shaping, and archive row keys."""
+"""Scale-sweep harness: sizes and row shaping."""
 
 import pytest
 
 from repro.harness.scale import (
-    REGRESSION_SCALE_CELLS,
-    SCALE_PROTOCOLS,
     SCALE_SIZES,
     _row,
     scale_request,
     scale_sizes,
 )
 from repro.hardware.params import PRESETS
-from repro.hardware.topology import TOPOLOGIES
-from repro.stats.baseline import row_key
 
 
 def test_scale_sizes_fallback_to_nearest_smaller():
@@ -33,24 +29,6 @@ def test_scale_request_carries_preset_and_topology():
     assert req.params.topology == "torus"
     assert req.params.messaging_overhead_cycles == \
         PRESETS["rdma"]["messaging_overhead_cycles"]
-
-
-def test_regression_cells_are_well_formed():
-    assert len(REGRESSION_SCALE_CELLS) == \
-        len(set(REGRESSION_SCALE_CELLS))
-    for n, proto, topo, preset in REGRESSION_SCALE_CELLS:
-        assert n in (64, 256)
-        assert topo in TOPOLOGIES
-        assert preset in PRESETS
-        # Every cell must build a valid request (geometry validates at
-        # params construction).
-        scale_request("Em3d", n, proto, topology=topo, preset=preset)
-    # Coverage floor: both node counts, a non-mesh topology, a
-    # non-paper preset, and every scale protocol appear somewhere.
-    assert {c[0] for c in REGRESSION_SCALE_CELLS} == {64, 256}
-    assert any(c[2] != "mesh" for c in REGRESSION_SCALE_CELLS)
-    assert any(c[3] != "paper1996" for c in REGRESSION_SCALE_CELLS)
-    assert set(SCALE_PROTOCOLS) <= {c[1] for c in REGRESSION_SCALE_CELLS}
 
 
 def _fake_doc():
@@ -84,19 +62,3 @@ def test_row_shapes_scale_metrics():
     assert abs(sum(row["fractions"].values()) - 1.0) < 1e-9
     assert row["fractions"]["busy"] == pytest.approx(0.75)
 
-
-def test_row_key_extends_only_for_non_defaults():
-    base = {"app": "Em3d", "protocol": "TM/I+P+D", "n_procs": 4,
-            "quick": True}
-    assert row_key(base) == "Em3d/TM/I+P+D/4p/quick"
-    # Scale rows on the default mesh/paper1996 keep the historical key
-    # shape -- pre-scale archives stay comparable.
-    assert row_key(dict(base, scale=True, topology="mesh",
-                        preset="paper1996", n_procs=64)) == \
-        "Em3d/TM/I+P+D/64p/quick"
-    assert row_key(dict(base, topology="torus")) == \
-        "Em3d/TM/I+P+D/4p/quick/torus"
-    assert row_key(dict(base, preset="rdma")) == \
-        "Em3d/TM/I+P+D/4p/quick/rdma"
-    assert row_key(dict(base, topology="dragonfly", preset="pio")) == \
-        "Em3d/TM/I+P+D/4p/quick/dragonfly/pio"

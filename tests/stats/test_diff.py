@@ -4,7 +4,6 @@ The acceptance bar: identical-seed runs diff to *zero unexplained
 delta*, and a baseline-vs-faulted diff attributes the overhead to named
 categories with residual below 0.5% of the baseline."""
 
-import json
 import pathlib
 
 import pytest
@@ -89,37 +88,6 @@ def test_faulted_diff_names_detail_mechanisms(baseline_doc, faulted_doc):
     assert any("controller" in name for name in detail_names)
     text = format_diff(doc)
     assert "faulted" in text and "%" in text
-
-
-def test_bench_archive_is_rejected_with_guidance(tmp_path):
-    archive = {"schema": "repro-bench/1", "generated_by": "x",
-               "runs": [{"app": "Em3d", "protocol": "TM/Base",
-                         "execution_cycles": 1.0, "fractions": {}}]}
-    path = tmp_path / "bench.json"
-    path.write_text(json.dumps(archive))
-    with pytest.raises(ValueError, match="pick one row"):
-        load_run_doc(str(path))
-
-
-def test_bench_row_diffs_by_fractions(tmp_path):
-    row = {"app": "Em3d", "protocol": "TM/Base", "n_procs": 4,
-           "execution_cycles": 1000.0,
-           "fractions": {"busy": 0.5, "data": 0.2, "synch": 0.2,
-                         "ipc": 0.05, "others": 0.05}}
-    slower = dict(row, execution_cycles=1200.0,
-                  fractions={"busy": 0.45, "data": 0.3, "synch": 0.15,
-                             "ipc": 0.05, "others": 0.05})
-    doc = diff_runs(load_run_doc(row, label="a"),
-                    load_run_doc(slower, label="b"))
-    assert doc["identical"] is False
-    assert doc["execution_cycles"]["delta"] == pytest.approx(200.0)
-    # Bench rows carry only category *fractions*, so the attribution
-    # falls back to the fraction basis and says so.
-    attribution = doc["attribution"]
-    assert "fraction" in attribution["basis"]
-    categories = {c["name"]: c for c in attribution["categories"]}
-    assert categories["data"]["delta"] == pytest.approx(0.1)
-    assert categories["busy"]["delta"] == pytest.approx(-0.05)
 
 
 def test_golden_doc_unknown_key_lists_known():
