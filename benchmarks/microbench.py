@@ -39,34 +39,32 @@ def bench_timeout_chain(scale: int):
     return _timed(sim)
 
 
+def _port_worker(sim: Simulator, res: Resource, n: int):
+    """``n`` 5-cycle holds of ``res``, acquired the way the hardware
+    model's hot callers do: ``try_acquire``, else ``request``."""
+    for _ in range(n):
+        token = res.try_acquire()
+        if token is None:
+            token = res.request()
+            yield token
+        yield sim.pooled_timeout(5)
+        res.release(token)
+
+
 def bench_resource_uncontended(scale: int):
     """Single user acquiring an idle resource: the try_acquire fast path."""
     sim = Simulator()
-    res = Resource(sim, capacity=1)
-
-    def worker(n):
-        for _ in range(n):
-            req = yield from res.acquire()
-            yield sim.pooled_timeout(5)
-            res.release(req)
-
-    sim.process(worker(5_000 * scale))
+    res = Resource(sim)
+    sim.process(_port_worker(sim, res, 5_000 * scale))
     return _timed(sim)
 
 
 def bench_resource_contended(scale: int):
     """Four users fighting over one slot: the request/grant slow path."""
     sim = Simulator()
-    res = Resource(sim, capacity=1)
-
-    def worker(n):
-        for _ in range(n):
-            req = yield from res.acquire()
-            yield sim.pooled_timeout(5)
-            res.release(req)
-
+    res = Resource(sim)
     for _ in range(4):
-        sim.process(worker(1_500 * scale))
+        sim.process(_port_worker(sim, res, 1_500 * scale))
     return _timed(sim)
 
 

@@ -15,8 +15,7 @@ so an all-empty plan leaves every hardware fast path untouched and the
 run cycle-identical to an un-faulted one):
 
 * mesh transfers (:mod:`repro.hardware.network`): per-link latency
-  spikes, and fused-transfer bypass whenever a hook is armed on the
-  route;
+  spikes on routes with an armed link;
 * explicit messages (:mod:`repro.hardware.nic`): drop, duplication,
   and reorder delay, survived by the NIC's sequence-numbered
   ack/retransmit layer;

@@ -252,10 +252,8 @@ class FaultPlan:
     def route_armed(self, path: Sequence[tuple]) -> bool:
         """Whether the mesh hook is armed on any link of ``path``.
 
-        Armed routes must bypass the fused-transfer quiet window even
-        when this particular draw injects nothing: folding would bake
-        the spike decision into a pooled timeout taken before the
-        draw's position in event order is fixed.
+        The network draws spikes (:meth:`link_spike`) only for armed
+        routes, so an unarmed transfer consumes no RNG.
         """
         if self.spec.spike_prob <= 0.0:
             return False

@@ -23,34 +23,8 @@ class PciBus:
                  node_id: int = 0):
         self.sim = sim
         self.params = params
-        self.port = Resource(sim, capacity=1, name=f"pci{node_id}")
+        self.port = Resource(sim, name=f"pci{node_id}")
         self.total_bytes = 0
-
-    def burst_timeout(self, nbytes: int, lead_cycles: float = 0.0):
-        """Fused ``lead_cycles`` + transfer as one timeout, or None.
-
-        Equivalent to a plain ``lead_cycles`` wait followed by
-        :meth:`transfer` when the port is idle and nothing else is
-        scheduled strictly inside the combined window (so no event and
-        no observer exists between the two bursts).  Statistics are
-        accounted exactly (see ``Resource.account_uncontended``); the
-        caller yields the returned timeout.  None means take the
-        event-per-burst path.
-        """
-        if nbytes <= 0:
-            return None
-        port = self.port
-        if port.users or port.queue_length:
-            return None
-        cycles = self.params.pci_transfer_cycles(nbytes)
-        total = lead_cycles + cycles
-        sim = self.sim
-        heap = sim._heap
-        if sim._nowq or (heap and heap[0][0] <= sim.now + total):
-            return None
-        port.account_uncontended(cycles)
-        self.total_bytes += nbytes
-        return sim.pooled_timeout(total)
 
     def transfer(self, nbytes: int):
         """Generator: move ``nbytes`` across the bus as one burst."""

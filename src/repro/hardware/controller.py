@@ -26,10 +26,11 @@ manipulates actual page data.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Generator, Optional
+from heapq import heappop, heappush
+from typing import Callable, Dict, Generator, List, Optional
 
 from repro.hardware.params import MachineParams
-from repro.sim import Event, PriorityStore, Simulator, fused_burst
+from repro.sim import Event, Simulator
 from repro.sim.engine import _PENDING
 from repro.stats.metrics import QUEUE_WAIT_BUCKETS
 
@@ -76,7 +77,13 @@ class ProtocolController:
         self.pci = pci
         self.memory = memory
         self.node_id = node_id
-        self.queue = PriorityStore(sim, name=f"ctrl-q{node_id}")
+        # The prioritized command queue: a heap of (priority, seq, cmd),
+        # FIFO within a priority level.
+        self._queue: List[tuple] = []
+        self._queue_seq = 0
+        # True while the controller is parked with an empty queue; the
+        # next submit then starts its command directly.
+        self._idle = False
         # Fault hook: a FaultPlan when controller stalls or queue
         # back-pressure are armed (set by FaultPlan.install), else None.
         self.faults = None
@@ -87,8 +94,7 @@ class ProtocolController:
         self.per_command_counts: dict[str, int] = {}
         # Service state machine: one command at a time, its work
         # generator driven by bound-method continuations instead of a
-        # persistent serve-loop process.  The bootstrap lands on the
-        # same (time, seq) slot the old process's first step used.
+        # persistent serve-loop process.
         self._cmd: Optional[Command] = None
         self._work_gen: Optional[Generator] = None
         self._cmd_wait = 0.0
@@ -107,7 +113,7 @@ class ProtocolController:
                       enqueued_at=self.sim.now, req=req)
         faults = self.faults
         if faults is not None and faults.spec.ctrl_queue_limit \
-                and len(self.queue) >= faults.spec.ctrl_queue_limit:
+                and len(self._queue) >= faults.spec.ctrl_queue_limit:
             # Overflow back-pressure: the command enters the queue only
             # once depth falls below the limit.  Its enqueued_at stays
             # the submit time, so the deferral shows up as queue wait.
@@ -115,34 +121,45 @@ class ProtocolController:
             self.sim.process(self._deferred_put(cmd),
                              name=f"ctrl-defer{self.node_id}", daemon=True)
             return done
-        self.queue.put(cmd, priority=priority)
+        self._put(cmd)
         return done
 
     def _deferred_put(self, cmd: Command):
         spec = self.faults.spec
-        while len(self.queue) >= spec.ctrl_queue_limit:
+        while len(self._queue) >= spec.ctrl_queue_limit:
             yield self.sim.pooled_timeout(spec.ctrl_retry_cycles)
-        self.queue.put(cmd, priority=cmd.priority)
+        self._put(cmd)
+
+    def _put(self, cmd: Command) -> None:
+        if self._idle:
+            # The parked controller starts this command in the next
+            # (now, seq) slot.
+            self._idle = False
+            self.sim.call_soon(self._begin, cmd)
+            return
+        self._queue_seq += 1
+        heappush(self._queue, (cmd.priority, self._queue_seq, cmd))
+
+    def depth_by_priority(self) -> Dict[int, int]:
+        """Current queue depth per priority level (for the sampler)."""
+        out: Dict[int, int] = {}
+        for priority, _seq, _cmd in self._queue:
+            out[priority] = out.get(priority, 0) + 1
+        return out
 
     # -- service state machine ------------------------------------------------
     #
-    # The old persistent serve-loop process is flattened: _serve_next
-    # pulls the next command (parking a getter callback on the queue
-    # when empty), and _drive steps the command's work generator
-    # directly, parking a bound-method callback on whatever event it
-    # yields.  Every schedule lands on the same (time, seq) slot the
-    # generator form used, so simulated cycles are bit-identical.
+    # _serve_next starts the most urgent queued command in the next
+    # (now, seq) slot, or parks the controller until _put; _drive steps
+    # the command's work generator directly, parking a bound-method
+    # callback on whatever event it yields.
 
-    def _serve_next(self, _evt=None) -> None:
-        cmd = self.queue.try_get()
-        if cmd is None:
-            getter = self.queue.get()
-            getter.callbacks.append(self._on_cmd)
-            return
-        self._begin(cmd)
-
-    def _on_cmd(self, event: Event) -> None:
-        self._begin(event._value)
+    def _serve_next(self) -> None:
+        queue = self._queue
+        if queue:
+            self.sim.call_soon(self._begin, heappop(queue)[2])
+        else:
+            self._idle = True
 
     def _begin(self, cmd: Command) -> None:
         wait = self.sim.now - cmd.enqueued_at
@@ -258,12 +275,7 @@ class ProtocolController:
         """Generator: copy a page into a twin in software (5 cycles/word
         plus the memory traffic of reading and writing the page)."""
         nwords = nwords if nwords is not None else self.params.words_per_page
-        core = nwords * self.params.twin_cycles_per_word
-        fused = self.memory.burst_timeout(2 * nwords, core)
-        if fused is not None:
-            yield fused
-            return
-        yield from self.core_work(core)
+        yield from self.core_work(nwords * self.params.twin_cycles_per_word)
         yield from self.memory.access(2 * nwords)
 
     def software_diff_create(self, nwords_page: Optional[int] = None):
@@ -272,69 +284,32 @@ class ProtocolController:
         matching section 3.1's comparison)."""
         nwords_page = (nwords_page if nwords_page is not None
                        else self.params.words_per_page)
-        core = nwords_page * self.params.diff_cycles_per_word
-        fused = self.memory.burst_timeout(nwords_page, core)
-        if fused is not None:
-            yield fused
-            return
-        yield from self.core_work(core)
+        yield from self.core_work(
+            nwords_page * self.params.diff_cycles_per_word)
         yield from self.memory.access(nwords_page)
 
     def software_diff_apply(self, dirty_words: int):
         """Generator: software diff application (7 cycles per dirty word
         plus memory traffic for the dirty words)."""
-        core = dirty_words * self.params.diff_cycles_per_word
-        fused = self.memory.burst_timeout(dirty_words, core, scattered=True)
-        if fused is not None:
-            yield fused
-            return
-        yield from self.core_work(core)
+        yield from self.core_work(
+            dirty_words * self.params.diff_cycles_per_word)
         yield from self.memory.access(dirty_words, scattered=True)
 
     def dma_diff_create(self, dirty_words: int):
         """Generator: DMA diff creation -- bit-vector scan (~200 cycles
         empty to ~2100 cycles full page) plus gathering the dirty words
         from main memory across PCI."""
-        core = self.params.dma_scan_cycles(dirty_words)
-        if dirty_words:
-            fused = self.memory.burst_timeout(dirty_words, core,
-                                              scattered=True)
-            if fused is not None:
-                yield fused
-                return
-        yield from self.core_work(core)
-        if dirty_words:
-            yield from self.memory.access(dirty_words, scattered=True)
+        yield from self.core_work(self.params.dma_scan_cycles(dirty_words))
+        yield from self.memory.access(dirty_words, scattered=True)
 
     def dma_diff_apply(self, dirty_words: int):
         """Generator: DMA diff application -- scatter the diff's words into
         the destination page as directed by its bit vector."""
-        core = self.params.dma_scan_cycles(dirty_words)
-        if dirty_words:
-            fused = self.memory.burst_timeout(dirty_words, core,
-                                              scattered=True)
-            if fused is not None:
-                yield fused
-                return
-        yield from self.core_work(core)
-        if dirty_words:
-            yield from self.memory.access(dirty_words, scattered=True)
+        yield from self.core_work(self.params.dma_scan_cycles(dirty_words))
+        yield from self.memory.access(dirty_words, scattered=True)
 
     def page_copy(self, nwords: Optional[int] = None):
         """Generator: stream a full page between memory and the NIC."""
         nwords = nwords if nwords is not None else self.params.words_per_page
-        nbytes = nwords * self.params.word_bytes
-        pci = self.pci
-        memory = self.memory
-        fused = fused_burst(self.sim, (
-            (pci.port, self.params.pci_transfer_cycles(nbytes)),
-            (memory.port, memory.service_cycles(nwords)),
-        ))
-        if fused is not None:
-            pci.total_bytes += nbytes
-            memory.total_words += nwords
-            memory.total_accesses += 1
-            yield fused
-            return
-        yield from pci.transfer(nbytes)
-        yield from memory.access(nwords)
+        yield from self.pci.transfer(nwords * self.params.word_bytes)
+        yield from self.memory.access(nwords)

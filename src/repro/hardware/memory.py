@@ -22,7 +22,7 @@ class MainMemory:
                  node_id: int = 0):
         self.sim = sim
         self.params = params
-        self.port = Resource(sim, capacity=1, name=f"mem{node_id}")
+        self.port = Resource(sim, name=f"mem{node_id}")
         self.total_words = 0
         self.total_accesses = 0
 
@@ -35,32 +35,6 @@ class MainMemory:
             groups = -(-nwords // params.words_per_line)
             return groups * params.memory_setup_cycles + cycles
         return cycles + params.memory_setup_cycles
-
-    def burst_timeout(self, nwords: int, lead_cycles: float = 0.0,
-                      scattered: bool = False):
-        """Fused ``lead_cycles`` + DRAM burst as one timeout, or None.
-
-        Equivalent to a plain ``lead_cycles`` wait (e.g. controller
-        core work) followed by :meth:`access` when the port is idle and
-        nothing else is scheduled strictly inside the combined window.
-        Statistics are accounted exactly; the caller yields the returned
-        timeout.  None means take the event-per-burst path.
-        """
-        if nwords <= 0:
-            return None
-        port = self.port
-        if port.users or port.queue_length:
-            return None
-        cycles = self._cycles(nwords, scattered)
-        total = lead_cycles + cycles
-        sim = self.sim
-        heap = sim._heap
-        if sim._nowq or (heap and heap[0][0] <= sim.now + total):
-            return None
-        port.account_uncontended(cycles)
-        self.total_words += nwords
-        self.total_accesses += 1
-        return sim.pooled_timeout(total)
 
     def access(self, nwords: int, scattered: bool = False):
         """Generator: occupy the memory port for one burst of ``nwords``.
@@ -112,10 +86,6 @@ class MainMemory:
         self.total_words += nwords
         self.total_accesses += 1
         k()
-
-    def service_cycles(self, nwords: int) -> float:
-        """Uncontended service time for an ``nwords`` burst."""
-        return self.params.memory_access_cycles(nwords)
 
     def utilization(self) -> float:
         return self.port.utilization()

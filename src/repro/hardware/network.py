@@ -11,11 +11,12 @@ routing live in :mod:`repro.hardware.topology` strategy objects
 topology's channel-dependency graph is likewise acyclic (dateline or
 local/remote virtual channels where rings demand them).
 
-Routes are computed in O(path length) per transfer.  A small (src, dst)
-memo is retained only for machines of <= 64 nodes, where it is a few
-thousand short lists; at 256-1024 nodes the old unbounded memo was an
-O(N^2) memory hog that dominated the footprint before coherence state
-could be measured, so large machines always recompute.
+Routes are computed in O(path length) per transfer and resolved to
+their link resources.  A small (src, dst) memo of both is retained only
+for machines of <= 64 nodes, where it is a few thousand short lists; at
+256-1024 nodes the old unbounded memo was an O(N^2) memory hog that
+dominated the footprint before coherence state could be measured, so
+large machines always recompute.
 
 A transfer acquires the links of its route in order (the worm's head
 blocks on a busy link while holding the links behind it), then pays
@@ -47,25 +48,25 @@ ROUTE_MEMO_MAX_NODES = 64
 
 
 class _TransferFlight:
-    """State struct for one contended mesh transfer.
+    """State struct for one mesh transfer.
 
-    The contended branch of :meth:`MeshNetwork.transfer`: acquire the
-    route's links head-first (holding the links behind the worm's head),
-    pay the serialized duration, release, then invoke ``k(False)``.
+    Acquire the route's links head-first (holding the links behind the
+    worm's head), pay the serialized duration, release, then invoke
+    ``k()``.  ``held`` holds the granted tokens, index-aligned with
+    ``links``.
     """
 
-    __slots__ = ("net", "src", "dst", "path", "idx", "held", "start",
+    __slots__ = ("net", "src", "dst", "links", "held", "start",
                  "duration", "nbytes", "traffic_class", "req", "blocked",
                  "k")
 
-    def __init__(self, net: "MeshNetwork", src: int, dst: int, path,
+    def __init__(self, net: "MeshNetwork", src: int, dst: int, links,
                  start: float, duration: float, nbytes: int,
                  traffic_class: str, req: int, k):
         self.net = net
         self.src = src
         self.dst = dst
-        self.path = path
-        self.idx = 0
+        self.links = links
         self.held: List = []
         self.start = start
         self.duration = duration
@@ -77,40 +78,32 @@ class _TransferFlight:
 
     def advance(self) -> None:
         """Acquire remaining links; park on the first contended one."""
-        net = self.net
-        path = self.path
-        links = net._links
-        idx = self.idx
-        while idx < len(path):
-            link = links[path[idx]]
-            link_req = link.try_acquire()
-            if link_req is None:
-                link_req = link.request()
-                self.idx = idx
-                link_req.callbacks.append(self._on_grant)
+        links = self.links
+        held = self.held
+        for idx in range(len(held), len(links)):
+            link = links[idx]
+            token = link.try_acquire()
+            if token is None:
+                link.request().callbacks.append(self._on_grant)
                 return
-            self.held.append((path[idx], link_req))
-            idx += 1
-        self.idx = idx
-        sim = net.sim
+            held.append(token)
+        sim = self.net.sim
         self.blocked = sim.now - self.start
         sim.call_in(self.duration, self._finish)
 
     def _on_grant(self, link_req) -> None:
-        self.held.append((self.path[self.idx], link_req))
-        self.idx += 1
+        self.held.append(link_req)
         self.advance()
 
     def _finish(self) -> None:
+        for link, token in zip(self.links, self.held):
+            link.release(token)
         net = self.net
-        links = net._links
-        for link_key, link_req in self.held:
-            links[link_key].release(link_req)
-        latency = net.sim.now - self.start
-        net._account(self.src, self.dst, self.nbytes, latency, self.blocked,
-                     self.traffic_class, self.start, len(self.path),
+        net._account(self.src, self.dst, self.nbytes,
+                     net.sim.now - self.start, self.blocked,
+                     self.traffic_class, self.start, len(self.links),
                      self.req)
-        self.k(False)
+        self.k()
 
 
 @dataclass
@@ -146,9 +139,10 @@ class MeshNetwork:
         # (set by FaultPlan.install), else None -- the transfer fast
         # path pays one None-check.
         self.faults = None
-        # Route memo, bounded: None on large machines (always recompute)
-        # so route-cache memory cannot grow O(N^2) with node count.
-        self._routes: Dict[Tuple[int, int], List[tuple]] | None = \
+        # Route memo, bounded: (src, dst) -> (channel keys, link
+        # Resources).  None on large machines (always recompute) so
+        # route-cache memory cannot grow O(N^2) with node count.
+        self._routes: Dict[Tuple[int, int], Tuple[list, list]] | None = \
             {} if self.n_nodes <= ROUTE_MEMO_MAX_NODES else None
         # Per-hop head latency, precomputed for the transfer fast path.
         self._head_per_hop = (params.switch_latency_cycles
@@ -163,7 +157,7 @@ class MeshNetwork:
                 continue
             label = f"link{key[0]}->{key[1]}" if len(key) == 2 else \
                 f"link{key[0]}->{key[1]}.vc{key[2]}"
-            self._links[key] = Resource(sim, capacity=1, name=label)
+            self._links[key] = Resource(sim, name=label)
 
     # -- topology helpers ---------------------------------------------------
 
@@ -180,14 +174,21 @@ class MeshNetwork:
         machines recompute in O(path) -- callers must not mutate the
         returned list either way.
         """
+        return self._route(src, dst)[0]
+
+    def _route(self, src: int, dst: int) -> Tuple[list, list]:
+        """``(channel keys, link Resources)`` of the src -> dst route."""
         routes = self._routes
-        if routes is None:
-            return self.topology.compute_route(src, dst)
-        cached = routes.get((src, dst))
-        if cached is not None:
-            return cached
-        links = routes[(src, dst)] = self.topology.compute_route(src, dst)
-        return links
+        if routes is not None:
+            cached = routes.get((src, dst))
+            if cached is not None:
+                return cached
+        path = self.topology.compute_route(src, dst)
+        links = self._links
+        entry = (path, [links[key] for key in path])
+        if routes is not None:
+            routes[(src, dst)] = entry
+        return entry
 
     def hops(self, src: int, dst: int) -> int:
         return self.topology.hops(src, dst)
@@ -207,43 +208,24 @@ class MeshNetwork:
 
     def transfer(self, src: int, dst: int, nbytes: int,
                  traffic_class: str = "protocol", req: int = 0,
-                 tail_cycles: float = 0.0, tail_accounts=(),
                  k=None) -> None:
         """Move ``nbytes`` from ``src`` to ``dst`` with contention, then
-        call ``k(folded)``.
+        call ``k()``.
 
         ``req`` tags the trace event with the request id riding this
         transfer (0 = untracked).  ``k`` runs synchronously for local
         loopback (src == dst); generator callers go through
         ``sim.await_k(net.transfer, ...)``.
-
-        ``tail_cycles``/``tail_accounts`` let the caller fold its
-        immediately-following delivery bursts (destination PCI / DRAM)
-        into the transfer's fused timeout: when all links and tail
-        resources are idle and nothing else is scheduled strictly inside
-        the combined window, the whole flight collapses to one event,
-        with every resource accounted exactly as held/released bursts.
-        ``folded`` is True when the tail was folded in (the caller must
-        skip its own tail bursts).
         """
         if src == dst:
-            k(False)  # local loopback: no mesh traversal
+            k()  # local loopback: no mesh traversal
             return
         sim = self.sim
-        start = sim.now
-        path = self.route(src, dst)
-        head = len(path) * self._head_per_hop
-        serialization = nbytes * self.params.link_cycles_per_byte
-        duration = head + serialization
-        links = self._links
-        fuse = True
+        path, links = self._route(src, dst)
+        duration = (len(path) * self._head_per_hop
+                    + nbytes * self.params.link_cycles_per_byte)
         faults = self.faults
         if faults is not None and faults.route_armed(path):
-            # Armed routes must never take the fused quiet window: the
-            # spike draw has to happen at this transfer's position in
-            # event order, and its extra cycles must not be silently
-            # folded into a timeout sized before the draw.
-            fuse = False
             spike = faults.link_spike(path)
             if spike > 0.0:
                 duration += spike
@@ -251,44 +233,13 @@ class MeshNetwork:
                 if metrics is not None:
                     metrics.inc("net_spike_cycles", spike,
                                 traffic_class=traffic_class)
-        if fuse:
-            for link_key in path:
-                link = links[link_key]
-                if link.users or link._queue:
-                    fuse = False
-                    break
-        if fuse:
-            for resource, _cycles in tail_accounts:
-                if resource.users or resource.queue_length:
-                    fuse = False
-                    break
-        if fuse:
-            window = duration + tail_cycles
-            heap = sim._heap
-            if not sim._nowq and (not heap or heap[0][0] > start + window):
-                for link_key in path:
-                    links[link_key].account_uncontended(duration)
-                for resource, cycles in tail_accounts:
-                    resource.account_uncontended(cycles)
-                sim.call_in(window, self._finish_fused, src, dst, nbytes,
-                            traffic_class, req, start, len(path),
-                            duration, tail_cycles, k)
-                return
-        _TransferFlight(self, src, dst, path, start, duration, nbytes,
+        _TransferFlight(self, src, dst, links, sim.now, duration, nbytes,
                         traffic_class, req, k).advance()
-
-    def _finish_fused(self, src: int, dst: int, nbytes: int,
-                      traffic_class: str, req: int, start: float,
-                      hops: int, duration: float, tail_cycles: float,
-                      k) -> None:
-        self._account(src, dst, nbytes, duration, 0.0, traffic_class,
-                      start, hops, req)
-        k(tail_cycles > 0)
 
     def _account(self, src: int, dst: int, nbytes: int, latency: float,
                  blocked: float, traffic_class: str, start: float,
                  hops: int, req: int) -> None:
-        """Post-transfer stats/metrics/trace, fused or contended."""
+        """Post-transfer stats/metrics/trace."""
         stats = self.stats
         stats.messages += 1
         stats.bytes += nbytes

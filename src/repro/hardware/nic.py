@@ -170,29 +170,14 @@ class _MessageFlight:
 
     def start(self) -> None:
         nic = self.nic
-        dst = self.dst
-        self.dst_nic = nic.peer(dst)
-        if dst != nic.node_id:
-            # Let the mesh transfer fold the destination's ejection DMA
-            # into its fused timeout when the whole flight is quiet.
-            pci_c = (nic.params.pci_transfer_cycles(self.nbytes)
-                     if self.nbytes > 0 else 0.0)
-            nic.network.transfer(
-                nic.node_id, dst, self.nbytes, self.traffic_class,
-                req=self.req, tail_cycles=pci_c,
-                tail_accounts=(((self.dst_nic.pci.port, pci_c),)
-                               if pci_c > 0 else ()),
-                k=self._after_net)
-        else:
-            self._after_net(False)
+        self.dst_nic = nic.peer(self.dst)
+        nic.network.transfer(nic.node_id, self.dst, self.nbytes,
+                             self.traffic_class, req=self.req,
+                             k=self._after_net)
 
-    def _after_net(self, folded: bool) -> None:
-        if folded:
-            self.dst_nic.pci.total_bytes += self.nbytes
-            self._deliver()
-        else:
-            # Ejection DMA at the destination.
-            self.dst_nic.pci.transfer_k(self.nbytes, self._deliver)
+    def _after_net(self) -> None:
+        # Ejection DMA at the destination.
+        self.dst_nic.pci.transfer_k(self.nbytes, self._deliver)
 
     def _deliver(self) -> None:
         dst_nic = self.dst_nic
@@ -205,9 +190,9 @@ class _UpdateFlight:
     """State struct for one in-flight automatic-update batch.
 
     Replaces the per-batch daemon process that used to drive
-    ``AutomaticUpdateEngine._fly``: mesh transfer with the destination
-    DMA folded in when quiet, else PCI ejection then DRAM, then sequence
-    publication and handler delivery.
+    ``AutomaticUpdateEngine._fly``: mesh transfer, PCI ejection then
+    DRAM at the destination, then sequence publication and handler
+    delivery.
     """
 
     __slots__ = ("engine", "batch", "dst_nic", "mem", "nwords")
@@ -224,30 +209,14 @@ class _UpdateFlight:
         batch = self.batch
         nic = engine.nic
         dst_nic = self.dst_nic = nic.peer(batch.dst)
-        mem = self.mem = dst_nic.memory
-        nwords = self.nwords = max(1, batch.nbytes // engine.params.word_bytes)
-        # Let the mesh transfer fold the destination-side DMA (PCI then
-        # DRAM) into its fused timeout when the whole flight is quiet.
-        pci_c = engine.params.pci_transfer_cycles(batch.nbytes)
-        mem_c = mem.service_cycles(nwords)
-        nic.network.transfer(
-            nic.node_id, batch.dst, batch.nbytes,
-            traffic_class="update",
-            tail_cycles=pci_c + mem_c,
-            tail_accounts=((dst_nic.pci.port, pci_c), (mem.port, mem_c)),
-            k=self._after_net)
+        self.mem = dst_nic.memory
+        self.nwords = max(1, batch.nbytes // engine.params.word_bytes)
+        nic.network.transfer(nic.node_id, batch.dst, batch.nbytes,
+                             traffic_class="update", k=self._after_net)
 
-    def _after_net(self, folded: bool) -> None:
-        batch = self.batch
-        if folded:
-            self.dst_nic.pci.total_bytes += batch.nbytes
-            mem = self.mem
-            mem.total_words += self.nwords
-            mem.total_accesses += 1
-            self._deliver()
-        else:
-            # Destination-side DMA into memory: PCI then DRAM.
-            self.dst_nic.pci.transfer_k(batch.nbytes, self._after_pci)
+    def _after_net(self) -> None:
+        # Destination-side DMA into memory: PCI then DRAM.
+        self.dst_nic.pci.transfer_k(self.batch.nbytes, self._after_pci)
 
     def _after_pci(self) -> None:
         self.mem.access_k(self.nwords, self._deliver)
@@ -407,25 +376,17 @@ class AutomaticUpdateEngine:
             self._wake = wake
             wake.callbacks.append(self._drain_step)
             return
-        batch = self._queue.popleft()
         self._in_flight += 1
-        self._inject_batch = batch
+        self._inject_batch = self._queue.popleft()
         # Per-update injection overhead (1 cycle by default; the
-        # figure 13 variant charges full messaging overhead) fused
-        # with the PCI injection when the bus is idle.
-        overhead = self.params.aurc_update_overhead_cycles
-        fused = self.nic.pci.burst_timeout(batch.nbytes, overhead)
-        if fused is not None:
-            fused.callbacks.append(self._injected_evt)
-        else:
-            timeout = self.sim.pooled_timeout(overhead)
-            timeout.callbacks.append(self._overhead_done)
+        # figure 13 variant charges full messaging overhead), then the
+        # PCI injection.
+        timeout = self.sim.pooled_timeout(
+            self.params.aurc_update_overhead_cycles)
+        timeout.callbacks.append(self._overhead_done)
 
     def _overhead_done(self, _evt) -> None:
         self.nic.pci.transfer_k(self._inject_batch.nbytes, self._injected)
-
-    def _injected_evt(self, _evt) -> None:
-        self._injected()
 
     def _injected(self) -> None:
         batch = self._inject_batch
@@ -503,18 +464,9 @@ class NetworkInterface:
         tags trace events with the request id this message carries.
         """
         if overhead:
-            # Fuse the NIC setup overhead and the PCI injection into one
-            # timeout when the bus is idle and the window is quiet.
-            fused = self.pci.burst_timeout(
-                nbytes, self.params.messaging_overhead_cycles)
-            if fused is not None:
-                yield fused
-            else:
-                yield self.sim.pooled_timeout(
-                    self.params.messaging_overhead_cycles)
-                yield from self.pci.transfer(nbytes)
-        else:
-            yield from self.pci.transfer(nbytes)
+            yield self.sim.pooled_timeout(
+                self.params.messaging_overhead_cycles)
+        yield from self.pci.transfer(nbytes)
         self.messages_sent += 1
         self.bytes_sent += nbytes
         metrics = self.sim.metrics
@@ -586,17 +538,9 @@ class NetworkInterface:
 
     def _wire(self, dst: int, nbytes: int, traffic_class: str, req: int):
         """Mesh flight plus destination ejection DMA (no delivery)."""
-        dst_nic = self.peer(dst)
-        pci_c = (self.params.pci_transfer_cycles(nbytes)
-                 if nbytes > 0 else 0.0)
-        folded = yield from self.sim.await_k(
-            self.network.transfer, self.node_id, dst, nbytes,
-            traffic_class, req, pci_c,
-            ((dst_nic.pci.port, pci_c),) if pci_c > 0 else ())
-        if folded:
-            dst_nic.pci.total_bytes += nbytes
-        else:
-            yield from dst_nic.pci.transfer(nbytes)
+        yield from self.sim.await_k(self.network.transfer, self.node_id,
+                                    dst, nbytes, traffic_class, req)
+        yield from self.peer(dst).pci.transfer(nbytes)
 
     def _deliver_reliable(self, env: _Envelope) -> None:
         """Receiver side: suppress duplicates, deliver in order, ack."""

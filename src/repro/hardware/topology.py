@@ -4,8 +4,7 @@
 mesh -- node coordinates, link construction, and XY route computation
 all lived on the network object.  This module extracts that geometry
 into small :class:`Topology` strategy objects so the same transfer
-engine (link resources, fused quiet windows, `_TransferFlight`
-continuations) can drive a k-ary 2D mesh, a 2D torus, a two-tier
+engine (link resources, `_TransferFlight` continuations) can drive a k-ary 2D mesh, a 2D torus, a two-tier
 fat-tree, or a dragonfly without touching the timing code.
 
 A topology answers exactly three questions:

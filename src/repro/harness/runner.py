@@ -10,6 +10,7 @@ DSM -- outside the timed region.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import time
 from dataclasses import dataclass, field
@@ -65,7 +66,14 @@ class ProtocolConfig:
 
 @dataclass
 class RunResult:
-    """Everything an experiment needs from one run."""
+    """Everything an experiment needs from one run.
+
+    ``network``, ``protocol_stats``, ``lock_stats`` and ``barrier_stats``
+    are snapshots taken at the end of the timed region, so the verify
+    and snapshot epilogues never add to them.  ``metrics`` and
+    ``tracer`` stay streams over the simulator's whole lifetime,
+    epilogues included: a request span may end inside the epilogue.
+    """
 
     app_name: str
     protocol_label: str
@@ -311,14 +319,14 @@ def run_app(app, config: ProtocolConfig,
         execution_cycles=execution_cycles,
         breakdowns=breakdowns,
         finish_times=finish_times,
-        network=cluster.network.stats,
-        protocol_stats=protocol.stats,
+        network=copy.deepcopy(cluster.network.stats),
+        protocol_stats=copy.deepcopy(protocol.stats),
         controller_diff_cycles=list(
             getattr(protocol, "controller_diff_cycles", [])),
-        lock_stats=getattr(protocol, "locks", None)
-        and protocol.locks.stats,
-        barrier_stats=getattr(protocol, "barriers", None)
-        and protocol.barriers.stats,
+        lock_stats=copy.deepcopy(getattr(protocol, "locks", None)
+                                 and protocol.locks.stats),
+        barrier_stats=copy.deepcopy(getattr(protocol, "barriers", None)
+                                    and protocol.barriers.stats),
         tracer=sim.tracer,
         metrics=sim.metrics,
         events_processed=events_processed,

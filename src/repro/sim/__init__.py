@@ -3,8 +3,8 @@
 A small, deterministic, generator-based discrete-event engine in the style
 of SimPy, purpose-built for this reproduction.  Application and hardware
 components are *processes*: Python generators that yield :class:`Event`
-objects (timeouts, resource requests, queue gets, other processes) and are
-resumed when those events fire.
+objects (timeouts, resource requests, other processes) and are resumed
+when those events fire.
 
 Public surface:
 
@@ -12,9 +12,8 @@ Public surface:
 * :class:`Event`, :class:`Timeout`, :class:`Process`, :class:`AnyOf`,
   :class:`AllOf` -- waitable objects.
 * :class:`Interrupt` -- exception thrown into an interrupted process.
-* :class:`Resource`, :class:`PriorityResource` -- contended servers with
-  utilization statistics.
-* :class:`Store`, :class:`PriorityStore` -- message/command queues.
+* :class:`Resource` -- a contended one-owner port with utilization
+  statistics.
 """
 
 from repro.sim.engine import (
@@ -27,13 +26,7 @@ from repro.sim.engine import (
     Simulator,
     Timeout,
 )
-from repro.sim.resources import (
-    PriorityResource,
-    PriorityStore,
-    Resource,
-    Store,
-    fused_burst,
-)
+from repro.sim.resources import Resource
 
 __all__ = [
     "AllOf",
@@ -41,12 +34,8 @@ __all__ = [
     "Continuation",
     "Event",
     "Interrupt",
-    "PriorityResource",
-    "PriorityStore",
     "Process",
     "Resource",
     "Simulator",
-    "Store",
     "Timeout",
-    "fused_burst",
 ]

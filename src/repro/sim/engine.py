@@ -32,8 +32,10 @@ Performance notes (the kernel is the simulator's hot loop):
   reference them anymore; recycling never reorders the heap, so it is
   invisible to simulated time.
 * :meth:`Simulator.run` has one dispatch loop that inlines
-  :meth:`step`'s pop/advance/dispatch sequence; draining waits on an
-  event nothing triggers, and a time limit steps through :meth:`step`.
+  :meth:`step`'s pop/advance/dispatch sequence and fires continuations
+  and timeouts without a method call; draining waits on an event
+  nothing triggers, and a time limit steps through :meth:`step`.
+  :meth:`Process._step` runs the generator's send path itself.
 * ``succeed``/``fail`` inline the zero-delay schedule (the common case)
   rather than calling :meth:`Simulator._schedule`.
 * Zero-delay schedules land in a same-cycle batch queue (``_nowq``, a
@@ -409,40 +411,26 @@ class Process(Event):
         wakeup.succeed()
 
     # -- internal stepping ------------------------------------------------
+    #
+    # `_step` is the resume callback of every event a process waits on,
+    # so it runs the send path itself; a failed event or an interrupt
+    # goes through `_resume_throw`.
 
     def _step(self, event: Event) -> None:
         exc = event._exception
-        if exc is None:
-            value = event._value
-            self._resume(None if value is _PENDING else value, None)
-        else:
-            self._resume(None, exc)
-
-    def _step_throw(self, exc: BaseException) -> None:
-        if self._value is not _PENDING or self._exception is not None:
-            return  # finished between interrupt and delivery
-        self._resume(None, exc)
-
-    def _resume(self, value: Any, exc: Optional[BaseException]) -> None:
+        if exc is not None:
+            self._resume_throw(exc)
+            return
+        value = event._value
         self._waiting_on = None
         sim = self.sim
         prev = sim._active_process
         sim._active_process = self
         try:
-            if exc is None:
-                target = self._send(value)
-            else:
-                target = self._throw(exc)
+            target = self._send(None if value is _PENDING else value)
         except StopIteration as stop:
             sim._active_process = prev
-            if self._daemon and not self.callbacks:
-                # Nobody can observe a daemon's completion (the handle
-                # was dropped at spawn), so trigger and mark processed
-                # without a heap event.
-                self._value = stop.value
-                self.callbacks = None
-                return
-            self.succeed(stop.value)
+            self._finish(stop.value)
             return
         except BaseException as err:
             sim._active_process = prev
@@ -451,6 +439,53 @@ class Process(Event):
             self.fail(err)
             return
         sim._active_process = prev
+        try:
+            callbacks = target.callbacks
+        except AttributeError:
+            callbacks = None
+        if callbacks is not None:
+            self._waiting_on = target
+            callbacks.append(self._step)
+        else:
+            self._park(target)
+
+    def _step_throw(self, exc: BaseException) -> None:
+        if self._value is not _PENDING or self._exception is not None:
+            return  # finished between interrupt and delivery
+        self._resume_throw(exc)
+
+    def _resume_throw(self, exc: BaseException) -> None:
+        self._waiting_on = None
+        sim = self.sim
+        prev = sim._active_process
+        sim._active_process = self
+        try:
+            target = self._throw(exc)
+        except StopIteration as stop:
+            sim._active_process = prev
+            self._finish(stop.value)
+            return
+        except BaseException as err:
+            sim._active_process = prev
+            if sim.strict:
+                raise
+            self.fail(err)
+            return
+        sim._active_process = prev
+        self._park(target)
+
+    def _finish(self, value: Any) -> None:
+        if self._daemon and not self.callbacks:
+            # Nobody can observe a daemon's completion (the handle was
+            # dropped at spawn), so trigger and mark processed without
+            # a heap event.
+            self._value = value
+            self.callbacks = None
+            return
+        self.succeed(value)
+
+    def _park(self, target: Any) -> None:
+        """Wait on ``target``, the event the generator just yielded."""
         try:
             callbacks = target.callbacks
         except AttributeError:
@@ -466,6 +501,7 @@ class Process(Event):
         # `_waiting_on` so that interrupt() can detach the pending
         # `_step` callback; otherwise the generator would be resumed
         # twice (once with the value, once with Interrupt).
+        sim = self.sim
         wakeup = sim.pooled_event()
         wakeup._value = target._value
         wakeup._exception = target._exception
@@ -735,6 +771,9 @@ class Simulator:
         nowq = self._nowq
         pop = heapq.heappop
         popleft = nowq.popleft
+        cont_pool = self._cont_pool
+        timeout_pool = self._timeout_pool
+        event_pool = self._event_pool
         processed = 0
         try:
             while nowq or heap:
@@ -750,25 +789,37 @@ class Simulator:
                     entry = pop(heap)
                 self.now = entry[0]
                 event = entry[2]
-                event._resume_waiters()
+                # Continuations and timeouts -- nearly every dispatch --
+                # are fired inline rather than through _resume_waiters.
+                cls = event.__class__
+                if cls is Continuation:
+                    fn = event.fn
+                    args = event.args
+                    event.fn = None
+                    event.args = ()
+                    fn(*args)
+                    if event._recycle and len(cont_pool) < _POOL_MAX:
+                        event._recycle = False
+                        cont_pool.append(event)
+                elif cls is Timeout:
+                    if event._value is _PENDING \
+                            and event._exception is None:
+                        event._value = event._pending_value
+                    callbacks = event.callbacks
+                    event.callbacks = None
+                    if callbacks:
+                        for callback in callbacks:
+                            callback(event)
+                    if event._recycle and len(timeout_pool) < _POOL_MAX:
+                        event._recycle = False
+                        timeout_pool.append(event)
+                else:
+                    event._resume_waiters()
+                    if event._recycle and cls is Event \
+                            and len(event_pool) < _POOL_MAX:
+                        event._recycle = False
+                        event_pool.append(event)
                 processed += 1
-                if event._recycle:
-                    cls = event.__class__
-                    if cls is Timeout:
-                        pool = self._timeout_pool
-                        if len(pool) < _POOL_MAX:
-                            event._recycle = False
-                            pool.append(event)
-                    elif cls is Continuation:
-                        pool = self._cont_pool
-                        if len(pool) < _POOL_MAX:
-                            event._recycle = False
-                            pool.append(event)
-                    elif cls is Event:
-                        pool = self._event_pool
-                        if len(pool) < _POOL_MAX:
-                            event._recycle = False
-                            pool.append(event)
         finally:
             self.events_processed += processed
         if stop_event._exception is not None:

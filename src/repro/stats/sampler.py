@@ -98,7 +98,7 @@ class Sampler:
             self._last_ctrl_busy[node.node_id] = busy
             reg.sample("controller_occupancy", now,
                        min(1.0, delta / window), node=node.node_id)
-            depth = ctrl.queue.depth_by_priority()
+            depth = ctrl.depth_by_priority()
             floor = self._low_priority_floor
             high = sum(c for p, c in depth.items() if p < floor)
             low = sum(c for p, c in depth.items() if p >= floor)

@@ -13,6 +13,7 @@ and AURC (with and without prefetching).
 """
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -191,3 +192,35 @@ def test_protocols_agree_on_final_state(program):
         program = program_save
     assert np.array_equal(finals[0], finals[1])
     assert np.array_equal(finals[0], finals[2])
+
+
+# ROADMAP's AURC stale-read reproducer: all three lock regions share one
+# page, so AURC walks SOLO -> PAIRWISE -> a third sharer replaces the
+# first -> the replaced node returns -> HOME.  P1, holding lock 1, reads
+# word 0 of lock 1's region as 0.0 although P2 wrote 1.0 under lock 1
+# and released it first (mismatch (1, 1, 0, [0.0], [1.0])).  TreadMarks
+# serves the right value.  The AURC cases are strict xfails: they pin
+# the open bug and fail once AURC's behaviour on this program changes.
+STALE_READ_PROGRAM = [
+    [("cs", 0, 0, 1, False), ("compute", 100), ("cs", 1, 0, 1, False),
+     ("compute", 100), ("cs", 0, 0, 1, False)],
+    [("compute", 100), ("compute", 451), ("cs", 0, 0, 1, False),
+     ("cs", 1, 0, 1, True), ("cs", 0, 0, 1, False)],
+    [("compute", 100), ("cs", 1, 0, 1, True),
+     ("barrier",), ("barrier",), ("barrier",)],
+]
+
+_AURC_STALE_READ = pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="AURC serves a stale read inside a critical section "
+           "(ROADMAP, first open item)")
+
+
+@pytest.mark.parametrize("kind, mode, prefetch", [
+    ("tm", "Base", False),
+    ("tm", "I+P+D", False),
+    pytest.param("aurc", "Base", False, marks=_AURC_STALE_READ),
+    pytest.param("aurc", "Base", True, marks=_AURC_STALE_READ),
+])
+def test_stale_read_reproducer(kind, mode, prefetch):
+    _run_program(STALE_READ_PROGRAM, kind, mode, prefetch=prefetch)

@@ -131,8 +131,8 @@ def test_topology_channel_dependency_graph_is_acyclic(topo, n):
 #
 # The continuation ``MeshNetwork.transfer`` driven through ``sim.await_k``
 # must be indistinguishable from the generator form it replaced
-# (``tests/hardware/oracles.py``): same finish times and fold verdicts,
-# same statistics, same fault draws, same event sequence numbers.
+# (``tests/hardware/oracles.py``): same finish times, same statistics,
+# same fault draws, same event sequence numbers.
 
 # Round sizes and delays make exact time ties likely (a one-hop 100-byte
 # flight ends at 6 + 200 = 206), so same-cycle ordering is exercised.
@@ -141,7 +141,7 @@ _delays = st.sampled_from([0, 6, 206, 212]) | st.integers(0, 400)
 _transfers = st.tuples(
     st.integers(0, 15), st.integers(0, 15),        # src, dst (mod n)
     _nbytes,
-    st.booleans(),                                 # fold a PCI tail
+    st.booleans(),                                 # then eject over PCI
     st.sampled_from(["protocol", "page", "update"]))
 
 
@@ -155,7 +155,7 @@ def mesh_schedules(draw):
             st.tuples(_delays,
                       st.lists(_transfers, min_size=1, max_size=4)),
             min_size=1, max_size=12)),
-        # Processes that hold a node's PCI port, so tails sometimes
+        # Processes that hold a node's PCI port, so ejections sometimes
         # find it busy.
         "hogs": draw(st.lists(
             st.tuples(st.integers(0, 15), _delays, st.integers(1, 2048)),
@@ -186,21 +186,16 @@ def _drive_mesh(schedule, via_oracle):
 
     def flight(pid, delay, transfers):
         yield sim.timeout(delay)
-        for idx, (src, dst, nbytes, tail, tclass) in enumerate(transfers):
+        for idx, (src, dst, nbytes, eject, tclass) in enumerate(transfers):
             src, dst = src % n, dst % n
-            pci = pcis[dst]
-            pci_c = params.pci_transfer_cycles(nbytes) if tail else 0.0
-            accounts = ((pci.port, pci_c),) if pci_c > 0 else ()
-            args = (src, dst, nbytes, tclass, pid, pci_c, accounts)
+            args = (src, dst, nbytes, tclass, pid)
             if via_oracle:
-                folded = yield from oracles.transfer(net, *args)
+                yield from oracles.transfer(net, *args)
             else:
-                folded = yield from sim.await_k(net.transfer, *args)
-            finished.append((pid, idx, sim.now, folded))
-            if folded:
-                pci.total_bytes += nbytes
-            elif tail:
-                yield from pci.transfer(nbytes)
+                yield from sim.await_k(net.transfer, *args)
+            finished.append((pid, idx, sim.now))
+            if eject:
+                yield from pcis[dst].transfer(nbytes)
 
     def hog(node, delay, nbytes):
         yield sim.timeout(delay)

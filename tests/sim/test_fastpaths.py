@@ -1,5 +1,5 @@
 """Tests for the kernel fast paths: event pooling, synchronous resource
-acquisition, fused burst accounting, and daemon processes.
+acquisition, and daemon processes.
 
 Every fast path here has the same contract: identical simulated cycles
 and identical statistics to the event-per-step path it replaces, with
@@ -8,15 +8,7 @@ the event saving.
 """
 
 
-from repro.sim import (
-    Event,
-    Interrupt,
-    Resource,
-    Simulator,
-    Store,
-    Timeout,
-    fused_burst,
-)
+from repro.sim import Event, Interrupt, Resource, Simulator
 
 
 # -- pooled events ------------------------------------------------------------
@@ -150,19 +142,18 @@ def test_interrupted_waiter_is_never_resumed_by_the_orphan():
 
 def test_try_acquire_grants_when_idle_and_quiet():
     sim = Simulator()
-    res = Resource(sim, capacity=1)
+    res = Resource(sim)
     req = res.try_acquire()
     assert req is not None
-    assert res.users == [req]
+    assert res.holder is req
     assert res.total_requests == 1
-    assert req.granted_at == sim.now
     res.release(req)
-    assert not res.users
+    assert res.holder is None
 
 
 def test_try_acquire_refuses_when_busy_or_noisy():
     sim = Simulator()
-    res = Resource(sim, capacity=1)
+    res = Resource(sim)
     held = res.try_acquire()
     assert res.try_acquire() is None  # no free slot
     res.release(held)
@@ -173,13 +164,12 @@ def test_try_acquire_refuses_when_busy_or_noisy():
 def test_try_acquire_matches_request_statistics():
     def run(use_fast):
         sim = Simulator()
-        res = Resource(sim, capacity=1)
+        res = Resource(sim)
 
         def worker():
             for _ in range(4):
-                if use_fast:
-                    req = yield from res.acquire()
-                else:
+                req = res.try_acquire() if use_fast else None
+                if req is None:
                     req = res.request()
                     yield req
                 yield sim.timeout(10)
@@ -191,64 +181,6 @@ def test_try_acquire_matches_request_statistics():
         return p.value, res.busy_time, res.total_requests, res.wait_time
 
     assert run(True) == run(False)
-
-
-# -- fused bursts -------------------------------------------------------------
-
-def test_fused_burst_accounts_exactly_like_serial_bursts():
-    def serial():
-        sim = Simulator()
-        a, b = Resource(sim), Resource(sim)
-
-        def worker():
-            ra = yield from a.acquire()
-            yield sim.timeout(30)
-            a.release(ra)
-            rb = yield from b.acquire()
-            yield sim.timeout(50)
-            b.release(rb)
-
-        sim.process(worker())
-        sim.run()
-        return sim.now, a.busy_time, b.busy_time, \
-            a.total_requests, b.total_requests
-
-    def fused():
-        sim = Simulator()
-        a, b = Resource(sim), Resource(sim)
-
-        def worker():
-            t = fused_burst(sim, ((a, 30), (b, 50)))
-            assert t is not None
-            yield t
-
-        sim.process(worker())
-        sim.run()
-        return sim.now, a.busy_time, b.busy_time, \
-            a.total_requests, b.total_requests
-
-    assert fused() == serial()
-
-
-def test_fused_burst_refuses_held_resource_and_busy_window():
-    sim = Simulator()
-    a, b = Resource(sim), Resource(sim)
-    held = a.try_acquire()
-    assert fused_burst(sim, ((a, 10), (b, 10))) is None  # a is held
-    a.release(held)
-    assert fused_burst(sim, ((a, 0), (None, 0))) is None  # nothing to do
-    sim.timeout(15)  # lands strictly inside the 20-cycle window
-    assert fused_burst(sim, ((a, 10), (b, 10))) is None
-    assert a.busy_time == 0 and b.busy_time == 0  # no partial accounting
-
-
-def test_fused_burst_equality_boundary_falls_back():
-    # A pre-existing entry at exactly the window end has a smaller seq
-    # and would pop first; fusing would reorder it behind the burst.
-    sim = Simulator()
-    a = Resource(sim)
-    sim.timeout(10)
-    assert fused_burst(sim, ((a, 10),)) is None
 
 
 # -- daemon processes ---------------------------------------------------------
@@ -295,16 +227,3 @@ def test_daemon_with_waiter_still_fires():
     w = sim.process(waiter())
     sim.run()
     assert w.value == "landed"
-
-
-# -- Store fast paths ---------------------------------------------------------
-
-def test_store_try_get_respects_quiet_window():
-    sim = Simulator()
-    store = Store(sim)
-    store.put("a")
-    sim.timeout(0)
-    assert store.try_get() is None  # same-time event pending
-    sim.run()
-    assert store.try_get() == "a"
-    assert store.try_get() is None  # empty now

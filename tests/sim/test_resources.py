@@ -1,19 +1,13 @@
-"""Tests for resources and stores."""
+"""Tests for the one-slot contended resource."""
 
 import pytest
 
-from repro.sim import (
-    PriorityResource,
-    PriorityStore,
-    Resource,
-    Simulator,
-    Store,
-)
+from repro.sim import Resource, Simulator
 
 
 def test_resource_serializes_users():
     sim = Simulator()
-    res = Resource(sim, capacity=1)
+    res = Resource(sim)
     grants = []
 
     def user(tag, hold):
@@ -30,33 +24,9 @@ def test_resource_serializes_users():
     assert grants == [("a", 0), ("b", 10), ("c", 20)]
 
 
-def test_resource_capacity_two_overlaps():
-    sim = Simulator()
-    res = Resource(sim, capacity=2)
-    grants = []
-
-    def user(tag):
-        req = res.request()
-        yield req
-        grants.append((tag, sim.now))
-        yield sim.timeout(10)
-        res.release(req)
-
-    for tag in "abc":
-        sim.process(user(tag))
-    sim.run()
-    assert grants == [("a", 0), ("b", 0), ("c", 10)]
-
-
-def test_resource_invalid_capacity():
-    sim = Simulator()
-    with pytest.raises(ValueError):
-        Resource(sim, capacity=0)
-
-
 def test_release_unheld_request_raises():
     sim = Simulator()
-    res = Resource(sim, capacity=1)
+    res = Resource(sim)
 
     def p1():
         req = res.request()
@@ -71,7 +41,7 @@ def test_release_unheld_request_raises():
 
 def test_resource_statistics():
     sim = Simulator()
-    res = Resource(sim, capacity=1)
+    res = Resource(sim)
 
     def user(hold):
         req = res.request()
@@ -89,153 +59,12 @@ def test_resource_statistics():
     assert res.utilization() == pytest.approx(1.0)
 
 
-def test_priority_resource_orders_queue():
-    sim = Simulator()
-    res = PriorityResource(sim, capacity=1)
-    grants = []
-
-    def holder():
-        req = res.request(priority=0)
-        yield req
-        yield sim.timeout(10)
-        res.release(req)
-
-    def user(tag, prio, delay):
-        yield sim.timeout(delay)
-        req = res.request(priority=prio)
-        yield req
-        grants.append(tag)
-        yield sim.timeout(1)
-        res.release(req)
-
-    sim.process(holder())
-    # Low-priority (1) prefetch arrives before high-priority (0) request,
-    # but the high-priority one is granted first.
-    sim.process(user("prefetch", 1, 1))
-    sim.process(user("urgent", 0, 2))
-    sim.run()
-    assert grants == ["urgent", "prefetch"]
-
-
-def test_priority_resource_fifo_within_level():
-    sim = Simulator()
-    res = PriorityResource(sim, capacity=1)
-    grants = []
-
-    def holder():
-        req = res.request()
-        yield req
-        yield sim.timeout(5)
-        res.release(req)
-
-    def user(tag):
-        yield sim.timeout(1)
-        req = res.request(priority=1)
-        yield req
-        grants.append(tag)
-        res.release(req)
-
-    sim.process(holder())
-    for tag in ("x", "y", "z"):
-        sim.process(user(tag))
-    sim.run()
-    assert grants == ["x", "y", "z"]
-
-
-def test_store_fifo_order_and_blocking_get():
-    sim = Simulator()
-    store = Store(sim)
-    got = []
-
-    def consumer():
-        for _ in range(3):
-            item = yield store.get()
-            got.append((item, sim.now))
-
-    def producer():
-        store.put("early")
-        yield sim.timeout(10)
-        store.put("mid")
-        yield sim.timeout(10)
-        store.put("late")
-
-    sim.process(consumer())
-    sim.process(producer())
-    sim.run()
-    assert got == [("early", 0), ("mid", 10), ("late", 20)]
-
-
-def test_store_tracks_peak_size():
-    sim = Simulator()
-    store = Store(sim)
-    store.put(1)
-    store.put(2)
-    store.put(3)
-    assert store.peak_size == 3
-    assert store.total_puts == 3
-    assert len(store) == 3
-
-
-def test_priority_store_serves_urgent_first():
-    sim = Simulator()
-    store = PriorityStore(sim)
-    store.put("prefetch-1", priority=1)
-    store.put("prefetch-2", priority=1)
-    store.put("urgent", priority=0)
-    got = []
-
-    def consumer():
-        for _ in range(3):
-            item = yield store.get()
-            got.append(item)
-
-    sim.process(consumer())
-    sim.run()
-    assert got == ["urgent", "prefetch-1", "prefetch-2"]
-
-
-def test_priority_store_wakes_blocked_getter():
-    sim = Simulator()
-    store = PriorityStore(sim)
-    got = []
-
-    def consumer():
-        item = yield store.get()
-        got.append((item, sim.now))
-
-    def producer():
-        yield sim.timeout(7)
-        store.put("cmd", priority=0)
-
-    sim.process(consumer())
-    sim.process(producer())
-    sim.run()
-    assert got == [("cmd", 7)]
-
-
-def test_multiple_getters_fifo():
-    sim = Simulator()
-    store = Store(sim)
-    got = []
-
-    def consumer(tag):
-        item = yield store.get()
-        got.append((tag, item))
-
-    sim.process(consumer("c1"))
-    sim.process(consumer("c2"))
-    store.put("first")
-    store.put("second")
-    sim.run()
-    assert got == [("c1", "first"), ("c2", "second")]
-
-
 # -- contention statistics --------------------------------------------------
 
 
 def test_utilization_with_explicit_elapsed():
     sim = Simulator()
-    res = Resource(sim, capacity=2)
+    res = Resource(sim)
 
     def user(hold):
         req = res.request()
@@ -246,48 +75,18 @@ def test_utilization_with_explicit_elapsed():
     sim.process(user(10))
     sim.process(user(30))
     sim.run()
-    # 40 busy capacity-cycles over a 40-cycle window of capacity 2.
-    assert sim.now == 30
-    assert res.utilization(elapsed=40) == pytest.approx(40 / (40 * 2))
+    # 40 busy cycles (the two holds serialize) over an 80-cycle window.
+    assert sim.now == 40
+    assert res.utilization(elapsed=80) == pytest.approx(40 / 80)
     # Default window is sim.now.
-    assert res.utilization() == pytest.approx(40 / (30 * 2))
+    assert res.utilization() == pytest.approx(1.0)
     # Degenerate window.
     assert res.utilization(elapsed=0) == 0.0
 
 
-def test_priority_wait_time_accounts_preemption():
-    sim = Simulator()
-    res = PriorityResource(sim, capacity=1)
-    waits = {}
-
-    def holder():
-        req = res.request(priority=0)
-        yield req
-        yield sim.timeout(10)
-        res.release(req)
-
-    def user(tag, prio, delay, hold):
-        yield sim.timeout(delay)
-        req = res.request(priority=prio)
-        yield req
-        waits[tag] = sim.now - delay
-        yield sim.timeout(hold)
-        res.release(req)
-
-    sim.process(holder())
-    # The prefetch arrives first but is overtaken by the urgent request,
-    # so its wait includes the urgent user's whole service time.
-    sim.process(user("prefetch", 1, 1, 5))
-    sim.process(user("urgent", 0, 2, 4))
-    sim.run()
-    assert waits["urgent"] == 8       # rest of the holder's service
-    assert waits["prefetch"] == 13    # holder (9) + urgent (4)
-    assert res.wait_time == pytest.approx(8 + 13)
-
-
 def test_peak_queue_length_high_water_mark():
     sim = Simulator()
-    res = Resource(sim, capacity=1)
+    res = Resource(sim)
 
     def user(delay):
         yield sim.timeout(delay)
@@ -304,34 +103,11 @@ def test_peak_queue_length_high_water_mark():
     assert res.queue_length == 0
 
 
-def test_priority_resource_peak_queue_length():
-    sim = Simulator()
-    res = PriorityResource(sim, capacity=1)
-
-    def holder():
-        req = res.request()
-        yield req
-        yield sim.timeout(10)
-        res.release(req)
-
-    def waiter(prio):
-        yield sim.timeout(1)
-        req = res.request(priority=prio)
-        yield req
-        res.release(req)
-
-    sim.process(holder())
-    for prio in (1, 0, 1):
-        sim.process(waiter(prio))
-    sim.run()
-    assert res.peak_queue_length == 3
-
-
 def test_peak_queue_length_zero_when_uncontended():
     # Regression: the peak was recorded between enqueue and grant, so a
     # lone request momentarily counted as a queue of 1.
     sim = Simulator()
-    res = Resource(sim, capacity=2)
+    res = Resource(sim)
 
     def user(delay):
         yield sim.timeout(delay)
@@ -349,36 +125,3 @@ def test_peak_queue_length_zero_when_uncontended():
     assert res.wait_time == 0
 
 
-def test_priority_resource_peak_zero_when_uncontended():
-    sim = Simulator()
-    res = PriorityResource(sim, capacity=1)
-
-    def user(delay, prio):
-        yield sim.timeout(delay)
-        req = res.request(priority=prio)
-        yield req
-        res.release(req)
-
-    for delay, prio in ((0, 1), (3, 0), (6, 1)):
-        sim.process(user(delay, prio))
-    sim.run()
-    assert res.total_requests == 3
-    assert res.peak_queue_length == 0
-
-
-def test_priority_store_depth_by_priority():
-    sim = Simulator()
-    store = PriorityStore(sim)
-    store.put("u1", priority=0)
-    store.put("r1", priority=1)
-    store.put("p1", priority=2)
-    store.put("p2", priority=2)
-    assert store.depth_by_priority() == {0: 1, 1: 1, 2: 2}
-
-    def consumer():
-        item = yield store.get()
-        assert item == "u1"
-
-    sim.process(consumer())
-    sim.run()
-    assert store.depth_by_priority() == {1: 1, 2: 2}

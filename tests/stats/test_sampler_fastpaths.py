@@ -1,7 +1,7 @@
 """Sampler x kernel-fast-path consistency.
 
-The cycle-exact fast paths (fused bursts, quiet-window short-circuits,
-pooled timeouts) coalesce kernel work, and the :class:`Sampler` rides
+The cycle-exact fast paths (quiet-window short-circuits, pooled
+timeouts) coalesce kernel work, and the :class:`Sampler` rides
 the same event queue via ``pooled_timeout``.  These tests pin the
 contract between them on golden-fixture configurations:
 
@@ -63,7 +63,7 @@ def sampled_results():
 @pytest.mark.parametrize("key", KEYS)
 def test_sampler_does_not_perturb_golden_cycles(sampled_results, key):
     # metrics=True attaches the Sampler as a real simulation process;
-    # it must be purely observational even across fused-burst runs.
+    # it must be purely observational even across fast-path runs.
     expected = GOLDEN["runs"][key]
     result = sampled_results[key]
     assert result.execution_cycles == expected["execution_cycles"], \
