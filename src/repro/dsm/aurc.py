@@ -707,8 +707,9 @@ class Aurc(DsmProtocol):
         yield from node.cpu.run_generator(
             self.send(node, authority, request), Category.DATA)
         reply: AurcPageReply = yield from node.cpu.wait(done, Category.DATA)
-        yield from node.cpu.run_generator(
-            node.memory.access(self.params.words_per_page), Category.DATA)
+        yield from node.cpu.wait(
+            node.memory.access(self.params.words_per_page), Category.DATA,
+            interruptible=False)
         self._install(node, ap, reply, covered)
 
     def _receives_updates(self, pid: int, page: int) -> bool:
@@ -755,7 +756,7 @@ class Aurc(DsmProtocol):
         for writer, seq in msg.stamps.items():
             if seq:
                 yield from node.nic.au_engine.wait_for(writer, seq)
-        yield from node.memory.access(self.params.words_per_page)
+        yield node.memory.access(self.params.words_per_page)
         if ap.has_frame:
             frame, versions = ap.frame, ap.applied_snapshot()
         else:
@@ -795,7 +796,7 @@ class Aurc(DsmProtocol):
         ap, covered = context
         if msg.prefetch:
             def apply_work():
-                yield from node.memory.access(self.params.words_per_page)
+                yield node.memory.access(self.params.words_per_page)
                 st = self.states[node.node_id]
                 if (ap.page in st.current_writes
                         and not self._receives_updates(node.node_id,

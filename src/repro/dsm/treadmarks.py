@@ -419,7 +419,9 @@ class TreadMarks(DsmProtocol):
                 continue
             yield self.sim.pooled_timeout(
                 diff.dirty_words * self.params.diff_cycles_per_word)
-            yield from node.memory.access(diff.dirty_words, scattered=True)
+            burst = node.memory.access(diff.dirty_words, scattered=True)
+            if burst is not None:
+                yield burst
             tp.apply_incoming(diff)
             self._invalidate_cached(node, tp)
             self.stats.hybrid_diffs_applied += 1
@@ -580,9 +582,9 @@ class TreadMarks(DsmProtocol):
         reply: PageReply = yield from node.cpu.wait(done, Category.DATA)
         if not self.mode.offload:
             # The faulting processor itself copies the page into place.
-            yield from node.cpu.run_generator(
+            yield from node.cpu.wait(
                 node.memory.access(self.params.words_per_page),
-                Category.DATA)
+                Category.DATA, interruptible=False)
             self._install_page(node, tp, reply)
 
     def _install_page(self, node: Node, tp: TmPage, reply: PageReply) -> None:
@@ -620,7 +622,9 @@ class TreadMarks(DsmProtocol):
         for diff in apply_order(diffs):
             yield self.sim.pooled_timeout(
                 diff.dirty_words * self.params.diff_cycles_per_word)
-            yield from node.memory.access(diff.dirty_words, scattered=True)
+            burst = node.memory.access(diff.dirty_words, scattered=True)
+            if burst is not None:
+                yield burst
             tp.apply_incoming(diff)
             self.stats.diffs_applied += 1
             self.stats.diff_words_applied += diff.dirty_words
@@ -648,9 +652,9 @@ class TreadMarks(DsmProtocol):
                     self.params.words_per_page
                     * self.params.twin_cycles_per_word,
                     Category.DATA, interruptible=False)
-                yield from node.cpu.run_generator(
+                yield from node.cpu.wait(
                     node.memory.access(2 * self.params.words_per_page),
-                    Category.DATA)
+                    Category.DATA, interruptible=False)
                 node.cpu.breakdown.charge_diff(self.sim.now - start)
         else:
             # Hardware bit vectors: just flip the page writable.
@@ -700,7 +704,7 @@ class TreadMarks(DsmProtocol):
         tp.ensure_frame()
         tp.copyset[msg.requester] = tp.last_closed_id
         yield self.sim.pooled_timeout(self.params.message_handler_cycles)
-        yield from node.memory.access(self.params.words_per_page)
+        yield node.memory.access(self.params.words_per_page)
         reply = PageReply(page=msg.page, token=msg.token,
                           snapshot=tp.applied_snapshot(),
                           frame=tp.frame.copy())
@@ -775,7 +779,7 @@ class TreadMarks(DsmProtocol):
             # On the computation processor: full-page scan against the twin.
             yield self.sim.pooled_timeout(self.params.words_per_page
                                    * self.params.diff_cycles_per_word)
-            yield from node.memory.access(self.params.words_per_page)
+            yield node.memory.access(self.params.words_per_page)
             node.cpu.breakdown.charge_diff(self.sim.now - start)
             where = "processor"
         self._note_diff(node, "create", dirty_words, start, where=where)
@@ -871,7 +875,9 @@ class TreadMarks(DsmProtocol):
         for diff in msg.diffs:
             yield self.sim.pooled_timeout(
                 diff.dirty_words * self.params.diff_cycles_per_word)
-            yield from node.memory.access(diff.dirty_words, scattered=True)
+            burst = node.memory.access(diff.dirty_words, scattered=True)
+            if burst is not None:
+                yield burst
             self.stats.diffs_applied += 1
             self.stats.diff_words_applied += diff.dirty_words
             applied_words += diff.dirty_words

@@ -5,7 +5,7 @@ both the protocol controller and the network interface sit on PCI behind
 a bridge); it is a single-master-at-a-time resource with burst timing.
 The memory bus has no model of its own: its occupancy is folded into the
 :class:`~repro.hardware.memory.MainMemory` port (a burst holds DRAM and
-bus together).
+bus together).  A transfer returns the event its burst ends on.
 """
 
 from __future__ import annotations
@@ -24,49 +24,11 @@ class PciBus:
         self.sim = sim
         self.params = params
         self.port = Resource(sim, name=f"pci{node_id}")
-        self.total_bytes = 0
 
     def transfer(self, nbytes: int):
-        """Generator: move ``nbytes`` across the bus as one burst."""
+        """Move ``nbytes`` across the bus as one burst; returns the event
+        it ends on (see :meth:`Resource.burst`), or None for zero bytes,
+        which are free."""
         if nbytes <= 0:
-            return
-        cycles = self.params.pci_transfer_cycles(nbytes)
-        port = self.port
-        req = port.try_acquire()
-        if req is None:
-            req = port.request()
-            yield req
-        try:
-            yield self.sim.pooled_timeout(cycles)
-        finally:
-            port.release(req)
-        self.total_bytes += nbytes
-
-    def transfer_k(self, nbytes: int, k) -> None:
-        """Continuation form of :meth:`transfer`: call ``k()`` when done.
-
-        Schedules the same (time, seq) slots as the generator form, so
-        simulated cycles are bit-identical; ``k`` runs synchronously for
-        zero-byte transfers.
-        """
-        if nbytes <= 0:
-            k()
-            return
-        cycles = self.params.pci_transfer_cycles(nbytes)
-        port = self.port
-        req = port.try_acquire()
-        if req is not None:
-            self.sim.call_in(cycles, self._finish_k, req, nbytes, k)
-            return
-        req = port.request()
-        req.callbacks.append(
-            lambda _evt, s=self, c=cycles, r=req, n=nbytes, kk=k:
-            s.sim.call_in(c, s._finish_k, r, n, kk))
-
-    def _finish_k(self, req, nbytes: int, k) -> None:
-        self.port.release(req)
-        self.total_bytes += nbytes
-        k()
-
-    def utilization(self) -> float:
-        return self.port.utilization()
+            return None
+        return self.port.burst(self.params.pci_transfer_cycles(nbytes))

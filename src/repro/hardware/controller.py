@@ -266,17 +266,12 @@ class ProtocolController:
         if cycles > 0:
             yield self.sim.pooled_timeout(cycles)
 
-    def list_work(self, n_elements: int):
-        """Generator: protocol list traversal (Table 1: 6 cycles/element)."""
-        yield from self.core_work(
-            n_elements * self.params.list_processing_cycles_per_element)
-
     def twin_create(self, nwords: Optional[int] = None):
         """Generator: copy a page into a twin in software (5 cycles/word
         plus the memory traffic of reading and writing the page)."""
         nwords = nwords if nwords is not None else self.params.words_per_page
         yield from self.core_work(nwords * self.params.twin_cycles_per_word)
-        yield from self.memory.access(2 * nwords)
+        yield self.memory.access(2 * nwords)
 
     def software_diff_create(self, nwords_page: Optional[int] = None):
         """Generator: software diff creation -- scan the whole page against
@@ -286,30 +281,36 @@ class ProtocolController:
                        else self.params.words_per_page)
         yield from self.core_work(
             nwords_page * self.params.diff_cycles_per_word)
-        yield from self.memory.access(nwords_page)
+        yield self.memory.access(nwords_page)
 
     def software_diff_apply(self, dirty_words: int):
         """Generator: software diff application (7 cycles per dirty word
         plus memory traffic for the dirty words)."""
         yield from self.core_work(
             dirty_words * self.params.diff_cycles_per_word)
-        yield from self.memory.access(dirty_words, scattered=True)
+        burst = self.memory.access(dirty_words, scattered=True)
+        if burst is not None:
+            yield burst
 
     def dma_diff_create(self, dirty_words: int):
         """Generator: DMA diff creation -- bit-vector scan (~200 cycles
         empty to ~2100 cycles full page) plus gathering the dirty words
         from main memory across PCI."""
         yield from self.core_work(self.params.dma_scan_cycles(dirty_words))
-        yield from self.memory.access(dirty_words, scattered=True)
+        burst = self.memory.access(dirty_words, scattered=True)
+        if burst is not None:
+            yield burst
 
     def dma_diff_apply(self, dirty_words: int):
         """Generator: DMA diff application -- scatter the diff's words into
         the destination page as directed by its bit vector."""
         yield from self.core_work(self.params.dma_scan_cycles(dirty_words))
-        yield from self.memory.access(dirty_words, scattered=True)
+        burst = self.memory.access(dirty_words, scattered=True)
+        if burst is not None:
+            yield burst
 
     def page_copy(self, nwords: Optional[int] = None):
         """Generator: stream a full page between memory and the NIC."""
         nwords = nwords if nwords is not None else self.params.words_per_page
-        yield from self.pci.transfer(nwords * self.params.word_bytes)
-        yield from self.memory.access(nwords)
+        yield self.pci.transfer(nwords * self.params.word_bytes)
+        yield self.memory.access(nwords)

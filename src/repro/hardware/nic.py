@@ -177,9 +177,10 @@ class _MessageFlight:
 
     def _after_net(self) -> None:
         # Ejection DMA at the destination.
-        self.dst_nic.pci.transfer_k(self.nbytes, self._deliver)
+        self.dst_nic.pci.transfer(self.nbytes).callbacks.append(
+            self._deliver)
 
-    def _deliver(self) -> None:
+    def _deliver(self, _hop) -> None:
         dst_nic = self.dst_nic
         if dst_nic.handler is None:
             raise RuntimeError(f"node {self.dst} has no message handler")
@@ -216,12 +217,13 @@ class _UpdateFlight:
 
     def _after_net(self) -> None:
         # Destination-side DMA into memory: PCI then DRAM.
-        self.dst_nic.pci.transfer_k(self.batch.nbytes, self._after_pci)
+        self.dst_nic.pci.transfer(self.batch.nbytes).callbacks.append(
+            self._after_pci)
 
-    def _after_pci(self) -> None:
-        self.mem.access_k(self.nwords, self._deliver)
+    def _after_pci(self, _hop) -> None:
+        self.mem.access(self.nwords).callbacks.append(self._deliver)
 
-    def _deliver(self) -> None:
+    def _deliver(self, _hop) -> None:
         engine = self.engine
         batch = self.batch
         dst_nic = self.dst_nic
@@ -386,9 +388,10 @@ class AutomaticUpdateEngine:
         timeout.callbacks.append(self._overhead_done)
 
     def _overhead_done(self, _evt) -> None:
-        self.nic.pci.transfer_k(self._inject_batch.nbytes, self._injected)
+        self.nic.pci.transfer(self._inject_batch.nbytes).callbacks.append(
+            self._injected)
 
-    def _injected(self) -> None:
+    def _injected(self, _hop) -> None:
         batch = self._inject_batch
         self._inject_batch = None
         self.sim.call_soon(_UpdateFlight(self, batch).start)
@@ -466,7 +469,7 @@ class NetworkInterface:
         if overhead:
             yield self.sim.pooled_timeout(
                 self.params.messaging_overhead_cycles)
-        yield from self.pci.transfer(nbytes)
+        yield self.pci.transfer(nbytes)
         self.messages_sent += 1
         self.bytes_sent += nbytes
         metrics = self.sim.metrics
@@ -516,7 +519,7 @@ class NetworkInterface:
         paid), duplicate it, or delay it past its successors.
         """
         if inject:
-            yield from self.pci.transfer(env.nbytes)
+            yield self.pci.transfer(env.nbytes)
         verdict = self.faults.message_verdict(self.node_id, env.dst)
         if verdict.duplicate:
             self.sim.process(self._fly_copy(env),
@@ -540,7 +543,7 @@ class NetworkInterface:
         """Mesh flight plus destination ejection DMA (no delivery)."""
         yield from self.sim.await_k(self.network.transfer, self.node_id,
                                     dst, nbytes, traffic_class, req)
-        yield from self.peer(dst).pci.transfer(nbytes)
+        yield self.peer(dst).pci.transfer(nbytes)
 
     def _deliver_reliable(self, env: _Envelope) -> None:
         """Receiver side: suppress duplicates, deliver in order, ack."""

@@ -274,8 +274,8 @@ class ComputeProcessor:
     def run_generator(self, gen: Generator, category: Category):
         """Generator: run a sub-generator, charging its elapsed time.
 
-        Used for hardware interactions (bus/memory/NIC generators) whose
-        internal waits should all land in one category.
+        Used for protocol generators (message sends, lock and barrier
+        steps) whose internal waits should all land in one category.
         """
         start = self.sim.now
         result = yield from gen

@@ -47,9 +47,10 @@ Performance notes (the kernel is the simulator's hot loop):
   runs as continuation-driven state structs (:class:`Continuation`,
   :meth:`Simulator.call_soon` / :meth:`Simulator.call_in`) rather than
   nested generators: one pooled callback object per hop, no `Process`,
-  no generator frames.  Cold paths (barriers, epilogues, prefetch
-  finalization, the NIC reliability layer) keep the richer generator
-  form and reach continuation-only hops through
+  no generator frames.  A PCI or DRAM burst returns the event it ends
+  on (``Resource.burst``), which generators yield and state structs
+  hook; the mesh transfer is continuation-only, and generator code
+  (the NIC reliability layer) reaches it through
   :meth:`Simulator.await_k` -- see DESIGN.md section 7.
 """
 

@@ -6,8 +6,9 @@ each directed mesh link -- has exactly one owner at a time.  Callers
 claim the slot with :meth:`Resource.try_acquire` (synchronous, when
 nothing could interleave) or :meth:`Resource.request` (an event that
 fires on grant) and hand the returned token back to
-:meth:`Resource.release`.  Utilization and queueing statistics report
-bus, memory and network contention.
+:meth:`Resource.release`, or hold it for a fixed :meth:`Resource.burst`.
+Utilization and queueing statistics report bus, memory and network
+contention.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Optional
 
-from repro.sim.engine import _PENDING, Event, Simulator
+from repro.sim.engine import _PENDING, Event, Simulator, _Waiter
 
 __all__ = ["Resource"]
 
@@ -55,7 +56,7 @@ class Resource:
 
     __slots__ = ("sim", "name", "holder", "_queue", "busy_time",
                  "wait_time", "total_requests", "peak_queue_length",
-                 "_last_change")
+                 "_last_change", "_burst", "_end")
 
     def __init__(self, sim: Simulator, name: str = ""):
         self.sim = sim
@@ -67,6 +68,11 @@ class Resource:
         self.total_requests: int = 0
         self.peak_queue_length: int = 0
         self._last_change: float = sim.now
+        # Token of the burst in service (one slot holds at most one),
+        # and the callback that ends it, bound once: a burst allocates
+        # as few collectable objects as the generator it replaced.
+        self._burst: Any = None
+        self._end = self._end_burst
 
     # -- statistics -------------------------------------------------------
 
@@ -142,6 +148,36 @@ class Resource:
         else:
             self.holder = None
 
+    def burst(self, cycles: float) -> Event:
+        """Claim the slot, hold it ``cycles`` and release it; returns the
+        event the burst ends on, which fires right after the release.
+
+        Generator code yields the event, a state struct appends its next
+        step to ``callbacks``.  Uncontended it is the occupancy's pooled
+        timeout; contended, a synchronously firing waiter (as in
+        ``Simulator.await_k``) called by the timeout started at grant --
+        the ``(time, seq)`` slots of "acquire, yield
+        ``pooled_timeout(cycles)``, release".  The event is single-use
+        and its value meaningless: yield it or append to it at once,
+        never keep it or hand it to a condition or an interruptible
+        wait.  An issued burst runs to its end: interrupting its waiter
+        does not release the port early.
+        """
+        token = self.try_acquire()
+        if token is not None:
+            self._burst = token
+            hop = self.sim.pooled_timeout(cycles)
+            hop.callbacks.append(self._end)
+            return hop
+        waiter = _BurstWaiter(self, cycles)
+        self.request().callbacks.append(waiter.granted)
+        return waiter
+
+    def _end_burst(self, _hop: Event) -> None:
+        token = self._burst
+        self._burst = None
+        self.release(token)
+
     def _grant(self, req: Request) -> None:
         now = self.sim.now
         self._last_change = now
@@ -149,3 +185,20 @@ class Resource:
         self.wait_time += now - req.requested_at
         self.total_requests += 1
         req.succeed(req)
+
+
+class _BurstWaiter(_Waiter):
+    """The waiter a contended burst returns: its grant starts the
+    occupancy, whose timeout releases the port and then calls it."""
+
+    __slots__ = ("port", "cycles")
+
+    def __init__(self, port: Resource, cycles: float):
+        Event.__init__(self, port.sim)
+        self.port = port
+        self.cycles = cycles
+
+    def granted(self, req: Request) -> None:
+        port = self.port
+        port._burst = req
+        port.sim.pooled_timeout(self.cycles).callbacks += (port._end, self)

@@ -104,17 +104,6 @@ def test_queue_wait_statistics(rig):
     assert ctrl.queue_wait_cycles == pytest.approx(100)
 
 
-def test_list_work_cost(rig):
-    sim, params, ctrl = rig
-
-    def work():
-        yield from ctrl.list_work(10)
-
-    done = ctrl.submit("lists", work)
-    sim.run(until=done)
-    assert sim.now == 60  # 6 cycles/element
-
-
 def test_twin_create_cost(rig):
     sim, params, ctrl = rig
     done = ctrl.submit("twin", lambda: ctrl.twin_create())

@@ -184,9 +184,14 @@ def _drive_mesh(schedule, via_oracle):
         net.faults = plan
     finished = []
 
+    def eject(node, nbytes):
+        hop = pcis[node].transfer(nbytes)
+        if hop is not None:
+            yield hop
+
     def flight(pid, delay, transfers):
         yield sim.timeout(delay)
-        for idx, (src, dst, nbytes, eject, tclass) in enumerate(transfers):
+        for idx, (src, dst, nbytes, to_pci, tclass) in enumerate(transfers):
             src, dst = src % n, dst % n
             args = (src, dst, nbytes, tclass, pid)
             if via_oracle:
@@ -194,12 +199,12 @@ def _drive_mesh(schedule, via_oracle):
             else:
                 yield from sim.await_k(net.transfer, *args)
             finished.append((pid, idx, sim.now))
-            if eject:
-                yield from pcis[dst].transfer(nbytes)
+            if to_pci:
+                yield from eject(dst, nbytes)
 
     def hog(node, delay, nbytes):
         yield sim.timeout(delay)
-        yield from pcis[node % n].transfer(nbytes)
+        yield from eject(node % n, nbytes)
 
     for node, delay, nbytes in schedule["hogs"]:
         sim.process(hog(node, delay, nbytes))
@@ -213,7 +218,6 @@ def _drive_mesh(schedule, via_oracle):
         "stats": net.stats,
         "resources": [(r.busy_time, r.wait_time, r.total_requests)
                       for r in resources],
-        "pci_bytes": [pci.total_bytes for pci in pcis],
         "rng": plan.rng.getstate() if plan is not None else None,
         "injected": plan.injected if plan is not None else None,
         "seq": sim._seq,

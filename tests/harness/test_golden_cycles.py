@@ -3,7 +3,7 @@
 ``tests/fixtures/golden_cycles.json`` pins the simulated outputs --
 execution cycles, per-processor finish times, and the merged time
 breakdown -- of every quick app x protocol configuration.  Kernel
-performance work (event pooling, fused bursts, scheduling fast paths)
+performance work (event pooling, one-slot ports, scheduling fast paths)
 must never change a single simulated cycle; any diff here means an
 optimization altered simulated behavior and must be rejected, not
 re-goldened, unless the simulation model itself intentionally changed.
