@@ -844,8 +844,7 @@ class Aurc(DsmProtocol):
             ap.prefetch_event = done
             ap.prefetch_issued_at = self.sim.now
             ap.referenced = False
-            self.sim.process(self._finalize_prefetch(ap),
-                             name=f"aurc-pf-p{ap.page}")
+            self.sim.process(self._finalize_prefetch(ap))
 
     def _finalize_prefetch(self, ap: AurcPage):
         event = ap.prefetch_event

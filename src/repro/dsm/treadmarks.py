@@ -940,8 +940,7 @@ class TreadMarks(DsmProtocol):
             tp.prefetch_event = AllOf(self.sim, events)
             tp.prefetch_issued_at = self.sim.now
             tp.referenced = False
-            self.sim.process(self._finalize_prefetch(tp),
-                             name=f"pf-watch-p{tp.page}")
+            self.sim.process(self._finalize_prefetch(tp))
 
     def _finalize_prefetch(self, tp: TmPage):
         event = tp.prefetch_event

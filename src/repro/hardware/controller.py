@@ -31,7 +31,6 @@ from typing import Callable, Dict, Generator, List, Optional
 
 from repro.hardware.params import MachineParams
 from repro.sim import Event, Simulator
-from repro.sim.engine import _PENDING
 from repro.stats.metrics import QUEUE_WAIT_BUCKETS
 
 __all__ = ["ProtocolController", "Command", "PRIORITY_URGENT",
@@ -118,8 +117,7 @@ class ProtocolController:
             # once depth falls below the limit.  Its enqueued_at stays
             # the submit time, so the deferral shows up as queue wait.
             faults.count("ctrl_backpressure", node=self.node_id)
-            self.sim.process(self._deferred_put(cmd),
-                             name=f"ctrl-defer{self.node_id}", daemon=True)
+            self.sim.process(self._deferred_put(cmd), daemon=True)
             return done
         self._put(cmd)
         return done
@@ -192,43 +190,23 @@ class ProtocolController:
     def _start_work(self) -> None:
         self._cmd_started = self.sim.now
         self._work_gen = self._cmd.work()
-        self._drive(None, None)
+        self._drive(None)
 
-    def _drive(self, value, exc) -> None:
+    def _drive(self, value) -> None:
         """Step the command's work generator until it parks or returns."""
-        gen = self._work_gen
-        sim = self.sim
-        while True:
-            try:
-                if exc is None:
-                    target = gen.send(value)
-                else:
-                    target = gen.throw(exc)
-            except StopIteration as stop:
-                self._complete(stop.value)
-                return
-            callbacks = target.callbacks
-            if callbacks is not None:
-                callbacks.append(self._work_step)
-                return
-            # Already fired: bounce through a fresh wakeup at the
-            # current (time, seq) slot, exactly as Process does, so we
-            # never recurse and ordering is unchanged.
-            wakeup = sim.pooled_event()
-            wakeup._value = target._value
-            wakeup._exception = target._exception
-            wakeup.callbacks.append(self._work_step)
-            sim._seq += 1
-            sim._nowq.append((sim.now, sim._seq, wakeup))
+        try:
+            target = self._work_gen.send(value)
+        except StopIteration as stop:
+            self._complete(stop.value)
             return
+        callbacks = target.callbacks
+        if callbacks is not None:
+            callbacks.append(self._work_step)
+        else:
+            self.sim.bounce(target, self._work_step)
 
     def _work_step(self, event: Event) -> None:
-        exc = event._exception
-        if exc is None:
-            value = event._value
-            self._drive(None if value is _PENDING else value, None)
-        else:
-            self._drive(None, exc)
+        self._drive(event.value)
 
     def _complete(self, result) -> None:
         cmd = self._cmd

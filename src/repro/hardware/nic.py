@@ -96,8 +96,7 @@ class _SendChannel:
         self.next_seq = 0
         self.unacked: Dict[int, _Pending] = {}
         self._wake: Optional[Event] = None
-        nic.sim.process(self._retx_loop(),
-                        name=f"retx{nic.node_id}->{dst}", daemon=True)
+        nic.sim.process(self._retx_loop(), daemon=True)
 
     def note_send(self) -> None:
         if self._wake is not None and not self._wake.triggered:
@@ -130,7 +129,6 @@ class _SendChannel:
             self.nic._note_retransmit(pend, backoff)
             pend.last_sent = sim.now
             sim.process(self.nic._fly_reliable(pend.env, inject=True),
-                        name=f"rmsg{self.nic.node_id}->{self.dst}",
                         daemon=True)
 
 
@@ -507,8 +505,7 @@ class NetworkInterface:
         deadline = now + self.faults.spec.retx_timeout_cycles
         chan.unacked[env.seq] = _Pending(env, deadline, now)
         chan.note_send()
-        self.sim.process(self._fly_reliable(env, inject=False),
-                         name=f"rmsg{self.node_id}->{dst}", daemon=True)
+        self.sim.process(self._fly_reliable(env, inject=False), daemon=True)
 
     def _fly_reliable(self, env: _Envelope, inject: bool):
         """One transmission attempt of ``env``, faults applied.
@@ -522,9 +519,7 @@ class NetworkInterface:
             yield self.pci.transfer(env.nbytes)
         verdict = self.faults.message_verdict(self.node_id, env.dst)
         if verdict.duplicate:
-            self.sim.process(self._fly_copy(env),
-                             name=f"rdup{self.node_id}->{env.dst}",
-                             daemon=True)
+            self.sim.process(self._fly_copy(env), daemon=True)
         if verdict.delay > 0.0:
             yield self.sim.pooled_timeout(verdict.delay)
         yield from self._wire(env.dst, env.nbytes, env.traffic_class,
@@ -570,8 +565,7 @@ class NetworkInterface:
         self._post_ack(env.src)
 
     def _post_ack(self, src: int) -> None:
-        self.sim.process(self._ack_flight(src),
-                         name=f"ack{self.node_id}->{src}", daemon=True)
+        self.sim.process(self._ack_flight(src), daemon=True)
 
     def _ack_flight(self, src: int):
         """Cumulative hardware ack back to ``src`` (itself droppable)."""

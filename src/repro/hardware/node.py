@@ -46,13 +46,10 @@ class ComputeProcessor:
 
     Interruptible holds/waits race against service arrival through a
     *fused wake*: a pooled one-shot event subscribed to both the slice
-    timeout (or awaited event) and the service gate, replacing the
-    ``AnyOf`` composite the hold loop previously allocated per slice.
-    The wake preserves the exact event sequencing the composite had --
-    the timeout path schedules the resume during the timeout's
-    processing slot, the service path keeps the gate bounce -- so
-    simulated cycles are bit-identical (see DESIGN.md, "Kernel
-    performance").
+    timeout (or awaited event) and the service gate.  Whichever source
+    fires first succeeds the wake, so the hold resumes one ``(now,
+    seq)`` slot after it; the loser's callback is detached when the
+    hold resumes.
     """
 
     def __init__(self, sim: Simulator, params: MachineParams, node_id: int):
@@ -66,7 +63,6 @@ class ComputeProcessor:
         self._wake: Optional[Event] = None
         self._armed_gate: Optional[Event] = None
         self._trampoline_cb = self._trampoline
-        self.main: Optional[object] = None
         self.finished_at: Optional[float] = None
         self.services_handled = 0
         # Straggler slowdown factor (FaultPlan.install sets > 1.0 on
@@ -151,7 +147,7 @@ class ComputeProcessor:
         while self._pending:
             name, work, done, category, req, posted = self._pending.popleft()
             start = self.sim.now
-            # Interrupt entry/exit cost, then the handler itself.
+            # Entry/exit cost of the service interrupt, then the handler.
             yield self.sim.pooled_timeout(self.params.interrupt_cycles)
             result = yield from work()
             elapsed = self.sim.now - start
@@ -194,14 +190,8 @@ class ComputeProcessor:
                     yield sim.pooled_timeout(remaining)
                 else:
                     timeout = sim.pooled_timeout(remaining)
-                    try:
-                        yield self._arm(timeout)
-                    finally:
-                        # Disarm even when an Interrupt lands at the
-                        # yield: a stale trampoline on the gate would
-                        # otherwise succeed() the pooled wake after it
-                        # has been recycled for an unrelated purpose.
-                        self._disarm(timeout)
+                    yield self._arm(timeout)
+                    self._disarm(timeout)
                 elapsed = sim.now - start
                 self.breakdown.charge(category, elapsed)
                 remaining -= elapsed
@@ -239,10 +229,8 @@ class ComputeProcessor:
                     yield sim.pooled_timeout(remaining)
                 else:
                     timeout = sim.pooled_timeout(remaining)
-                    try:
-                        yield self._arm(timeout)
-                    finally:
-                        self._disarm(timeout)
+                    yield self._arm(timeout)
+                    self._disarm(timeout)
             else:
                 yield sim.pooled_timeout(remaining)
             elapsed = sim.now - start
@@ -261,11 +249,8 @@ class ComputeProcessor:
                 if self._pending:
                     yield from self.drain_services()
                     continue
-                wake = self._arm(event)
-                try:
-                    yield wake
-                finally:
-                    self._disarm(event)
+                yield self._arm(event)
+                self._disarm(event)
             else:
                 yield event
             self.breakdown.charge(category, sim.now - start)
@@ -284,7 +269,7 @@ class ComputeProcessor:
 
     # -- main body -----------------------------------------------------------
 
-    def start(self, body: Generator, name: str = "") -> Event:
+    def start(self, body: Generator) -> Event:
         """Launch the processor's main coroutine; returns app-done event.
 
         After the application body returns, the processor stays alive
@@ -292,8 +277,7 @@ class ComputeProcessor:
         job tears down).
         """
         done = Event(self.sim)
-        self.main = self.sim.process(self._run(body, done),
-                                     name=name or f"cpu{self.node_id}")
+        self.sim.process(self._run(body, done))
         return done
 
     def _run(self, body: Generator, done: Event):

@@ -286,8 +286,7 @@ def run_app(app, config: ProtocolConfig,
     for pid in range(app.nprocs):
         api = DsmApi(protocol, pid)
         done_events.append(
-            cluster[pid].cpu.start(_worker_body(app, api, pid),
-                                   name=f"{app.name}-w{pid}"))
+            cluster[pid].cpu.start(_worker_body(app, api, pid)))
     wall_start = time.perf_counter()
     sim.run(until=AllOf(sim, done_events))
     wall_seconds = time.perf_counter() - wall_start
@@ -339,16 +338,14 @@ def run_app(app, config: ProtocolConfig,
         # The epilogue reads results through the DSM on processor 0,
         # outside the timed region; it raises on mismatch.
         api0 = DsmApi(protocol, 0)
-        epilogue_done = sim.process(app.epilogue(api0),
-                                    name=f"{app.name}-verify")
+        epilogue_done = sim.process(app.epilogue(api0))
         sim.run(until=epilogue_done)
         result.verified = True
     if snapshot_memory:
         api0 = DsmApi(protocol, 0)
         snapshot_done = sim.process(
             _snapshot_body(api0, segment.total_words,
-                           params.words_per_page),
-            name=f"{app.name}-snapshot")
+                           params.words_per_page))
         result.final_memory = sim.run(until=snapshot_done)
     if faults is not None:
         result.fault_stats = faults.summary(cluster)

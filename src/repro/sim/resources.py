@@ -31,7 +31,6 @@ class Request(Event):
         self.sim = sim
         self.callbacks = []
         self._value = _PENDING
-        self._exception = None
         self._recycle = False
         self.requested_at = sim.now
 
@@ -159,9 +158,8 @@ class Resource:
         the ``(time, seq)`` slots of "acquire, yield
         ``pooled_timeout(cycles)``, release".  The event is single-use
         and its value meaningless: yield it or append to it at once,
-        never keep it or hand it to a condition or an interruptible
-        wait.  An issued burst runs to its end: interrupting its waiter
-        does not release the port early.
+        never keep it or hand it to an ``AllOf`` or an interruptible
+        ``ComputeProcessor.wait``.
         """
         token = self.try_acquire()
         if token is not None:

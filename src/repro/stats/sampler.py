@@ -57,7 +57,7 @@ class Sampler:
         self._last_link_busy: Dict[Tuple[int, int], float] = {
             key: self._link_busy(link)
             for key, link in cluster.network.iter_links()}
-        self._proc = sim.process(self._loop(), name="sampler")
+        sim.process(self._loop())
 
     @staticmethod
     def _link_busy(link) -> float:

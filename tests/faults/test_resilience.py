@@ -37,7 +37,7 @@ def _deliveries(spec, n_messages, seed, src=0, dst=3):
         for i in range(n_messages):
             yield from nic.send(dst, ("msg", i), nbytes=256)
 
-    sim.process(sender(), name="sender")
+    sim.process(sender())
     # Bounded drops guarantee every message and ack eventually lands,
     # after which the retransmit daemons go quiet and the heap drains.
     sim.run()
@@ -77,7 +77,7 @@ def test_duplicates_are_suppressed_and_counted():
         for i in range(10):
             yield from cluster[0].nic.send(1, i, nbytes=64)
 
-    sim.process(sender(), name="sender")
+    sim.process(sender())
     sim.run()
     assert received == list(range(10))
     # Every message was duplicated; every duplicate was dropped at the
@@ -98,7 +98,7 @@ def test_loss_triggers_retransmission():
     def sender():
         yield from cluster[0].nic.send(1, "only", nbytes=64)
 
-    sim.process(sender(), name="sender")
+    sim.process(sender())
     sim.run()
     assert received == ["only"]
     assert cluster[0].nic.retransmits >= 1
@@ -115,7 +115,7 @@ def test_loopback_bypasses_the_reliable_layer():
     def sender():
         yield from cluster[0].nic.send(0, "self", nbytes=64)
 
-    sim.process(sender(), name="sender")
+    sim.process(sender())
     sim.run()
     assert received == ["self"]
     assert cluster[0].nic.retransmits == 0

@@ -87,8 +87,8 @@ def test_occupancy_tracks_busy_fraction(rig):
         ctrl.submit("w", work)
         yield sim.timeout(60)
 
-    sim.process(driver())
-    sim.run(until=60)
+    sim.run(until=sim.process(driver()))
+    assert sim.now == 60
     assert ctrl.occupancy() == pytest.approx(0.5)
 
 

@@ -51,6 +51,11 @@ def test_armed_race_without_service_is_cycle_identical():
     assert sim.run(until=done) == 1000
     assert cpu.breakdown.as_dict()[Category.BUSY.value] == \
         pytest.approx(1000)
+    # The hold disarmed on resuming: no wake retained, no trampoline
+    # left on the gate to fire the recycled wake later.
+    assert cpu._wake is None and cpu._armed_gate is None
+    gate = cpu._service_gate
+    assert gate.callbacks is None or cpu._trampoline_cb not in gate.callbacks
 
 
 def test_mid_hold_service_preemption_cycle_identity():
@@ -108,56 +113,3 @@ def test_back_to_back_services_drain_in_one_preemption():
     assert finish == 1000 + 2 * (ic + 10)
     assert cpu.services_handled == 2
 
-
-def test_interrupt_mid_armed_hold_disarms_fused_wake():
-    # An Interrupt landing while the hold is parked on the armed
-    # fused-wake must disarm on the way out: no stale trampoline may
-    # stay subscribed to the service gate, and the wake reference must
-    # be dropped so the recycled pooled event cannot be succeed()ed by
-    # a later gate fire.
-    from repro.sim import Event, Interrupt
-
-    sim, params, cpu = make_cpu()
-    state = {}
-
-    def bystander():
-        yield sim.timeout(500)  # forces the armed path
-
-    def body():
-        try:
-            yield from cpu.hold(1000, Category.BUSY)
-        except Interrupt:
-            state["interrupted_at"] = sim.now
-        yield from cpu.hold(10, Category.BUSY)
-        return sim.now
-
-    def interrupter():
-        yield sim.timeout(200)
-        cpu.main.interrupt()
-
-    sim.process(bystander())
-    done = cpu.start(body())
-    sim.process(interrupter())
-    finish = sim.run(until=done)
-    assert state["interrupted_at"] == 200
-    assert finish == 210
-    # Fully disarmed: no wake retained, no trampoline left on the gate.
-    assert cpu._wake is None
-    assert cpu._armed_gate is None
-    gate = cpu._service_gate
-    assert (gate is None or gate.callbacks is None
-            or cpu._trampoline_cb not in gate.callbacks)
-    # Posting a service afterwards must behave normally (the gate is
-    # clean) and draining the orphaned 1000-cycle timeout must recycle
-    # it exactly once.
-    served = []
-
-    def svc():
-        served.append(sim.now)
-        yield sim.pooled_timeout(1)
-
-    cpu.post_service("late", svc)
-    sim.run()
-    assert served and cpu.services_handled == 1
-    for pool in (sim._event_pool, sim._timeout_pool):
-        assert len(set(map(id, pool))) == len(pool)

@@ -4,7 +4,7 @@ import pytest
 
 from repro.hardware.node import Cluster
 from repro.hardware.params import MachineParams
-from repro.sim import Simulator
+from repro.sim import Event, Simulator
 from repro.stats.breakdown import Category
 
 
@@ -233,7 +233,7 @@ def test_noninterruptible_hold_defers_service():
 def test_wait_charges_category_and_services():
     sim, params, cluster = make_cluster()
     cpu = cluster[0].cpu
-    gate = sim.event()
+    gate = Event(sim)
 
     def body():
         yield from cpu.wait(gate, Category.SYNC)

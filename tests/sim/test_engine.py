@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import AllOf, AnyOf, Event, Interrupt, Simulator, Timeout
+from repro.sim import AllOf, Event, Simulator
 
 
 def test_timeout_advances_clock():
@@ -36,19 +36,6 @@ def test_negative_timeout_rejected():
     sim = Simulator()
     with pytest.raises(ValueError):
         sim.timeout(-1)
-
-
-def test_timeout_carries_value():
-    sim = Simulator()
-    results = []
-
-    def proc():
-        value = yield sim.timeout(3, value="payload")
-        results.append(value)
-
-    sim.process(proc())
-    sim.run()
-    assert results == ["payload"]
 
 
 def test_simultaneous_events_fire_in_schedule_order():
@@ -104,7 +91,7 @@ def test_wait_on_already_finished_process():
 
 def test_event_succeed_wakes_waiters():
     sim = Simulator()
-    gate = sim.event()
+    gate = Event(sim)
     woke = []
 
     def waiter(tag):
@@ -124,38 +111,16 @@ def test_event_succeed_wakes_waiters():
 
 def test_event_double_succeed_raises():
     sim = Simulator()
-    gate = sim.event()
+    gate = Event(sim)
     gate.succeed()
     with pytest.raises(RuntimeError):
         gate.succeed()
 
 
-def test_event_fail_raises_in_waiter():
-    sim = Simulator()
-    gate = sim.event()
-    caught = []
-
-    def waiter():
-        try:
-            yield gate
-        except ValueError as err:
-            caught.append(str(err))
-
-    sim.process(waiter())
-    gate.fail(ValueError("boom"))
-    sim.run()
-    assert caught == ["boom"]
-
-
-def test_fail_requires_exception_instance():
-    sim = Simulator()
-    gate = sim.event()
-    with pytest.raises(TypeError):
-        gate.fail("not an exception")  # type: ignore[arg-type]
-
-
 def test_uncaught_process_exception_propagates_in_strict_mode():
-    sim = Simulator(strict=True)
+    # Every simulator is strict: events only succeed, so an exception
+    # raised in a process aborts the run.
+    sim = Simulator()
 
     def bad():
         yield sim.timeout(1)
@@ -166,18 +131,6 @@ def test_uncaught_process_exception_propagates_in_strict_mode():
         sim.run()
 
 
-def test_nonstrict_mode_records_failure_on_process_event():
-    sim = Simulator(strict=False)
-
-    def bad():
-        yield sim.timeout(1)
-        raise RuntimeError("kaput")
-
-    p = sim.process(bad())
-    sim.run()
-    assert p.triggered and not p.ok
-
-
 def test_yielding_non_event_is_an_error():
     sim = Simulator()
 
@@ -185,21 +138,8 @@ def test_yielding_non_event_is_an_error():
         yield 17
 
     sim.process(bad())
-    with pytest.raises(TypeError):
+    with pytest.raises(TypeError, match="bad yielded non-event 17"):
         sim.run()
-
-
-def test_run_until_time_pauses_clock():
-    sim = Simulator()
-
-    def proc():
-        yield sim.timeout(100)
-
-    sim.process(proc())
-    sim.run(until=40)
-    assert sim.now == 40
-    sim.run()
-    assert sim.now == 100
 
 
 def test_run_until_event_returns_its_value():
@@ -216,7 +156,7 @@ def test_run_until_event_returns_its_value():
 
 def test_run_until_event_that_never_fires_raises():
     sim = Simulator()
-    gate = sim.event()
+    gate = Event(sim)
 
     def proc():
         yield sim.timeout(1)
@@ -226,43 +166,17 @@ def test_run_until_event_that_never_fires_raises():
         sim.run(until=gate)
 
 
-def test_run_until_in_the_past_raises():
-    sim = Simulator()
-
-    def proc():
-        yield sim.timeout(10)
-
-    sim.process(proc())
-    sim.run()
-    with pytest.raises(ValueError):
-        sim.run(until=5)
-
-
-def test_any_of_fires_on_first():
-    sim = Simulator()
-
-    def proc():
-        t_fast = sim.timeout(3, value="fast")
-        t_slow = sim.timeout(9, value="slow")
-        result = yield AnyOf(sim, [t_fast, t_slow])
-        return (sim.now, t_fast in result, t_slow in result)
-
-    p = sim.process(proc())
-    sim.run(until=p)
-    assert p.value == (3, True, False)
-
-
 def test_all_of_waits_for_every_event():
     sim = Simulator()
 
     def proc():
-        events = [sim.timeout(d, value=d) for d in (4, 1, 6)]
+        events = [sim.timeout(d) for d in (4, 1, 6)]
         result = yield AllOf(sim, events)
-        return (sim.now, [result[e] for e in events])
+        return (sim.now, result, [e.processed for e in events])
 
     p = sim.process(proc())
     sim.run(until=p)
-    assert p.value == (6, [4, 1, 6])
+    assert p.value == (6, None, [True, True, True])
 
 
 def test_all_of_empty_fires_immediately():
@@ -277,102 +191,19 @@ def test_all_of_empty_fires_immediately():
     assert p.value == 0
 
 
-def test_interrupt_raises_inside_process():
-    sim = Simulator()
-    log = []
-
-    def victim():
-        try:
-            yield sim.timeout(100)
-        except Interrupt as intr:
-            log.append((sim.now, intr.cause))
-        yield sim.timeout(5)
-        return sim.now
-
-    def attacker(vp):
-        yield sim.timeout(10)
-        vp.interrupt(cause="wake up")
-
-    vp = sim.process(victim())
-    sim.process(attacker(vp))
-    sim.run()
-    assert log == [(10, "wake up")]
-    assert vp.value == 15
-
-
-def test_interrupt_detaches_from_waited_event():
-    sim = Simulator()
-    gate = sim.event()
-    resumed = []
-
-    def victim():
-        try:
-            yield gate
-            resumed.append("gate")
-        except Interrupt:
-            resumed.append("interrupt")
-        yield sim.timeout(1)
-
-    vp = sim.process(victim())
-
-    def attacker():
-        yield sim.timeout(2)
-        vp.interrupt()
-        yield sim.timeout(2)
-        gate.succeed()
-
-    sim.process(attacker())
-    sim.run()
-    # Only the interrupt resumed the victim; the later gate firing must not.
-    assert resumed == ["interrupt"]
-
-
-def test_interrupting_finished_process_raises():
-    sim = Simulator()
-
-    def quick():
-        yield sim.timeout(1)
-
-    p = sim.process(quick())
-    sim.run()
-    with pytest.raises(RuntimeError):
-        p.interrupt()
-
-
-def test_process_cannot_interrupt_itself():
-    sim = Simulator()
-
-    def selfish(handle):
-        yield sim.timeout(1)
-        handle[0].interrupt()
-
-    handle = [None]
-    handle[0] = sim.process(selfish(handle))
-    with pytest.raises(RuntimeError, match="interrupt itself"):
-        sim.run()
-
-
-def test_peek_and_step():
-    sim = Simulator()
-    sim.timeout(5)
-    sim.timeout(2)
-    assert sim.peek() == 2
-    sim.step()
-    assert sim.now == 2
-    assert sim.peek() == 5
-
-
 def test_timeout_pending_until_fired():
     # Regression: Timeout.__init__ used to assign the value immediately,
     # so `triggered` reported True before the timeout actually fired.
     sim = Simulator()
-    t = sim.timeout(5, value="payload")
+    t = sim.timeout(5)
     assert not t.triggered
     assert not t.processed
+    with pytest.raises(RuntimeError, match="before it triggered"):
+        t.value
     sim.run()
     assert sim.now == 5
-    assert t.triggered and t.ok
-    assert t.value == "payload"
+    assert t.triggered and t.processed
+    assert t.value is None
 
 
 def test_run_until_timeout_advances_clock():
@@ -388,8 +219,8 @@ def test_run_until_timeout_advances_clock():
             ticks.append(sim.now)
 
     sim.process(ticker())
-    value = sim.run(until=sim.timeout(10, value="stop"))
-    assert value == "stop"
+    value = sim.run(until=sim.timeout(10))
+    assert value is None
     assert sim.now == 10
     assert ticks == [4, 8]
 
@@ -398,41 +229,6 @@ def test_run_until_timeout_without_other_events():
     sim = Simulator()
     assert sim.run(until=sim.timeout(25)) is None
     assert sim.now == 25
-
-
-def test_interrupt_process_parked_on_processed_event():
-    # Regression: yielding an already-processed event schedules a
-    # zero-delay wakeup; interrupt() used to leave that wakeup attached
-    # (since _waiting_on was None), so the generator was resumed twice:
-    # once with the value and once with Interrupt.
-    sim = Simulator()
-    log = []
-    done = sim.event()
-    done.succeed("stale")
-
-    def victim():
-        # Let `done` become processed first.
-        yield sim.timeout(1)
-        try:
-            value = yield done  # parks on the zero-delay wakeup
-            log.append(("value", value, sim.now))
-        except Interrupt as intr:
-            log.append(("interrupt", intr.cause, sim.now))
-        yield sim.timeout(5)
-        return sim.now
-
-    vp = sim.process(victim())
-
-    def attacker():
-        # Runs at t=1 after the victim parked, before its wakeup fires.
-        yield sim.timeout(1)
-        vp.interrupt(cause="preempt")
-
-    sim.process(attacker())
-    sim.run()
-    # Exactly one resumption, and it is the interrupt.
-    assert log == [("interrupt", "preempt", 1)]
-    assert vp.value == 6
 
 
 def test_determinism_across_runs():

@@ -2,55 +2,55 @@
 
 import pytest
 
-from repro.sim import AllOf, AnyOf, Event, Interrupt, Simulator
+from repro.sim import AllOf, Event, Simulator
 
 
-def test_waiting_on_failed_process_reraises():
-    sim = Simulator(strict=False)
+def test_child_process_exception_aborts_the_run():
+    sim = Simulator()
 
     def child():
         yield sim.timeout(1)
         raise ValueError("inner")
 
     def parent(cp):
-        with pytest.raises(ValueError, match="inner"):
-            yield cp
-        return "handled"
+        yield cp
+        return "never"
 
-    cp = sim.process(child())
-    p = sim.process(parent(cp))
-    sim.run()
-    assert p.value == "handled"
-
-
-def test_allof_fails_when_member_fails():
-    sim = Simulator(strict=False)
-    good = sim.timeout(5)
-    bad = Event(sim)
-
-    def proc():
-        with pytest.raises(RuntimeError, match="nope"):
-            yield AllOf(sim, [good, bad])
-        return True
-
-    p = sim.process(proc())
-    bad.fail(RuntimeError("nope"))
-    sim.run()
-    assert p.value is True
+    sim.process(parent(sim.process(child())))
+    with pytest.raises(ValueError, match="inner"):
+        sim.run()
+    assert sim.now == 1
 
 
-def test_anyof_with_already_processed_event():
+def test_all_of_with_already_processed_members():
     sim = Simulator()
     early = sim.timeout(1)
 
     def late_waiter():
         yield sim.timeout(10)
-        result = yield AnyOf(sim, [early, sim.timeout(100)])
-        return (early in result, sim.now)
+        yield AllOf(sim, [early])  # every member already processed
+        at_once = sim.now
+        yield AllOf(sim, [early, sim.timeout(5)])
+        return at_once, sim.now
 
     p = sim.process(late_waiter())
     sim.run(until=p)
-    assert p.value == (True, 10)
+    assert p.value == (10, 15)
+
+
+def test_bounce_resumes_in_the_next_slot_with_the_value():
+    sim = Simulator()
+    log = []
+    gate = Event(sim)
+    gate.succeed("v")
+    sim.run()
+    assert gate.processed
+    sim.call_soon(log.append, "queued first")
+    sim.bounce(gate, lambda event: log.append(event.value))
+    sim.call_soon(log.append, "queued after")
+    assert log == []
+    sim.run()
+    assert log == ["queued first", "v", "queued after"]
 
 
 def test_event_value_before_trigger_raises():
@@ -58,27 +58,6 @@ def test_event_value_before_trigger_raises():
     event = Event(sim)
     with pytest.raises(RuntimeError):
         _ = event.value
-
-
-def test_interrupt_cause_none_by_default():
-    sim = Simulator()
-    seen = []
-
-    def victim():
-        try:
-            yield sim.timeout(100)
-        except Interrupt as intr:
-            seen.append(intr.cause)
-
-    vp = sim.process(victim())
-
-    def attacker():
-        yield sim.timeout(1)
-        vp.interrupt()
-
-    sim.process(attacker())
-    sim.run()
-    assert seen == [None]
 
 
 def test_process_requires_generator():
@@ -215,27 +194,6 @@ def test_await_k_value_of_k_without_arguments_is_none():
 
 
 # -- run ----------------------------------------------------------------------
-
-def test_run_until_time_dispatches_events_scheduled_at_that_time():
-    sim = Simulator()
-    log = []
-
-    def proc():
-        yield sim.timeout(5)
-        log.append("first")
-        sim.call_soon(log.append, "same cycle")
-        gate = sim.event()
-        gate.succeed()
-        yield gate
-        log.append("second")
-        yield sim.timeout(1)
-        log.append("too late")
-
-    sim.process(proc())
-    assert sim.run(until=5) is None
-    assert sim.now == 5
-    assert log == ["first", "same cycle", "second"]
-
 
 def test_run_drain_returns_none_and_counts_events():
     sim = Simulator()

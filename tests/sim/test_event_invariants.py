@@ -1,35 +1,39 @@
-"""Property-based invariants of the Event lifecycle under adversarial
-interleavings of ``succeed``/``fail``/``interrupt``.
+"""Property-based invariants of the Event lifecycle under random
+interleavings of ``succeed``, late waits and ``AllOf``.
 
 Hypothesis drives a random program against a small fleet of events
 (pooled and unpooled) and waiter processes, checking the contracts the
 kernel's fast paths rely on:
 
-* ``triggered``/``processed``/``ok`` stay consistent at every
-  observation point -- processed implies triggered, ``ok`` equals
-  "triggered with no exception".
-* ``succeed``/``fail`` may each fire at most once; a second trigger
-  always raises ``RuntimeError``.
-* A waiter detached by ``interrupt`` is never resumed again by the
-  event it abandoned -- each waiter observes exactly one outcome.
+* ``triggered``/``processed`` stay consistent at every observation
+  point -- processed implies triggered, and a value is readable exactly
+  when the event has triggered.
+* ``succeed`` may fire at most once; a second trigger always raises
+  ``RuntimeError``.
+* Every waiter is resumed exactly once, with the value the event
+  succeeded with, no earlier than the cycle it succeeded in -- also a
+  waiter that subscribes after the event was processed (the bounce
+  path) -- and a waiter on an event that never fires is never resumed.
+* An ``AllOf`` waiter resumes with None once every member is processed.
 * The free lists stay duplicate-free: no pooled object is recycled
   twice, whatever the interleaving.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import Event, Interrupt, Simulator
+from repro.sim import AllOf, Event, Simulator
 
 N_EVENTS = 4
-N_WAITERS = 4
 
-# One program step: after `delay` cycles, apply `action` to `target`
-# (an event index for succeed/fail, a waiter index for interrupt).
+# One program step: after `delay` cycles, apply `action` to the event
+# at `target`: succeed it, start a late waiter on it, or start a waiter
+# on the AllOf of it and every event after it.
 _op = st.tuples(
-    st.integers(min_value=1, max_value=5),
-    st.sampled_from(["succeed", "fail", "interrupt"]),
-    st.integers(min_value=0, max_value=max(N_EVENTS, N_WAITERS) - 1),
+    st.integers(min_value=0, max_value=5),
+    st.sampled_from(["succeed", "wait", "all_of"]),
+    st.integers(min_value=0, max_value=N_EVENTS - 1),
 )
 
 
@@ -46,7 +50,7 @@ def _observe(log):
     def callback(event):
         assert event.triggered
         assert event.processed  # callbacks detached before dispatch
-        assert event.ok == (event._exception is None)
+        event.value  # readable once triggered
         log.append(id(event))
     return callback
 
@@ -62,105 +66,72 @@ def test_event_lifecycle_invariants_under_interleavings(ops, pooled):
     dispatched = []
     for event in events:
         event.callbacks.append(_observe(dispatched))
+    succeeded_at = {}  # event index -> (value, cycle)
+    outcomes = {}  # waiter tag -> list of (value, cycle)
+    all_of_members = {}  # waiter tag -> member indices
 
-    outcomes = {}  # waiter index -> list of observed outcomes
+    def waiter(tag, event):
+        outcomes[tag] = []
+        value = yield event
+        outcomes[tag].append((value, sim.now))
 
-    def waiter(idx, event):
-        outcomes[idx] = []
-        try:
-            yield event
-            outcomes[idx].append("ok")
-        except Interrupt:
-            outcomes[idx].append("interrupted")
-            return
-        except RuntimeError:
-            outcomes[idx].append("failed")
+    def all_of_waiter(tag, members):
+        outcomes[tag] = []
+        value = yield AllOf(sim, [events[i] for i in members])
+        assert all(events[i].processed for i in members)
+        outcomes[tag].append((value, sim.now))
 
-    procs = [sim.process(waiter(i, events[i % N_EVENTS]))
-             for i in range(N_WAITERS)]
+    # Pooled events are recycled once processed, so only waiters
+    # subscribed up front may hold them.
+    for i, event in enumerate(events):
+        sim.process(waiter(("early", i), event))
 
     def driver():
-        for delay, action, target in ops:
-            yield sim.timeout(delay)
-            if action == "interrupt":
-                proc = procs[target % N_WAITERS]
-                if proc.is_alive and sim._active_process is not proc:
-                    proc.interrupt()
-                continue
-            event = events[target % N_EVENTS]
-            if event.triggered:
-                # At-most-once: re-triggering must always raise.
-                try:
-                    if action == "succeed":
+        for step, (delay, action, target) in enumerate(ops):
+            if delay:
+                yield sim.timeout(delay)
+            event = events[target]
+            if action == "succeed":
+                if event.triggered:
+                    with pytest.raises(RuntimeError):
                         event.succeed("again")
-                    else:
-                        event.fail(RuntimeError("again"))
-                except RuntimeError:
-                    pass
                 else:
-                    raise AssertionError(
-                        "double trigger did not raise RuntimeError")
-            elif action == "succeed":
-                event.succeed(target)
-            else:
-                event.fail(RuntimeError("boom"))
+                    with pytest.raises(RuntimeError):
+                        event.value
+                    event.succeed((target, step))
+                    succeeded_at[target] = ((target, step), sim.now)
+                continue
+            members = [i for i in range(target, N_EVENTS) if not pooled[i]]
+            if action == "wait" and not pooled[target]:
+                sim.process(waiter(("late", step), event))
+            elif action == "all_of":
+                all_of_members[("all_of", step)] = members
+                sim.process(all_of_waiter(("all_of", step), members))
 
     sim.process(driver())
     sim.run()
 
-    for idx, seen in outcomes.items():
-        # Exactly one outcome per waiter: a detached (interrupted)
-        # waiter must never also see the event's result, and no waiter
-        # is resumed twice.
-        assert len(seen) <= 1, f"waiter {idx} resumed twice: {seen}"
-        if seen == ["interrupted"]:
-            assert procs[idx].triggered  # returned after the interrupt
-    # Every untriggered event is still pending and consistent.
-    for event, use_pool in zip(events, pooled):
+    for tag, seen in outcomes.items():
+        assert len(seen) <= 1, f"waiter {tag} resumed twice: {seen}"
+        if tag[0] == "all_of":
+            members = all_of_members[tag]
+            if all(i in succeeded_at for i in members):
+                assert len(seen) == 1 and seen[0][0] is None
+                assert seen[0][1] >= max(
+                    (succeeded_at[i][1] for i in members), default=0)
+            else:
+                assert seen == []
+            continue
+        target = tag[1] if tag[0] == "early" else ops[tag[1]][2]
+        if target in succeeded_at:
+            value, cycle = succeeded_at[target]
+            assert len(seen) == 1
+            assert seen[0][0] == value and seen[0][1] >= cycle
+        else:
+            assert seen == []
+    for i, (event, use_pool) in enumerate(zip(events, pooled)):
         if use_pool and id(event) in dispatched:
             continue  # recycled: the object may have a new life now
-        if not event.triggered:
-            assert not event.ok
-            assert not event.processed
-    assert _pools_duplicate_free(sim)
-
-
-@given(ops=st.lists(_op, min_size=1, max_size=10))
-@settings(max_examples=60, deadline=None)
-def test_interrupted_waiter_never_hears_from_the_abandoned_event(ops):
-    # Focused variant: one waiter, one event, and a schedule that
-    # always interrupts before the event fires.  The waiter's log must
-    # show the interrupt and nothing from the orphaned event.
-    sim = Simulator()
-    event = sim.pooled_event()
-    log = []
-
-    def waiter():
-        try:
-            yield event
-            log.append("event")
-        except Interrupt:
-            log.append("interrupted")
-            yield sim.pooled_timeout(1)
-            log.append("moved-on")
-
-    proc = sim.process(waiter())
-
-    def driver():
-        yield sim.timeout(1)
-        proc.interrupt()
-        total = 1
-        for delay, action, _target in ops:
-            yield sim.timeout(delay)
-            total += delay
-            if action in ("succeed", "fail") and not event.triggered:
-                if action == "succeed":
-                    event.succeed("late")
-                else:
-                    event.fail(RuntimeError("late"))
-
-    sim.process(driver())
-    sim.run()
-    assert log[:2] == ["interrupted", "moved-on"]
-    assert "event" not in log
+        assert event.triggered == (i in succeeded_at)
+        assert event.processed == (i in succeeded_at)
     assert _pools_duplicate_free(sim)

