@@ -38,8 +38,7 @@ def _run_custom(app, protocol_factory):
     done = [cluster[pid].cpu.start(app.worker(DsmApi(protocol, pid), pid))
             for pid in range(app.nprocs)]
     sim.run(until=AllOf(sim, done))
-    if hasattr(protocol, "finalize"):
-        protocol.finalize()
+    protocol.finalize()
     return max(cluster[pid].cpu.finished_at
                for pid in range(app.nprocs)), protocol
 

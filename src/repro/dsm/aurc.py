@@ -22,13 +22,15 @@ centrally; transitions are rare, one-time events):
   the home, which first drains in-flight updates past the requester's
   stamps.
 
-Like TreadMarks, interval records propagate through lock grants and
-barriers; AURC's records additionally carry per-page flush stamps
-``(dst, seq)`` so a fetch can name exactly the updates the home must
-have seen.  AURC has no protocol controller: every remote service
-(page fetch, lock/barrier handling) interrupts the serving node's
-computation processor, and prefetch requests have no priority support
--- the two structural reasons prefetching hurts AURC in the paper.
+Like TreadMarks -- both run on the LRC core of
+:class:`~repro.dsm.protocol.DsmProtocol` -- interval records propagate
+through lock grants and barriers; AURC's records additionally carry
+per-page flush stamps ``(dst, seq)`` so a fetch can name exactly the
+updates the home must have seen.  AURC has no protocol controller:
+every remote service (page fetch, lock/barrier handling) interrupts the
+serving node's computation processor, and prefetch requests have no
+priority support -- the two structural reasons prefetching hurts AURC
+in the paper.
 
 Documented simplifications (DESIGN.md section 2): directory metadata and
 pair-formation notifications are instantaneous (data-plane only); the
@@ -45,23 +47,16 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.dsm.barriers import BarrierService
-from repro.dsm.locks import LockService
 from repro.dsm.page import PageView
-from repro.dsm.prefetch import PrefetchStats, note_prefetch
+from repro.dsm.prefetch import PrefetchStats, note_prefetch, should_prefetch
 from repro.dsm.protocol import (
     AurcPageReply,
     AurcPageRequest,
-    BarrierArrive,
-    BarrierRelease,
     DsmProtocol,
-    LockForward,
-    LockGrant,
-    LockRequest,
     Message,
+    NodeState,
 )
 from repro.dsm.shmem import SharedSegment
-from repro.dsm.timestamps import IntervalLog, VectorClock
 from repro.hardware.node import Cluster, Node
 from repro.hardware.params import MachineParams
 from repro.sim import Event, Simulator
@@ -192,30 +187,22 @@ class _PageDirectory:
                 + sys.getsizeof(self.sharers))
 
 
-class NodeAurcState:
+class NodeAurcState(NodeState):
     """One node's AURC protocol state."""
 
+    page_class = AurcPage
+
     def __init__(self, pid: int, n: int):
-        self.pid = pid
-        self.vc = VectorClock(n)
-        self.last_barrier_vc = VectorClock(n)
-        self.log = IntervalLog(n)
-        self.pages: Dict[int, AurcPage] = {}
+        super().__init__(pid, n)
         # page -> (dst, seq): last update stamp of the open interval.
         self.current_writes: Dict[int, Tuple[int, int]] = {}
-        # Coherence-audit adapter (repro.dsm.audit.NodeAudit) or None.
-        self.audit = None
-
-    def page(self, page: int, words: int) -> AurcPage:
-        state = self.pages.get(page)
-        if state is None:
-            state = AurcPage(page, words, audit=self.audit)
-            self.pages[page] = state
-        return state
 
 
 class Aurc(DsmProtocol):
     """The AURC protocol engine (optionally with page prefetching)."""
+
+    family = "aurc"
+    state_class = NodeAurcState
 
     def __init__(self, sim: Simulator, cluster: Cluster,
                  params: MachineParams, segment: SharedSegment,
@@ -223,27 +210,11 @@ class Aurc(DsmProtocol):
         """``pairwise_enabled=False`` is an ablation knob: every shared
         page goes straight to write-through-to-home, quantifying what
         the optimized pair-wise sharing buys AURC."""
-        super().__init__(sim, cluster, params)
-        self.segment = segment
+        super().__init__(sim, cluster, params, segment)
         self.prefetch = prefetch
         self.pairwise_enabled = pairwise_enabled
         self.stats = AurcStats()
-        self.states = [NodeAurcState(i, self.n) for i in range(self.n)]
         self.directory: Dict[int, _PageDirectory] = {}
-        self.locks = LockService(self)
-        self.barriers = BarrierService(self)
-        # Coherence auditor (set by attach_audit); None when unaudited.
-        self.audit = None
-
-    def attach_audit(self, auditor) -> None:
-        """Attach a :class:`~repro.dsm.audit.CoherenceAuditor` (same
-        contract as :meth:`TreadMarks.attach_audit`)."""
-        auditor.family = "aurc"
-        self.audit = auditor
-        for st in self.states:
-            st.audit = auditor.node_view(st.pid)
-            for ap in st.pages.values():
-                ap.audit = st.audit
 
     @property
     def name(self) -> str:
@@ -395,24 +366,8 @@ class Aurc(DsmProtocol):
     # message dispatch
     # ------------------------------------------------------------------
 
-    def handle_message(self, node: Node, msg: Message) -> None:
-        if isinstance(msg, LockRequest):
-            node.cpu.post_service(
-                "lock-req", lambda: self.locks.handle_request(node, msg),
-                req=msg.req)
-        elif isinstance(msg, LockForward):
-            node.cpu.post_service(
-                "lock-fwd", lambda: self.locks.handle_forward(node, msg),
-                req=msg.req)
-        elif isinstance(msg, LockGrant):
-            self.locks.handle_grant(node, msg)
-        elif isinstance(msg, BarrierArrive):
-            node.cpu.post_service(
-                "bar-arrive", lambda: self.barriers.handle_arrive(node, msg),
-                req=msg.req)
-        elif isinstance(msg, BarrierRelease):
-            self.barriers.handle_release(node, msg)
-        elif isinstance(msg, AurcPageRequest):
+    def _handle_data_message(self, node: Node, msg: Message) -> None:
+        if isinstance(msg, AurcPageRequest):
             node.cpu.post_service(
                 "page-fetch", lambda: self._serve_fetch(node, msg),
                 req=msg.token)
@@ -422,30 +377,8 @@ class Aurc(DsmProtocol):
             raise TypeError(f"unhandled message {msg!r}")
 
     # ------------------------------------------------------------------
-    # shared-memory operations
+    # shared-memory writes
     # ------------------------------------------------------------------
-
-    def proc_compute(self, pid: int, cycles: float):
-        yield from self.cluster[pid].cpu.hold(cycles, Category.BUSY)
-
-    def proc_read(self, pid: int, addr: int, nwords: int):
-        node = self.cluster[pid]
-        st = self.states[pid]
-        chunks = []
-        for page, offset, count in self.split_by_page(addr, nwords):
-            ap = st.page(page, self.params.words_per_page)
-            if not ap.is_valid():
-                yield from self._fault(node, st, ap)
-            self._note_use(node, ap)
-            # Capture the data at the access point: a pair replacement
-            # can drop our frame during the interruptible timing hold.
-            chunk = ap.frame[offset:offset + count].copy()
-            busy, others = node.access_cost_cycles(
-                page, page * self.params.words_per_page + offset, count,
-                write=False)
-            yield from node.cpu.hold_split(busy, others)
-            chunks.append(chunk)
-        return chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
 
     def proc_write(self, pid: int, addr: int, values):
         node = self.cluster[pid]
@@ -455,7 +388,7 @@ class Aurc(DsmProtocol):
         for page, offset, count in self.split_by_page(addr, len(values)):
             ap = st.page(page, self.params.words_per_page)
             if not ap.is_valid():
-                yield from self._fault(node, st, ap)
+                yield from self._fault(node, st, ap, True)
             self._note_use(node, ap)
             chunk = values[cursor:cursor + count]
             ap.ensure_frame()[offset:offset + count] = chunk
@@ -475,26 +408,6 @@ class Aurc(DsmProtocol):
                 write=True)
             yield from node.cpu.hold_split(busy, others)
             cursor += count
-
-    def proc_acquire(self, pid: int, lock: int):
-        yield from self.locks.acquire(self.cluster[pid], lock)
-
-    def proc_release(self, pid: int, lock: int):
-        node = self.cluster[pid]
-        start = self.sim.now
-        yield from node.cpu.run_generator(
-            self._end_interval(node), Category.SYNC)
-        yield from self.locks.release(node, lock)
-        self.note_sync_span(node, "lock", "release", start, lock=lock)
-
-    def proc_barrier(self, pid: int, barrier: int):
-        node = self.cluster[pid]
-        start = self.sim.now
-        yield from node.cpu.run_generator(
-            self._end_interval(node), Category.SYNC)
-        self.note_sync_span(node, "barrier", "interval", start,
-                            barrier=barrier)
-        yield from self.barriers.wait(node, barrier)
 
     # ------------------------------------------------------------------
     # intervals and coherence propagation
@@ -523,51 +436,10 @@ class Aurc(DsmProtocol):
             yield self.sim.pooled_timeout(
                 len(pages) * self.params.list_processing_cycles_per_element)
 
-    # -- lock/barrier hooks (shared services from locks.py / barriers.py) --
-
-    def lock_request_payload(self, node: Node):
-        return self.states[node.node_id].vc.as_tuple()
-
-    def lock_grant_payload(self, node: Node, requester: int, req_payload):
-        st = self.states[node.node_id]
-        req_vc = VectorClock(values=req_payload)
-        records = st.log.records_behind(req_vc)
-        notices = sum(r.notice_count for r in records)
-        yield self.sim.pooled_timeout(
-            (notices + 1) * self.params.list_processing_cycles_per_element)
-        return (st.vc.as_tuple(), records)
-
-    def lock_process_grant(self, node: Node, payload):
-        yield from self._merge_coherence_info(node, payload)
-
-    def barrier_arrive_payload(self, node: Node):
-        st = self.states[node.node_id]
-        return (st.vc.as_tuple(), st.log.records_behind(st.last_barrier_vc))
-
-    def barrier_merge(self, node: Node, payloads):
-        st = self.states[node.node_id]
-        total = 0
-        merged_vc = st.vc.copy()
-        for vc_tuple, records in payloads:
-            merged_vc.merge(VectorClock(values=vc_tuple))
-            for record in records:
-                st.log.add(record)
-                total += record.notice_count
-        yield self.sim.pooled_timeout(
-            (total + 1) * self.params.list_processing_cycles_per_element)
-        return (merged_vc.as_tuple(),
-                st.log.records_behind(st.last_barrier_vc))
-
-    def barrier_process_release(self, node: Node, payload):
-        yield from self._merge_coherence_info(node, payload)
-        st = self.states[node.node_id]
-        st.last_barrier_vc = st.vc.copy()
-
-    def _merge_coherence_info(self, node: Node, payload):
+    def _merge_coherence_info(self, node: Node, vc_tuple, records):
         """Raw generator: merge notices; invalidate or wait per page."""
         st = self.states[node.node_id]
         pid = node.node_id
-        vc_tuple, records = payload
         notices = 0
         invalidated: List[AurcPage] = []
         waits: List[Tuple[int, int]] = []   # (writer, seq) to drain locally
@@ -582,9 +454,7 @@ class Aurc(DsmProtocol):
                 newly_invalid = ap.record_notice(record.writer,
                                                  record.interval_id, dst, seq)
                 if ap.prefetch_ready:
-                    ap.prefetch_ready = False
-                    self.stats.prefetch.useless += 1
-                    note_prefetch(self.sim, pid, "useless", page)
+                    self._prefetch_wasted(pid, ap)
                 if dst == pid:
                     # Updates flow to us automatically (pairwise partner
                     # or we are the home): wait, do not invalidate.
@@ -592,24 +462,9 @@ class Aurc(DsmProtocol):
                     ap.mark_applied(record.writer, record.interval_id)
                 elif newly_invalid and ap.has_frame:
                     invalidated.append(ap)
-        st.vc.merge(VectorClock(values=vc_tuple))
-        if self.audit is not None:
-            # Covering-acquire point (hb-notice-coverage check).
-            self.audit.sync_merge(pid, st.vc.as_tuple())
-        cost = (notices * self.params.list_processing_cycles_per_element
-                + len(invalidated) * self.params.page_state_change_cycles)
-        if cost:
-            yield self.sim.pooled_timeout(cost)
+        yield from self._merge_clock(node, st, vc_tuple, notices,
+                                     len(invalidated))
         metrics = self.sim.metrics
-        if notices:
-            if metrics is not None:
-                metrics.inc("write_notices", notices, node=pid)
-                metrics.inc("notice_invalidations", len(invalidated),
-                            node=pid)
-            tracer = self.sim.tracer
-            if tracer is not None and tracer.wants("notice"):
-                tracer.emit("notice", node=pid, action="process",
-                            notices=notices, invalidated=len(invalidated))
         wait_start = self.sim.now
         for writer, seq in waits:
             if seq:
@@ -623,39 +478,20 @@ class Aurc(DsmProtocol):
         if self.prefetch:
             yield from self._issue_prefetches(node, st)
 
-    def _invalidate_cached(self, node: Node, ap: AurcPage) -> None:
-        base = ap.page * self.params.words_per_page
-        node.cache.invalidate_range(base, self.params.words_per_page)
-        node.tlb.invalidate(ap.page)
-
     # ------------------------------------------------------------------
     # faults and fetches
     # ------------------------------------------------------------------
 
-    def _note_use(self, node: Node, ap: AurcPage) -> None:
-        ap.referenced = True
-        if ap.prefetch_ready:
-            ap.prefetch_ready = False
-            self.stats.prefetch.useful += 1
-            note_prefetch(self.sim, node.node_id, "hit", ap.page)
-            if ap.prefetch_issued_at is not None:
-                self.stats.prefetch.lead_cycles_total += (
-                    self.sim.now - ap.prefetch_issued_at)
-
-    def _fault(self, node: Node, st: NodeAurcState, ap: AurcPage):
-        """Processor-context generator: make ``ap`` valid (charges DATA)."""
+    def _count_fault(self, write: bool) -> str:
+        # Reads and writes fault alike: no write collection to arm.
         self.stats.faults += 1
-        fault_start = self.sim.now
-        sid = self.new_span_id()
-        prev_stall = self.set_stall(node.node_id, sid) if sid else 0
-        if ap.audit is not None:
-            ap.audit.fault(ap.page, "access")
-        if ap.prefetch_event is not None:
-            self.stats.prefetch.late += 1
-            note_prefetch(self.sim, node.node_id, "late", ap.page)
-            yield from node.cpu.wait(ap.prefetch_event, Category.DATA)
+        return "access"
+
+    def _make_valid(self, node: Node, st: NodeAurcState, ap: AurcPage):
+        """Processor-context generator: join the page's sharers; wait
+        for our own pending updates or fetch from the authority."""
+        pid = node.node_id
         while not ap.is_valid():
-            pid = node.node_id
             authority = self._join_sharing(pid, ap.page)
             if authority == pid:
                 # We are the home (or the solo first toucher): wait for
@@ -675,18 +511,6 @@ class Aurc(DsmProtocol):
                 continue
             yield from self._fetch_page(node, st, ap, authority,
                                         prefetch=False)
-        if sid:
-            self.set_stall(node.node_id, prev_stall)
-        elapsed = self.sim.now - fault_start
-        metrics = self.sim.metrics
-        if metrics is not None:
-            metrics.inc("faults", node=node.node_id, kind="access")
-            metrics.observe("fault_stall_cycles", elapsed, kind="access")
-        tracer = self.sim.tracer
-        if tracer is not None and tracer.wants("fault"):
-            tracer.emit("fault", node=node.node_id, action="access",
-                        page=ap.page, begin=fault_start, dur=elapsed,
-                        **({"req": sid} if sid else {}))
 
     def _drain_wait(self, node: Node, writer: int, seq: int, gate: Event):
         yield from node.nic.au_engine.wait_for(writer, seq)
@@ -818,13 +642,17 @@ class Aurc(DsmProtocol):
     # ------------------------------------------------------------------
 
     def _issue_prefetches(self, node: Node, st: NodeAurcState):
-        """Raw generator: page prefetches for cached+referenced invalid
-        pages (same heuristic as overlapping TreadMarks; no priorities)."""
+        """Raw generator: fetch a fresh copy of every page the paper's
+        heuristic picks (:func:`~repro.dsm.prefetch.should_prefetch`),
+        each from its current authority.
+
+        One page request per page, sent by the processor itself: AURC
+        has no protocol controller, so prefetches run at no lower
+        priority than demand traffic.  Pages this node is itself the
+        authority for are skipped (their updates arrive on their own).
+        """
         pid = node.node_id
-        candidates = [ap for ap in st.pages.values()
-                      if (ap.has_frame and ap.referenced
-                          and not ap.is_valid()
-                          and ap.prefetch_event is None)]
+        candidates = [ap for ap in st.pages.values() if should_prefetch(ap)]
         for ap in candidates:
             authority = self._authority(pid, ap.page)
             if authority == pid:
@@ -841,30 +669,11 @@ class Aurc(DsmProtocol):
                                       prefetch=True)
             self.note_issue(node, authority, request)
             yield from self.send(node, authority, request)
-            ap.prefetch_event = done
-            ap.prefetch_issued_at = self.sim.now
-            ap.referenced = False
-            self.sim.process(self._finalize_prefetch(ap))
-
-    def _finalize_prefetch(self, ap: AurcPage):
-        event = ap.prefetch_event
-        yield event
-        ap.prefetch_event = None
-        if ap.is_valid():
-            ap.prefetch_ready = True
+            self._track_prefetch(pid, ap, done)
 
     # ------------------------------------------------------------------
     # end-of-run accounting
     # ------------------------------------------------------------------
-
-    def finalize(self) -> None:
-        for st in self.states:
-            for ap in st.pages.values():
-                if ap.prefetch_ready or ap.prefetch_event is not None:
-                    ap.prefetch_ready = False
-                    ap.prefetch_event = None
-                    self.stats.prefetch.useless += 1
-                    note_prefetch(self.sim, st.pid, "useless", ap.page)
 
     def total_update_traffic_bytes(self) -> int:
         return sum(node.nic.au_engine.update_bytes

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from repro.dsm.page import TmPage
+from repro.dsm.page import PageView, TmPage
 
 __all__ = ["PrefetchStats", "should_prefetch", "note_prefetch"]
 
@@ -74,7 +74,7 @@ class PrefetchStats:
         return (self.lead_cycles_total / self.useful) if self.useful else 0.0
 
 
-def should_prefetch(page_state: TmPage) -> bool:
+def should_prefetch(page_state: PageView) -> bool:
     """The paper's heuristic: cached, referenced, now invalid, not already
     being prefetched."""
     return (page_state.has_frame

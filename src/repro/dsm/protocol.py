@@ -1,32 +1,34 @@
-"""Protocol message types and the DSM protocol base class.
+"""Protocol message types and the lazy-release-consistency core.
 
 Messages are plain dataclasses; each knows its wire size so the network
-charges realistic serialization time.  The :class:`DsmProtocol` base
-class owns the pieces common to TreadMarks and AURC:
+charges realistic serialization time.
 
-* the shared segment (page-indexed address space);
-* per-node NIC handler installation and message dispatch;
-* the pending-request table (token -> completion event) that matches
-  replies to the waits that issued them;
-* worker start/finish plumbing used by the harness.
-
-Subclasses implement ``handle_message`` routing and the shared-memory
-operations (``proc_read`` / ``proc_write`` / ``proc_acquire`` /
-``proc_release`` / ``proc_barrier``) invoked through
-:class:`~repro.dsm.shmem.DsmApi`.
+:class:`DsmProtocol` is what TreadMarks and AURC share -- AURC is
+TreadMarks' LRC with automatic updates in place of twins and diffs
+(paper sections 2 and 3.3): per-node clocks, interval logs and page
+views (:class:`NodeState`); message plumbing and request-lifecycle
+spans; the lock/barrier hooks; the processor operations invoked through
+:class:`~repro.dsm.shmem.DsmApi`; and the prefetch ledger.  A subclass
+keeps only what makes it that protocol (see :class:`DsmProtocol`).
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
+
+import numpy as np
 
 from repro.dsm.diffs import DiffRecord
-from repro.dsm.timestamps import IntervalRecord
+from repro.dsm.page import PageView
+from repro.dsm.prefetch import note_prefetch
+from repro.dsm.shmem import SharedSegment
+from repro.dsm.timestamps import IntervalLog, VectorClock
 from repro.hardware.node import Cluster, Node
 from repro.hardware.params import MachineParams
 from repro.sim import Event, Simulator
+from repro.stats.breakdown import Category
 
 __all__ = [
     "Message",
@@ -36,6 +38,7 @@ __all__ = [
     "BarrierArrive", "BarrierRelease",
     "AurcPageRequest", "AurcPageReply",
     "payload_bytes",
+    "NodeState",
     "DsmProtocol",
 ]
 
@@ -243,19 +246,64 @@ def payload_bytes(payload: Any, params: MachineParams) -> int:
 
 
 # ---------------------------------------------------------------------------
-# protocol base
+# the LRC core
 # ---------------------------------------------------------------------------
 
+class NodeState:
+    """One node's protocol state: clock, interval log, page views."""
+
+    page_class = PageView
+
+    def __init__(self, pid: int, n: int):
+        self.pid = pid
+        self.vc = VectorClock(n)
+        self.last_barrier_vc = VectorClock(n)
+        self.log = IntervalLog(n)
+        self.pages: Dict[int, PageView] = {}
+        # Coherence-audit adapter (repro.dsm.audit.NodeAudit) handed to
+        # every page this node creates; None when unaudited.
+        self.audit = None
+
+    def page(self, page: int, words: int) -> PageView:
+        state = self.pages.get(page)
+        if state is None:
+            state = self.page_class(page, words, audit=self.audit)
+            self.pages[page] = state
+        return state
+
+
 class DsmProtocol:
-    """Common machinery for the DSM protocol engines."""
+    """The lazy-release-consistency core of both protocol engines.
+
+    A subclass supplies ``stats`` (with a ``prefetch`` ledger) and:
+
+    * ``proc_write(pid, addr, values)`` -- processor generator;
+    * ``_count_fault(write)`` -- count a fault, return its kind;
+    * ``_make_valid(node, st, view)`` -- processor generator, the
+      fetch path inside :meth:`_fault`;
+    * ``_end_interval(node)`` -- raw generator, the release point;
+    * ``_merge_coherence_info(node, vc_tuple, records)`` -- raw
+      generator applying a grant's or release's write notices;
+    * ``_handle_data_message(node, msg)`` -- routes the rest (never
+      blocks).
+    """
 
     name = "dsm"
+    # Protocol family recorded on an attached auditor.
+    family = "dsm"
+    state_class = NodeState
 
     def __init__(self, sim: Simulator, cluster: Cluster,
-                 params: MachineParams):
+                 params: MachineParams, segment: SharedSegment):
+        # Function-level import: locks/barriers import this module's
+        # message types.
+        from repro.dsm.barriers import BarrierService
+        from repro.dsm.locks import LockService
+
         self.sim = sim
         self.cluster = cluster
         self.params = params
+        self.segment = segment
         self.n = params.n_processors
         self._tokens = itertools.count(1)
         # token -> (event, context) for replies to outstanding requests.
@@ -264,29 +312,251 @@ class DsmProtocol:
         # (0 = none); request issue legs reference it as their cause.
         # Only maintained while request-lifecycle tracing is enabled.
         self._stall_req: List[int] = [0] * self.n
+        self.states = [self.state_class(i, self.n) for i in range(self.n)]
+        self.locks = LockService(self)
+        self.barriers = BarrierService(self)
+        # Coherence auditor (set by attach_audit); None when unaudited.
+        self.audit = None
         for node in cluster.nodes:
             node.nic.handler = self._make_handler(node)
 
-    # -- subclass interface -------------------------------------------------
+    def attach_audit(self, auditor) -> None:
+        """Attach a :class:`~repro.dsm.audit.CoherenceAuditor`.
+
+        Hands every node state a per-node adapter, retrofits pages that
+        already exist, and records the protocol family.  Purely
+        observational: no simulator state is touched.
+        """
+        auditor.family = self.family
+        self.audit = auditor
+        for st in self.states:
+            st.audit = auditor.node_view(st.pid)
+            for view in st.pages.values():
+                view.audit = st.audit
+
+    # -- message routing (NIC handler context: never blocks) -----------------
 
     def handle_message(self, node: Node, msg: Message) -> None:
-        """Route one delivered message (must not block)."""
-        raise NotImplementedError
+        """Route one delivered message: the five sync messages here,
+        everything else to the protocol's data plane."""
+        if isinstance(msg, LockRequest):
+            node.cpu.post_service(
+                "lock-req", lambda: self.locks.handle_request(node, msg),
+                req=msg.req)
+        elif isinstance(msg, LockForward):
+            node.cpu.post_service(
+                "lock-fwd", lambda: self.locks.handle_forward(node, msg),
+                req=msg.req)
+        elif isinstance(msg, LockGrant):
+            self.locks.handle_grant(node, msg)
+        elif isinstance(msg, BarrierArrive):
+            node.cpu.post_service(
+                "bar-arrive", lambda: self.barriers.handle_arrive(node, msg),
+                req=msg.req)
+        elif isinstance(msg, BarrierRelease):
+            self.barriers.handle_release(node, msg)
+        else:
+            self._handle_data_message(node, msg)
+
+    # -- shared-memory operations (processor context) -------------------------
+
+    def proc_compute(self, pid: int, cycles: float):
+        yield from self.cluster[pid].cpu.hold(cycles, Category.BUSY)
 
     def proc_read(self, pid: int, addr: int, nwords: int):
-        raise NotImplementedError
-
-    def proc_write(self, pid: int, addr: int, values):
-        raise NotImplementedError
+        node = self.cluster[pid]
+        st = self.states[pid]
+        words = self.params.words_per_page
+        chunks = []
+        for page, offset, count in self.split_by_page(addr, nwords):
+            view = st.page(page, words)
+            if not view.is_valid():
+                yield from self._fault(node, st, view, False)
+            self._note_use(node, view)
+            # Capture the data at the access point: the interruptible
+            # timing hold below may run services that change the frame
+            # (an AURC pair replacement drops it outright).
+            chunk = view.frame[offset:offset + count].copy()
+            busy, others = node.access_cost_cycles(
+                page, page * words + offset, count, write=False)
+            yield from node.cpu.hold_split(busy, others)
+            chunks.append(chunk)
+        return chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
 
     def proc_acquire(self, pid: int, lock: int):
-        raise NotImplementedError
+        yield from self.locks.acquire(self.cluster[pid], lock)
 
     def proc_release(self, pid: int, lock: int):
-        raise NotImplementedError
+        node = self.cluster[pid]
+        start = self.sim.now
+        yield from node.cpu.run_generator(
+            self._end_interval(node), Category.SYNC)
+        yield from self.locks.release(node, lock)
+        self.note_sync_span(node, "lock", "release", start, lock=lock)
 
     def proc_barrier(self, pid: int, barrier: int):
-        raise NotImplementedError
+        node = self.cluster[pid]
+        start = self.sim.now
+        yield from node.cpu.run_generator(
+            self._end_interval(node), Category.SYNC)
+        self.note_sync_span(node, "barrier", "interval", start,
+                            barrier=barrier)
+        yield from self.barriers.wait(node, barrier)
+
+    def _fault(self, node: Node, st: NodeState, view: PageView,
+               write: bool):
+        """Processor-context generator: make ``view`` valid (charges
+        DATA), as one fault stall span."""
+        start = self.sim.now
+        sid = self.new_span_id()
+        prev_stall = self.set_stall(node.node_id, sid) if sid else 0
+        kind = self._count_fault(write)
+        if view.audit is not None:
+            view.audit.fault(view.page, kind)
+        if view.prefetch_event is not None:
+            # A prefetch is in flight: wait for it instead of re-requesting.
+            self.stats.prefetch.late += 1
+            note_prefetch(self.sim, node.node_id, "late", view.page)
+            yield from node.cpu.wait(view.prefetch_event, Category.DATA)
+        yield from self._make_valid(node, st, view)
+        if sid:
+            self.set_stall(node.node_id, prev_stall)
+        elapsed = self.sim.now - start
+        metrics = self.sim.metrics
+        if metrics is not None:
+            metrics.inc("faults", node=node.node_id, kind=kind)
+            metrics.observe("fault_stall_cycles", elapsed, kind=kind)
+        tracer = self.sim.tracer
+        if tracer is not None and tracer.wants("fault"):
+            tracer.emit("fault", node=node.node_id, action=kind,
+                        page=view.page, begin=start, dur=elapsed,
+                        **({"req": sid} if sid else {}))
+
+    # -- lock / barrier hooks (see locks.py / barriers.py) --------------------
+
+    def lock_request_payload(self, node: Node):
+        return self.states[node.node_id].vc.as_tuple()
+
+    def lock_grant_payload(self, node: Node, requester: int, req_payload):
+        """Raw generator: the interval records the requester lacks."""
+        st = self.states[node.node_id]
+        records = st.log.records_behind(VectorClock(values=req_payload))
+        notices = sum(r.notice_count for r in records)
+        yield self.sim.pooled_timeout(
+            (notices + 1) * self.params.list_processing_cycles_per_element)
+        return (st.vc.as_tuple(), records)
+
+    def lock_process_grant(self, node: Node, payload):
+        """Raw generator: merge the grant's records on the acquirer."""
+        yield from self._merge_coherence_info(node, payload[0], payload[1])
+
+    def barrier_arrive_payload(self, node: Node):
+        st = self.states[node.node_id]
+        return (st.vc.as_tuple(), st.log.records_behind(st.last_barrier_vc))
+
+    def barrier_merge(self, node: Node, payloads):
+        """Raw generator (manager): union all arrival records."""
+        st = self.states[node.node_id]
+        total_notices = 0
+        merged_vc = st.vc.copy()
+        for vc_tuple, records in payloads:
+            merged_vc.merge(VectorClock(values=vc_tuple))
+            for record in records:
+                st.log.add(record)
+                total_notices += record.notice_count
+        yield self.sim.pooled_timeout(
+            (total_notices + 1)
+            * self.params.list_processing_cycles_per_element)
+        return (merged_vc.as_tuple(),
+                st.log.records_behind(st.last_barrier_vc))
+
+    def barrier_process_release(self, node: Node, payload):
+        """Raw generator: merge, invalidate, advance the barrier VC."""
+        vc_tuple, records = payload
+        yield from self._merge_coherence_info(node, vc_tuple, records)
+        st = self.states[node.node_id]
+        st.last_barrier_vc = st.vc.copy()
+
+    def _merge_clock(self, node: Node, st: NodeState, vc_tuple,
+                     notices: int, invalidated: int):
+        """Raw generator: the tail every notice merge shares -- merge the
+        clock, charge list processing and page-state changes, emit."""
+        pid = node.node_id
+        st.vc.merge(VectorClock(values=vc_tuple))
+        if self.audit is not None:
+            # Covering-acquire point: all notices are recorded, so the
+            # hb-notice-coverage check must pass for every interval the
+            # merged clock now covers.
+            self.audit.sync_merge(pid, st.vc.as_tuple())
+        cost = (notices * self.params.list_processing_cycles_per_element
+                + invalidated * self.params.page_state_change_cycles)
+        if cost:
+            yield self.sim.pooled_timeout(cost)
+        if notices:
+            metrics = self.sim.metrics
+            if metrics is not None:
+                metrics.inc("write_notices", notices, node=pid)
+                metrics.inc("notice_invalidations", invalidated, node=pid)
+            tracer = self.sim.tracer
+            if tracer is not None and tracer.wants("notice"):
+                tracer.emit("notice", node=pid, action="process",
+                            notices=notices, invalidated=invalidated)
+
+    def _invalidate_cached(self, node: Node, view: PageView) -> None:
+        base = view.page * self.params.words_per_page
+        node.cache.invalidate_range(base, self.params.words_per_page)
+        node.tlb.invalidate(view.page)
+
+    # -- prefetch classification (paper section 3.2) --------------------------
+
+    def _note_use(self, node: Node, view: PageView) -> None:
+        """An access to ``view``: a completed prefetch was useful."""
+        view.referenced = True
+        if view.prefetch_ready:
+            view.prefetch_ready = False
+            self.stats.prefetch.useful += 1
+            note_prefetch(self.sim, node.node_id, "hit", view.page)
+            if view.prefetch_issued_at is not None:
+                self.stats.prefetch.lead_cycles_total += (
+                    self.sim.now - view.prefetch_issued_at)
+
+    def _prefetch_wasted(self, pid: int, view: PageView) -> None:
+        """Classify ``view``'s prefetch useless: re-invalidated before
+        any reference, or never referenced again."""
+        view.prefetch_ready = False
+        self.stats.prefetch.useless += 1
+        note_prefetch(self.sim, pid, "useless", view.page)
+
+    def _track_prefetch(self, pid: int, view: PageView,
+                        event: Event) -> None:
+        """Open the ledger entry of a prefetch of ``view`` that lands
+        when ``event`` fires."""
+        view.prefetch_event = event
+        view.prefetch_issued_at = self.sim.now
+        view.referenced = False
+        self.sim.process(self._finalize_prefetch(pid, view))
+
+    def _finalize_prefetch(self, pid: int, view: PageView):
+        """Process: classify a prefetch once its replies are in."""
+        event = view.prefetch_event
+        yield event
+        settled = view.prefetch_event is None  # finalize() counted it
+        view.prefetch_event = None
+        if view.is_valid():
+            view.prefetch_ready = True
+        elif not settled:
+            # Re-invalidated in flight, or its install was dropped; the
+            # next fault fetches the remainder.
+            self._prefetch_wasted(pid, view)
+
+    def finalize(self) -> None:
+        """Settle prefetch accounting at the end of a run: completed but
+        never-used prefetches, and still-in-flight ones, were useless."""
+        for st in self.states:
+            for view in st.pages.values():
+                if view.prefetch_ready or view.prefetch_event is not None:
+                    view.prefetch_event = None
+                    self._prefetch_wasted(st.pid, view)
 
     def coherence_state_report(self) -> Dict[str, int]:
         """Bytes of live coherence metadata in ``states[*].pages`` vs the

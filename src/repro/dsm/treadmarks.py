@@ -25,13 +25,11 @@ Charging conventions are described in :mod:`repro.dsm.locks`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import List
 
 import numpy as np
 
-from repro.dsm.barriers import BarrierService
 from repro.dsm.diffs import DiffRecord, apply_order
-from repro.dsm.locks import LockService
 from repro.dsm.overlap import BASE, OverlapMode
 from repro.dsm.page import TmPage
 from repro.dsm.prefetch import (
@@ -41,20 +39,16 @@ from repro.dsm.prefetch import (
     should_prefetch_adaptive,
 )
 from repro.dsm.protocol import (
-    BarrierArrive,
-    BarrierRelease,
     DiffReply,
     DiffRequest,
     DsmProtocol,
-    LockForward,
-    LockGrant,
-    LockRequest,
     Message,
+    NodeState,
     PageReply,
     PageRequest,
 )
 from repro.dsm.shmem import SharedSegment
-from repro.dsm.timestamps import IntervalLog, IntervalRecord, VectorClock
+from repro.dsm.timestamps import IntervalRecord, VectorClock
 from repro.hardware.controller import (
     PRIORITY_PREFETCH,
     PRIORITY_REMOTE,
@@ -62,7 +56,7 @@ from repro.hardware.controller import (
 )
 from repro.hardware.node import Cluster, Node
 from repro.hardware.params import MachineParams
-from repro.sim import AllOf, Event, Simulator
+from repro.sim import AllOf, Simulator
 from repro.stats.breakdown import Category
 from repro.stats.metrics import DIFF_WORDS_BUCKETS
 
@@ -111,29 +105,17 @@ class _DiffGather:
         return self.remaining == 0
 
 
-class NodeTmState:
+class NodeTmState(NodeState):
     """One node's TreadMarks protocol state."""
 
-    def __init__(self, pid: int, n: int):
-        self.pid = pid
-        self.vc = VectorClock(n)
-        self.last_barrier_vc = VectorClock(n)
-        self.log = IntervalLog(n)
-        self.pages: Dict[int, TmPage] = {}
-        # Coherence-audit adapter (repro.dsm.audit.NodeAudit) handed to
-        # every page this node creates; None when unaudited.
-        self.audit = None
-
-    def page(self, page: int, words: int) -> TmPage:
-        state = self.pages.get(page)
-        if state is None:
-            state = TmPage(page, words, audit=self.audit)
-            self.pages[page] = state
-        return state
+    page_class = TmPage
 
 
 class TreadMarks(DsmProtocol):
     """TreadMarks on a cluster, in a given overlap mode."""
+
+    family = "treadmarks"
+    state_class = NodeTmState
 
     def __init__(self, sim: Simulator, cluster: Cluster,
                  params: MachineParams, segment: SharedSegment,
@@ -153,7 +135,7 @@ class TreadMarks(DsmProtocol):
         work [11]): lock grants piggyback the grantor's own diffs for
         pages the requester is known to cache, trading larger grant
         messages for fewer diff-request round trips."""
-        super().__init__(sim, cluster, params)
+        super().__init__(sim, cluster, params, segment)
         if mode.uses_controller and cluster[0].controller is None:
             raise ValueError(
                 f"mode {mode.name} needs a cluster built with controllers")
@@ -162,30 +144,10 @@ class TreadMarks(DsmProtocol):
         self.prefetch_all_invalid = prefetch_all_invalid
         self.prefetch_adaptive = prefetch_adaptive
         self.hybrid_updates = hybrid_updates
-        self.segment = segment
         self.stats = TmStats()
-        self.states = [NodeTmState(i, self.n) for i in range(self.n)]
-        self.locks = LockService(self)
-        self.barriers = BarrierService(self)
         # Diff-op time executed on each node's controller (the processor
         # side is tracked by TimeBreakdown.diff_cycles).
         self.controller_diff_cycles = [0.0] * self.n
-        # Coherence auditor (set by attach_audit); None when unaudited.
-        self.audit = None
-
-    def attach_audit(self, auditor) -> None:
-        """Attach a :class:`~repro.dsm.audit.CoherenceAuditor`.
-
-        Hands every node state a per-node adapter, retrofits pages that
-        already exist, and records the protocol family.  Purely
-        observational: no simulator state is touched.
-        """
-        auditor.family = "treadmarks"
-        self.audit = auditor
-        for st in self.states:
-            st.audit = auditor.node_view(st.pid)
-            for tp in st.pages.values():
-                tp.audit = st.audit
 
     @property
     def name(self) -> str:
@@ -200,24 +162,8 @@ class TreadMarks(DsmProtocol):
     # message dispatch (NIC handler context: never blocks)
     # ------------------------------------------------------------------
 
-    def handle_message(self, node: Node, msg: Message) -> None:
-        if isinstance(msg, LockRequest):
-            node.cpu.post_service(
-                "lock-req", lambda: self.locks.handle_request(node, msg),
-                req=msg.req)
-        elif isinstance(msg, LockForward):
-            node.cpu.post_service(
-                "lock-fwd", lambda: self.locks.handle_forward(node, msg),
-                req=msg.req)
-        elif isinstance(msg, LockGrant):
-            self.locks.handle_grant(node, msg)
-        elif isinstance(msg, BarrierArrive):
-            node.cpu.post_service(
-                "bar-arrive", lambda: self.barriers.handle_arrive(node, msg),
-                req=msg.req)
-        elif isinstance(msg, BarrierRelease):
-            self.barriers.handle_release(node, msg)
-        elif isinstance(msg, PageRequest):
+    def _handle_data_message(self, node: Node, msg: Message) -> None:
+        if isinstance(msg, PageRequest):
             self._data_service(node, "page-req",
                                lambda: self._serve_page_request(node, msg),
                                req=msg.token)
@@ -247,27 +193,8 @@ class TreadMarks(DsmProtocol):
             node.cpu.post_service(name, work, req=req)
 
     # ------------------------------------------------------------------
-    # shared-memory operations (processor context)
+    # shared-memory writes (processor context)
     # ------------------------------------------------------------------
-
-    def proc_compute(self, pid: int, cycles: float):
-        yield from self.cluster[pid].cpu.hold(cycles, Category.BUSY)
-
-    def proc_read(self, pid: int, addr: int, nwords: int):
-        node = self.cluster[pid]
-        st = self.states[pid]
-        chunks = []
-        for page, offset, count in self.split_by_page(addr, nwords):
-            tp = st.page(page, self.params.words_per_page)
-            if not tp.is_valid():
-                yield from self._fault(node, st, tp, write=False)
-            self._note_use(node, tp)
-            busy, others = node.access_cost_cycles(
-                page, page * self.params.words_per_page + offset, count,
-                write=False)
-            yield from node.cpu.hold_split(busy, others)
-            chunks.append(tp.frame[offset:offset + count].copy())
-        return chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
 
     def proc_write(self, pid: int, addr: int, values):
         node = self.cluster[pid]
@@ -277,7 +204,7 @@ class TreadMarks(DsmProtocol):
         for page, offset, count in self.split_by_page(addr, len(values)):
             tp = st.page(page, self.params.words_per_page)
             if not tp.is_valid():
-                yield from self._fault(node, st, tp, write=True)
+                yield from self._fault(node, st, tp, True)
             if not tp.write_active:
                 yield from self._write_fault(node, st, tp)
             self._note_use(node, tp)
@@ -287,26 +214,6 @@ class TreadMarks(DsmProtocol):
                 write=True)
             yield from node.cpu.hold_split(busy, others)
             cursor += count
-
-    def proc_acquire(self, pid: int, lock: int):
-        yield from self.locks.acquire(self.cluster[pid], lock)
-
-    def proc_release(self, pid: int, lock: int):
-        node = self.cluster[pid]
-        start = self.sim.now
-        yield from node.cpu.run_generator(
-            self._end_interval(node), Category.SYNC)
-        yield from self.locks.release(node, lock)
-        self.note_sync_span(node, "lock", "release", start, lock=lock)
-
-    def proc_barrier(self, pid: int, barrier: int):
-        node = self.cluster[pid]
-        start = self.sim.now
-        yield from node.cpu.run_generator(
-            self._end_interval(node), Category.SYNC)
-        self.note_sync_span(node, "barrier", "interval", start,
-                            barrier=barrier)
-        yield from self.barriers.wait(node, barrier)
 
     # ------------------------------------------------------------------
     # intervals
@@ -338,23 +245,18 @@ class TreadMarks(DsmProtocol):
     # lock / barrier protocol hooks (see locks.py / barriers.py)
     # ------------------------------------------------------------------
 
-    def lock_request_payload(self, node: Node):
-        return self.states[node.node_id].vc.as_tuple()
-
     def lock_grant_payload(self, node: Node, requester: int, req_payload):
-        """Raw generator: assemble write notices the requester lacks."""
-        st = self.states[node.node_id]
-        req_vc = VectorClock(values=req_payload)
-        records = st.log.records_behind(req_vc)
-        notices = sum(r.notice_count for r in records)
-        self.stats.write_notices_sent += notices
-        yield self.sim.pooled_timeout(
-            (notices + 1) * self.params.list_processing_cycles_per_element)
-        if not self.hybrid_updates:
-            return (st.vc.as_tuple(), records)
-        piggybacked = yield from self._collect_hybrid_diffs(
-            node, requester, req_vc)
-        return (st.vc.as_tuple(), records, piggybacked)
+        """Raw generator: the write notices the requester lacks, plus
+        (Lazy Hybrid) the grantor's own diffs for pages it caches."""
+        payload = yield from super().lock_grant_payload(node, requester,
+                                                        req_payload)
+        self.stats.write_notices_sent += sum(r.notice_count
+                                             for r in payload[1])
+        if self.hybrid_updates:
+            piggybacked = yield from self._collect_hybrid_diffs(
+                node, requester, VectorClock(values=req_payload))
+            payload += (piggybacked,)
+        return payload
 
     def _collect_hybrid_diffs(self, node: Node, requester: int,
                               req_vc: VectorClock):
@@ -394,8 +296,7 @@ class TreadMarks(DsmProtocol):
         diffs, applied right here (in contiguous per-writer interval
         order, never past the applied watermark) so the pages are warm
         before the critical section touches them."""
-        vc_tuple, records = payload[0], payload[1]
-        yield from self._merge_coherence_info(node, (vc_tuple, records))
+        yield from super().lock_process_grant(node, payload)
         if len(payload) > 2 and payload[2]:
             yield from self._apply_hybrid_diffs(node, payload[2])
 
@@ -432,37 +333,9 @@ class TreadMarks(DsmProtocol):
             self._note_diff(node, "apply", applied_words, start,
                             where="hybrid")
 
-    def barrier_arrive_payload(self, node: Node):
+    def _merge_coherence_info(self, node: Node, vc_tuple, records):
+        """Raw generator: record notices, invalidate, maybe prefetch."""
         st = self.states[node.node_id]
-        records = st.log.records_behind(st.last_barrier_vc)
-        return (st.vc.as_tuple(), records)
-
-    def barrier_merge(self, node: Node, payloads):
-        """Raw generator (manager): union all arrival records."""
-        st = self.states[node.node_id]
-        total_notices = 0
-        merged_vc = st.vc.copy()
-        for vc_tuple, records in payloads:
-            merged_vc.merge(VectorClock(values=vc_tuple))
-            for record in records:
-                st.log.add(record)
-                total_notices += record.notice_count
-        yield self.sim.pooled_timeout(
-            (total_notices + 1)
-            * self.params.list_processing_cycles_per_element)
-        return (merged_vc.as_tuple(),
-                st.log.records_behind(st.last_barrier_vc))
-
-    def barrier_process_release(self, node: Node, payload):
-        """Raw generator: merge, invalidate, advance the barrier VC."""
-        yield from self._merge_coherence_info(node, payload)
-        st = self.states[node.node_id]
-        st.last_barrier_vc = st.vc.copy()
-
-    def _merge_coherence_info(self, node: Node, payload):
-        """Raw generator: common grant/release processing."""
-        st = self.states[node.node_id]
-        vc_tuple, records = payload
         invalidated: List[TmPage] = []
         notices = 0
         for record in records:
@@ -476,73 +349,42 @@ class TreadMarks(DsmProtocol):
                                                  record.interval_id)
                 if tp.prefetch_ready:
                     # A prefetched page re-invalidated before any use.
-                    tp.prefetch_ready = False
-                    tp.pf_useless_streak += 1
-                    self.stats.prefetch.useless += 1
-                    note_prefetch(self.sim, node.node_id, "useless", page)
+                    self._prefetch_wasted(node.node_id, tp)
                 if newly_invalid:
                     invalidated.append(tp)
-        st.vc.merge(VectorClock(values=vc_tuple))
-        if self.audit is not None:
-            # Covering-acquire point: all notices above are recorded,
-            # so the hb-notice-coverage check must pass for every
-            # interval the merged clock now covers.
-            self.audit.sync_merge(node.node_id, st.vc.as_tuple())
-        cost = (notices * self.params.list_processing_cycles_per_element
-                + len(invalidated) * self.params.page_state_change_cycles)
-        if cost:
-            yield self.sim.pooled_timeout(cost)
+        yield from self._merge_clock(node, st, vc_tuple, notices,
+                                     len(invalidated))
         for tp in invalidated:
             self._invalidate_cached(node, tp)
-        if notices:
-            metrics = self.sim.metrics
-            if metrics is not None:
-                metrics.inc("write_notices", notices, node=node.node_id)
-                metrics.inc("notice_invalidations", len(invalidated),
-                            node=node.node_id)
-            tracer = self.sim.tracer
-            if tracer is not None and tracer.wants("notice"):
-                tracer.emit("notice", node=node.node_id, action="process",
-                            notices=notices, invalidated=len(invalidated))
         if self.mode.prefetch:
             yield from self._issue_prefetches(node, st)
 
-    def _invalidate_cached(self, node: Node, tp: TmPage) -> None:
-        base = tp.page * self.params.words_per_page
-        node.cache.invalidate_range(base, self.params.words_per_page)
-        node.tlb.invalidate(tp.page)
+    # ------------------------------------------------------------------
+    # prefetch streaks (the adaptive strategy's history)
+    # ------------------------------------------------------------------
+
+    def _note_use(self, node: Node, tp: TmPage) -> None:
+        tp.pf_useless_streak = 0
+        # A plain base call, not super(): this runs once per access.
+        DsmProtocol._note_use(self, node, tp)
+
+    def _prefetch_wasted(self, pid: int, tp: TmPage) -> None:
+        tp.pf_useless_streak += 1
+        DsmProtocol._prefetch_wasted(self, pid, tp)
 
     # ------------------------------------------------------------------
     # faults
     # ------------------------------------------------------------------
 
-    def _note_use(self, node: Node, tp: TmPage) -> None:
-        tp.referenced = True
-        tp.pf_useless_streak = 0
-        if tp.prefetch_ready:
-            tp.prefetch_ready = False
-            self.stats.prefetch.useful += 1
-            note_prefetch(self.sim, node.node_id, "hit", tp.page)
-            if tp.prefetch_issued_at is not None:
-                self.stats.prefetch.lead_cycles_total += (
-                    self.sim.now - tp.prefetch_issued_at)
-
-    def _fault(self, node: Node, st: NodeTmState, tp: TmPage, write: bool):
-        """Processor-context generator: make ``tp`` valid (charges DATA)."""
-        start = self.sim.now
-        sid = self.new_span_id()
-        prev_stall = self.set_stall(node.node_id, sid) if sid else 0
+    def _count_fault(self, write: bool) -> str:
         if write:
             self.stats.write_faults += 1
-        else:
-            self.stats.read_faults += 1
-        if tp.audit is not None:
-            tp.audit.fault(tp.page, "write" if write else "read")
-        if tp.prefetch_event is not None:
-            # A prefetch is in flight: wait for it instead of re-requesting.
-            self.stats.prefetch.late += 1
-            note_prefetch(self.sim, node.node_id, "late", tp.page)
-            yield from node.cpu.wait(tp.prefetch_event, Category.DATA)
+            return "write"
+        self.stats.read_faults += 1
+        return "read"
+
+    def _make_valid(self, node: Node, st: NodeTmState, tp: TmPage):
+        """Processor-context generator: cold fetch, then the diffs."""
         while True:
             if not tp.has_frame:
                 yield from self._cold_fetch(node, st, tp)
@@ -550,19 +392,6 @@ class TreadMarks(DsmProtocol):
             if not writers:
                 break
             yield from self._fetch_diffs(node, st, tp, writers)
-        if sid:
-            self.set_stall(node.node_id, prev_stall)
-        kind = "write" if write else "read"
-        elapsed = self.sim.now - start
-        metrics = self.sim.metrics
-        if metrics is not None:
-            metrics.inc("faults", node=node.node_id, kind=kind)
-            metrics.observe("fault_stall_cycles", elapsed, kind=kind)
-        tracer = self.sim.tracer
-        if tracer is not None and tracer.wants("fault"):
-            tracer.emit("fault", node=node.node_id, action=kind,
-                        page=tp.page, begin=start, dur=elapsed,
-                        **({"req": sid} if sid else {}))
 
     def _cold_fetch(self, node: Node, st: NodeTmState, tp: TmPage):
         """Processor-context generator: install a first page copy."""
@@ -937,35 +766,11 @@ class TreadMarks(DsmProtocol):
             self.stats.prefetch.issued += 1
             note_prefetch(self.sim, node.node_id, "issue", tp.page,
                           writers=len(writers), tokens=tokens)
-            tp.prefetch_event = AllOf(self.sim, events)
-            tp.prefetch_issued_at = self.sim.now
-            tp.referenced = False
-            self.sim.process(self._finalize_prefetch(tp))
-
-    def _finalize_prefetch(self, tp: TmPage):
-        event = tp.prefetch_event
-        yield event
-        tp.prefetch_event = None
-        if tp.is_valid():
-            tp.prefetch_ready = True
-        # If still invalid (a new notice arrived mid-flight), the next
-        # fault will fetch the remainder; the prefetch was partial.
+            self._track_prefetch(node.node_id, tp, AllOf(self.sim, events))
 
     # ------------------------------------------------------------------
     # end-of-run accounting
     # ------------------------------------------------------------------
-
-    def finalize(self) -> None:
-        """Settle prefetch accounting at the end of a run: completed but
-        never-used prefetches, and still-in-flight ones, were useless."""
-        for st in self.states:
-            for tp in st.pages.values():
-                if tp.prefetch_ready or tp.prefetch_event is not None:
-                    tp.prefetch_ready = False
-                    tp.prefetch_event = None
-                    tp.pf_useless_streak += 1
-                    self.stats.prefetch.useless += 1
-                    note_prefetch(self.sim, st.pid, "useless", tp.page)
 
     def total_diff_cycles(self) -> float:
         """Twin + diff time across processors and controllers."""

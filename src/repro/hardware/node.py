@@ -181,17 +181,9 @@ class ComputeProcessor:
                 continue
             start = sim.now
             if interruptible:
-                heap = sim._heap
-                if not sim._nowq and (not heap
-                                      or heap[0][0] > start + remaining):
-                    # Quiet window: no other event can run (so no service
-                    # can be posted) before this slice completes -- skip
-                    # the race machinery entirely.
-                    yield sim.pooled_timeout(remaining)
-                else:
-                    timeout = sim.pooled_timeout(remaining)
-                    yield self._arm(timeout)
-                    self._disarm(timeout)
+                timeout = sim.pooled_timeout(remaining)
+                yield self._arm(timeout)
+                self._disarm(timeout)
                 elapsed = sim.now - start
                 self.breakdown.charge(category, elapsed)
                 remaining -= elapsed
@@ -223,14 +215,9 @@ class ComputeProcessor:
                 continue
             start = sim.now
             if interruptible:
-                heap = sim._heap
-                if not sim._nowq and (not heap
-                                      or heap[0][0] > start + remaining):
-                    yield sim.pooled_timeout(remaining)
-                else:
-                    timeout = sim.pooled_timeout(remaining)
-                    yield self._arm(timeout)
-                    self._disarm(timeout)
+                timeout = sim.pooled_timeout(remaining)
+                yield self._arm(timeout)
+                self._disarm(timeout)
             else:
                 yield sim.pooled_timeout(remaining)
             elapsed = sim.now - start

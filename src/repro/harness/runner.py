@@ -302,8 +302,7 @@ def run_app(app, config: ProtocolConfig,
     execution_cycles = max(finish_times)
     breakdowns = [cluster[pid].cpu.breakdown.copy()
                   for pid in range(app.nprocs)]
-    if hasattr(protocol, "finalize"):
-        protocol.finalize()
+    protocol.finalize()
     if auditor is not None:
         # Freeze the state digests at the end of the timed region:
         # verify/snapshot epilogues fault pages through the DSM and
@@ -322,10 +321,8 @@ def run_app(app, config: ProtocolConfig,
         protocol_stats=copy.deepcopy(protocol.stats),
         controller_diff_cycles=list(
             getattr(protocol, "controller_diff_cycles", [])),
-        lock_stats=copy.deepcopy(getattr(protocol, "locks", None)
-                                 and protocol.locks.stats),
-        barrier_stats=copy.deepcopy(getattr(protocol, "barriers", None)
-                                    and protocol.barriers.stats),
+        lock_stats=copy.deepcopy(protocol.locks.stats),
+        barrier_stats=copy.deepcopy(protocol.barriers.stats),
         tracer=sim.tracer,
         metrics=sim.metrics,
         events_processed=events_processed,

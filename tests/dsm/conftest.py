@@ -49,8 +49,7 @@ class Rig:
             done.append(self.cluster[pid].cpu.start(
                 self._flushed(pid, body)))
         self.sim.run(until=AllOf(self.sim, done))
-        if hasattr(self.protocol, "finalize"):
-            self.protocol.finalize()
+        self.protocol.finalize()
         return [event.value for event in done]
 
     def _flushed(self, pid, body):

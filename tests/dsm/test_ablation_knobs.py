@@ -36,8 +36,7 @@ def _run(protocol_builder, with_controller, n=4):
 
     done = [cluster[pid].cpu.start(worker(pid)) for pid in range(n)]
     sim.run(until=AllOf(sim, done))
-    if hasattr(protocol, "finalize"):
-        protocol.finalize()
+    protocol.finalize()
     return [event.value for event in done], protocol
 
 

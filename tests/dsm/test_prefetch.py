@@ -3,6 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.harness.experiments import scaled_app
+from repro.harness.runner import ProtocolConfig, run_app
+
 
 def _prefetch_workload(rig, iterations=3):
     """Producer/consumer ping-pong that makes pages prefetch candidates:
@@ -103,3 +106,18 @@ def test_prefetch_lead_time_tracked_for_useful(make_rig):
     stats = rig.protocol.stats.prefetch
     if stats.useful:
         assert stats.mean_lead_cycles() > 0
+
+
+@pytest.mark.parametrize("app_name,label", [
+    ("TSP", "AURC+P"),   # prefetches re-invalidated or dropped in flight
+    ("Em3d", "P"),
+])
+def test_every_issued_prefetch_is_classified_once(app_name, label):
+    """After ``finalize`` each issued prefetch is useful or useless,
+    including one whose page was still invalid when its replies landed."""
+    config = (ProtocolConfig.aurc(prefetch=True) if label == "AURC+P"
+              else ProtocolConfig.treadmarks(label))
+    result = run_app(scaled_app(app_name, 4, quick=True), config)
+    stats = result.protocol_stats.prefetch
+    assert stats.issued > 0
+    assert stats.useful + stats.useless == stats.issued
