@@ -36,11 +36,11 @@ import hashlib
 import json
 import os
 import tempfile
-import threading
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (Dict, Iterable, Iterator, List, Optional, Sequence,
+                    Tuple)
 
 from repro.dsm.prefetch import PrefetchStats
 from repro.harness import telemetry
@@ -51,11 +51,10 @@ from repro.stats.breakdown import Category, TimeBreakdown
 __all__ = [
     "SimRequest", "SimResult", "ResultCache", "SweepRunner",
     "SweepStats", "EvictionPolicy", "code_salt", "default_cache_dir",
-    "execute_request", "CACHE_SCHEMA", "CACHE_INDEX_NAME",
+    "execute_request", "CACHE_SCHEMA",
 ]
 
 CACHE_SCHEMA = "repro-cache/1"
-CACHE_INDEX_NAME = "index.jsonl"
 
 
 def default_cache_dir() -> str:
@@ -343,27 +342,19 @@ class ResultCache:
     foreign-schema, or structurally incomplete entry is treated as a
     miss and recomputed.
 
-    A JSONL journal (``index.jsonl``) records every put/touch/delete so
-    the store's size and LRU order are known without walking millions
-    of shard files; :meth:`evict` applies an :class:`EvictionPolicy`
-    against it.  The journal is advisory: torn lines (a crash mid-
-    append or mid-evict) are skipped on load, and any index/directory
-    disagreement is repaired by :meth:`rebuild_index`, which rescans
-    the shards.
+    The shard files are the store's only state: an entry's size is its
+    file size and its last use is its mtime, which ``put`` sets by
+    writing and ``get``/:meth:`touch_many` by ``os.utime``.
+    :meth:`load_index` is one walk of the shards, and :meth:`evict`
+    applies an :class:`EvictionPolicy` to that walk, so a crash at any
+    point leaves nothing to repair.
     """
 
     def __init__(self, root: Optional[str] = None):
         self.root = root or default_cache_dir()
-        self._index_lock = threading.Lock()
-
-    # -- paths -------------------------------------------------------------
 
     def path_for(self, key: str) -> str:
         return os.path.join(self.root, key[:2], f"{key}.json")
-
-    @property
-    def index_path(self) -> str:
-        return os.path.join(self.root, CACHE_INDEX_NAME)
 
     # -- read/write --------------------------------------------------------
 
@@ -382,17 +373,23 @@ class ResultCache:
             return None
         return doc
 
+    @staticmethod
+    def _stamp(path: str) -> None:
+        """Mark the entry at ``path`` used now (best effort)."""
+        try:
+            os.utime(path)
+        except OSError:
+            pass
+
     def get(self, key: str) -> Optional[dict]:
-        doc = self._load_entry(self.path_for(key))
+        path = self.path_for(key)
+        doc = self._load_entry(path)
         if doc is not None:
-            self._journal("touch", key)
+            self._stamp(path)
         return doc
 
-    def put(self, key: str, doc: dict,
-            request_payload: Optional[dict] = None) -> None:
+    def put(self, key: str, doc: dict) -> None:
         entry = {"schema": CACHE_SCHEMA, "key": key, "result": doc}
-        if request_payload is not None:
-            entry["request"] = request_payload
         path = self.path_for(key)
         tmp = None
         try:
@@ -406,12 +403,12 @@ class ResultCache:
                 dir=os.path.dirname(path))
             with os.fdopen(fd, "w") as fh:
                 json.dump(entry, fh)
-            nbytes = os.path.getsize(tmp)
             os.replace(tmp, path)
             tmp = None
-            self._journal("put", key, nbytes=nbytes)
         except OSError:
             # A read-only or full cache directory must never fail a run.
+            pass
+        finally:
             if tmp is not None:
                 try:
                     os.unlink(tmp)
@@ -424,145 +421,48 @@ class ResultCache:
             os.unlink(self.path_for(key))
         except OSError:
             return False
-        self._journal("del", key)
         return True
 
-    # -- the index journal -------------------------------------------------
-
-    @staticmethod
-    def _journal_line(op: str, key: str,
-                      nbytes: Optional[int] = None) -> str:
-        record = {"op": op, "key": key, "ts": time.time()}
-        if nbytes is not None:
-            record["bytes"] = nbytes
-        return json.dumps(record, separators=(",", ":")) + "\n"
-
-    def _append(self, lines: str) -> None:
-        try:
-            with self._index_lock:
-                with open(self.index_path, "a") as fh:
-                    fh.write(lines)
-        except OSError:
-            pass
-
-    def _journal(self, op: str, key: str,
-                 nbytes: Optional[int] = None) -> None:
-        self._append(self._journal_line(op, key, nbytes))
-
     def touch_many(self, keys: Iterable[str]) -> None:
-        """Mark ``keys`` used now, in one append.
+        """Mark ``keys`` used now.
 
         For a caller that serves hits from its own memory (the serve
-        job table) and owes the store their recency: replays exactly
-        like touching each key in turn, at one ``open`` for the lot.
+        job table) and owes the store their recency.  A key with no
+        entry stays absent.
         """
-        lines = "".join(self._journal_line("touch", key)
-                        for key in keys)
-        if lines:
-            self._append(lines)
+        for key in keys:
+            self._stamp(self.path_for(key))
 
-    def load_index(self) -> Dict[str, Tuple[int, float]]:
-        """Replay the journal into ``{key: (bytes, last_used_ts)}``.
+    # -- the shard walk ----------------------------------------------------
 
-        Torn lines (crash mid-append) and unknown ops are skipped; a
-        missing journal on a non-empty store means a pre-index cache,
-        which :meth:`rebuild_index` reconstructs from the shards.
-        """
-        entries: Dict[str, Tuple[int, float]] = {}
+    def _walk(self) -> Iterator[Tuple[str, str, os.stat_result]]:
+        """Yield ``(name, path, stat)`` for every file in a shard dir."""
         try:
-            fh = open(self.index_path)
-        except OSError:
-            return self.rebuild_index() if self._has_entries() else {}
-        with fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError:
-                    continue  # torn trailing line from a crash
-                if not isinstance(record, dict):
-                    continue
-                op = record.get("op")
-                key = record.get("key")
-                if not isinstance(key, str):
-                    continue
-                ts = record.get("ts", 0.0)
-                if not isinstance(ts, (int, float)):
-                    ts = 0.0
-                if op == "put":
-                    nbytes = record.get("bytes", 0)
-                    entries[key] = (
-                        nbytes if isinstance(nbytes, int) else 0,
-                        float(ts))
-                elif op == "touch" and key in entries:
-                    entries[key] = (entries[key][0], float(ts))
-                elif op == "del":
-                    entries.pop(key, None)
-        return entries
-
-    def _has_entries(self) -> bool:
-        try:
-            names = os.listdir(self.root)
-        except OSError:
-            return False
-        return any(len(name) == 2
-                   and os.path.isdir(os.path.join(self.root, name))
-                   for name in names)
-
-    def _scan_files(self):
-        """Yield ``(key, path)`` for every entry file."""
-        try:
-            names = os.listdir(self.root)
+            shards = os.scandir(self.root)
         except OSError:
             return
-        for name in sorted(names):
-            path = os.path.join(self.root, name)
-            if len(name) != 2 or not os.path.isdir(path):
-                continue
-            try:
-                shard = sorted(os.listdir(path))
-            except OSError:
-                continue
-            for entry in shard:
-                if entry.endswith(".json"):
-                    yield entry[:-len(".json")], os.path.join(path, entry)
+        with shards:
+            for shard in shards:
+                if len(shard.name) != 2 or not shard.is_dir():
+                    continue
+                try:
+                    files = os.scandir(shard.path)
+                except OSError:
+                    continue
+                with files:
+                    for file in files:
+                        try:
+                            stat = file.stat()
+                        except OSError:
+                            continue    # removed since the listing
+                        yield file.name, file.path, stat
 
-    def rebuild_index(self) -> Dict[str, Tuple[int, float]]:
-        """Rescan the shards and rewrite the journal atomically.
-
-        The recovery path for pre-index caches and for any
-        index/directory disagreement (e.g. a crash between an eviction
-        unlink and its ``del`` record): directory contents win, with
-        file mtimes as last-used stamps.
-        """
-        entries: Dict[str, Tuple[int, float]] = {}
-        for key, path in self._scan_files():
-            try:
-                stat = os.stat(path)
-            except OSError:
-                continue
-            entries[key] = (stat.st_size, stat.st_mtime)
-        self._rewrite_index(entries)
-        return entries
-
-    def _rewrite_index(self,
-                       entries: Dict[str, Tuple[int, float]]) -> None:
-        lines = [json.dumps({"op": "put", "key": key, "bytes": nbytes,
-                             "ts": ts}, separators=(",", ":"))
-                 for key, (nbytes, ts) in entries.items()]
-        body = "\n".join(lines) + ("\n" if lines else "")
-        try:
-            with self._index_lock:
-                os.makedirs(self.root, exist_ok=True)
-                fd, tmp = tempfile.mkstemp(prefix=".index.",
-                                           suffix=".tmp", dir=self.root)
-                with os.fdopen(fd, "w") as fh:
-                    fh.write(body)
-                os.replace(tmp, self.index_path)
-        except OSError:
-            pass
+    def load_index(self) -> Dict[str, Tuple[int, float]]:
+        """``{key: (bytes, last_used_ts)}`` for every entry on disk,
+        read off one walk of the shards (the mtime is the last use)."""
+        return {name[:-len(".json")]: (stat.st_size, stat.st_mtime)
+                for name, _path, stat in self._walk()
+                if name.endswith(".json")}
 
     # -- eviction ----------------------------------------------------------
 
@@ -573,30 +473,30 @@ class ResultCache:
         Entries idle less than ``policy.floor_seconds`` are never
         removed, so the returned ``live_bytes`` may exceed
         ``max_bytes`` when the whole overshoot is recent -- the stats
-        report it rather than violating the floor.
+        report it rather than violating the floor.  The same walk
+        removes temp files a crashed or failed ``put`` left behind once
+        they are older than the floor; a live writer's is younger.
         """
         stats = {"scanned": 0, "evicted": 0, "evicted_bytes": 0,
                  "live": 0, "live_bytes": 0}
         if not policy.bounded:
             return stats
         now = time.time() if now is None else now
-        entries = self.load_index()
-        # An index that disagrees with the directory (crash between an
-        # unlink and its journal record) self-heals here: missing files
-        # drop out before any budget math.
-        verified: Dict[str, Tuple[int, float]] = {}
-        dirty = False
-        for key, (nbytes, ts) in entries.items():
-            if os.path.exists(self.path_for(key)):
-                verified[key] = (nbytes, ts)
-            else:
-                dirty = True
-        entries = verified
-        stats["scanned"] = len(entries)
-        by_idle = sorted(entries.items(), key=lambda item: item[1][1])
-        total_bytes = sum(nbytes for nbytes, _ in entries.values())
-        total = len(entries)
-        for key, (nbytes, ts) in by_idle:
+        entries: List[Tuple[float, str, int]] = []
+        for name, path, stat in self._walk():
+            if name.endswith(".json"):
+                entries.append((stat.st_mtime, name[:-len(".json")],
+                                stat.st_size))
+            elif name.endswith(".tmp") \
+                    and now - stat.st_mtime >= policy.floor_seconds:
+                try:
+                    os.unlink(path)
+                except OSError:
+                    pass
+        entries.sort()
+        stats["scanned"] = total = len(entries)
+        total_bytes = sum(nbytes for _ts, _key, nbytes in entries)
+        for ts, key, nbytes in entries:
             age = now - ts
             if age < policy.floor_seconds:
                 continue
@@ -611,17 +511,12 @@ class ResultCache:
                     break  # sorted by idle time: the rest is newer
                 continue
             self.delete(key)
-            entries.pop(key, None)
-            dirty = True
             total_bytes -= nbytes
             total -= 1
             stats["evicted"] += 1
             stats["evicted_bytes"] += nbytes
         stats["live"] = total
         stats["live_bytes"] = total_bytes
-        if dirty:
-            # Compact: replay-from-journal and directory now agree.
-            self._rewrite_index(entries)
         return stats
 
 
@@ -816,13 +711,12 @@ class SweepRunner:
         if failure is not None:
             raise failure
         compute = 0.0
-        for key, request in items:
+        for key in to_run:
             doc = docs[key]
             compute += doc.get("wall_seconds", 0.0)
             self._memo[key] = doc
             if self.cache is not None:
-                self.cache.put(key, doc,
-                               request_payload=request.payload(self.salt))
+                self.cache.put(key, doc)
         return compute
 
     def _publish_finished(self, request: SimRequest, doc: dict) -> None:

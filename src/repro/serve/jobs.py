@@ -11,7 +11,7 @@ deduplicated cheapest first:
 2. **Job-table hits** -- a fingerprint whose job finished in this
    process is answered from memory (``dedupe: "cached"``, event source
    ``memo``): no thread hop, no file.  The store is owed the hit's
-   recency, which is journalled in batches (see ``_TOUCH_BATCH``).
+   recency, which is stamped in batches (see ``_TOUCH_BATCH``).
 3. **Store hits** -- a fingerprint already in the sharded result store
    (an earlier server, a figure run) materializes a completed job
    (``dedupe: "cached"``, event source ``store``) without touching
@@ -64,9 +64,9 @@ _JOB_HISTORY_MAX = 4096
 # Per-job event-history bound (replayable via /events).
 _EVENT_HISTORY_MAX = 256
 # Job-table hits whose recency the store has not been told yet are
-# journalled at this many distinct keys (and before every eviction and
-# at close), so a crash loses the recency of at most this many entries
-# -- never an entry.
+# stamped at this many distinct keys (and before every eviction and at
+# close), so a crash loses the recency of at most this many entries --
+# never an entry.
 _TOUCH_BATCH = 256
 
 
@@ -312,7 +312,7 @@ class JobManager:
         return job
 
     async def _flush_touched(self) -> None:
-        """Journal the recency of the hits served from the job table."""
+        """Stamp the recency of the hits served from the job table."""
         if self._touched and self.cache is not None:
             keys, self._touched = self._touched, set()
             await asyncio.to_thread(self.cache.touch_many, keys)
@@ -451,9 +451,7 @@ class JobManager:
         job.result = doc
         job.wall_seconds = doc.get("wall_seconds")
         if self.cache is not None:
-            await asyncio.to_thread(
-                self.cache.put, job.id, doc,
-                job.request.payload(self.salt))
+            await asyncio.to_thread(self.cache.put, job.id, doc)
             await self._maybe_evict()
         self._finish(job, "done")
         self._release_slot()

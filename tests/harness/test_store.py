@@ -1,24 +1,24 @@
-"""The result store's layout, index journal, and eviction paths.
+"""The result store's layout, shard-walk index, and eviction paths.
 
-Covers the serving-layer store contract: the JSONL index journal stays
-consistent with the shard directories through eviction, crashes that
-tear a journal line or strand an unlink, and concurrent same-fingerprint
-writers.
+Covers the serving-layer store contract: the shard files are the only
+state (size = file size, recency = mtime), eviction follows them, a
+failed or killed writer leaves no stray temp file behind for good, and
+concurrent same-fingerprint writers never publish a torn entry.
 """
 
-import json
+import glob
 import os
+import signal
+import subprocess
+import sys
 import threading
 import time
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.harness.parallel import (
-    CACHE_SCHEMA,
-    EvictionPolicy,
-    ResultCache,
-)
+from repro.harness.parallel import EvictionPolicy, ResultCache
 
 
 def _doc(i=0):
@@ -37,7 +37,20 @@ def _fill(cache, n, start=0):
 
 
 def _scan_keys(cache):
-    return {key for key, _path in cache._scan_files()}
+    """Entry keys on disk, listed independently of ``load_index``."""
+    return {os.path.basename(path)[:-len(".json")]
+            for path in glob.glob(os.path.join(cache.root, "??", "*.json"))}
+
+
+def _stamp(cache, key, ts):
+    """Set ``key``'s last use to ``ts``; returns the stamp as stored."""
+    path = cache.path_for(key)
+    os.utime(path, (ts, ts))
+    return os.stat(path).st_mtime
+
+
+def _temp_files(root):
+    return glob.glob(os.path.join(str(root), "??", ".*.tmp"))
 
 
 # -- layout -----------------------------------------------------------------
@@ -51,18 +64,18 @@ def test_put_writes_sharded_layout(tmp_path):
     assert cache.get(key) == _doc()
 
 
-def test_index_rebuilt_by_scan_when_missing(tmp_path):
+def test_index_is_the_shard_files(tmp_path):
     cache = ResultCache(str(tmp_path))
     _fill(cache, 5)
-    os.unlink(cache.index_path)
+    ts = _stamp(cache, _key(2), 1_000_000.0)
 
     index = cache.load_index()
     assert set(index) == {_key(i) for i in range(5)}
-    # The rebuild also rewrote the journal on disk.
-    assert os.path.exists(cache.index_path)
-    sizes = {key: nbytes for key, (nbytes, _ts) in index.items()}
-    for key, nbytes in sizes.items():
+    for key, (nbytes, _ts) in index.items():
         assert nbytes == os.path.getsize(cache.path_for(key))
+    assert index[_key(2)][1] == ts
+    assert os.listdir(tmp_path) == ["00"]     # no state beside shards
+    assert ResultCache(str(tmp_path / "absent")).load_index() == {}
 
 
 # -- concurrent writers ----------------------------------------------------
@@ -109,6 +122,10 @@ def test_same_fingerprint_thread_hammer(tmp_path):
 def test_evict_10k_entries_to_byte_budget(tmp_path):
     cache = ResultCache(str(tmp_path))
     _fill(cache, 10_000)
+    # One second apart in write order, so recency has no ties.
+    base = time.time() - 10_000
+    for i in range(10_000):
+        _stamp(cache, _key(i), base + i)
     index = cache.load_index()
     assert len(index) == 10_000
     entry_bytes = index[_key(0)][0]
@@ -121,7 +138,6 @@ def test_evict_10k_entries_to_byte_budget(tmp_path):
     assert stats["scanned"] == 10_000
     assert stats["evicted"] + stats["live"] == 10_000
     assert stats["live_bytes"] <= budget
-    # Index and directory agree exactly after the evict compaction.
     survivors = set(cache.load_index())
     assert _scan_keys(cache) == survivors
     assert len(survivors) == stats["live"]
@@ -155,67 +171,30 @@ def test_evict_never_removes_entry_newer_than_floor(
     root = tmp_path_factory.mktemp("store")
     cache = ResultCache(str(root))
     now = 2_000_000.0
-    entries = {}
-    for i in range(len(ages)):
+    stamps = {}
+    for i, age in enumerate(ages):
         cache.put(_key(i), _doc(i))
-        entries[_key(i)] = (os.path.getsize(cache.path_for(_key(i))),
-                            now - ages[i])
-    # Rewrite the journal with controlled last-used stamps.
-    cache._rewrite_index(entries)
+        stamps[_key(i)] = _stamp(cache, _key(i), now - age)
 
     cache.evict(EvictionPolicy(max_entries=max_entries,
                                floor_seconds=floor), now=now)
 
     survivors = _scan_keys(cache)
-    protected = {_key(i) for i, age in enumerate(ages) if age < floor}
+    # Idle time as the store sees it: the stamp as the file holds it.
+    protected = {key for key, ts in stamps.items() if now - ts < floor}
     assert protected <= survivors
     # Nothing below the budget was evicted needlessly.
     assert len(survivors) >= min(len(ages), max_entries)
     assert set(cache.load_index()) == survivors
 
 
-def test_torn_index_line_and_stranded_unlink_self_heal(tmp_path):
-    """Crash-mid-evict recovery: a partial journal line is skipped and
-    a file unlinked without its ``del`` record drops out on the next
-    eviction pass, after which index and directory agree."""
-    cache = ResultCache(str(tmp_path))
-    _fill(cache, 6)
-
-    # Crash artifact 1: a torn trailing journal line.
-    with open(cache.index_path, "a") as fh:
-        fh.write('{"op": "put", "key": "deadbeef", "byt')
-    # Crash artifact 2: an unlink that never journaled its del.
-    os.unlink(cache.path_for(_key(3)))
-
-    index = cache.load_index()
-    assert "deadbeef" not in index          # torn line skipped
-    assert _key(3) in index                 # stale until verified
-
-    stats = cache.evict(
-        EvictionPolicy(max_entries=100, floor_seconds=0.0),
-        now=time.time() + 3600)
-    assert stats["scanned"] == 5            # stale entry verified out
-    assert stats["evicted"] == 0
-    survivors = {_key(i) for i in range(6)} - {_key(3)}
-    assert set(cache.load_index()) == survivors
-    assert _scan_keys(cache) == survivors
-    # The compaction rewrote a fully-parseable journal.
-    with open(cache.index_path) as fh:
-        for line in fh:
-            json.loads(line)
-
-
 def test_max_age_evicts_idle_entries_only(tmp_path):
     cache = ResultCache(str(tmp_path))
     now = 2_000_000.0
-    entries = {}
     for i in range(6):
         cache.put(_key(i), _doc(i))
         # Even keys idle 500s, odd keys idle 5s.
-        entries[_key(i)] = (
-            os.path.getsize(cache.path_for(_key(i))),
-            now - (500.0 if i % 2 == 0 else 5.0))
-    cache._rewrite_index(entries)
+        _stamp(cache, _key(i), now - (500.0 if i % 2 == 0 else 5.0))
 
     stats = cache.evict(EvictionPolicy(max_age_seconds=60.0,
                                        floor_seconds=0.0), now=now)
@@ -223,15 +202,83 @@ def test_max_age_evicts_idle_entries_only(tmp_path):
     assert _scan_keys(cache) == {_key(i) for i in (1, 3, 5)}
 
 
-def test_delete_removes_both_layouts(tmp_path):
+def test_delete_removes_the_entry(tmp_path):
     cache = ResultCache(str(tmp_path))
     key = _key(9)
     cache.put(key, _doc())
-    entry = {"schema": CACHE_SCHEMA, "key": key, "result": _doc()}
-    with open(tmp_path / f"{key}.json", "w") as fh:
-        json.dump(entry, fh)
 
     assert cache.delete(key)
     assert cache.get(key) is None
     assert key not in cache.load_index()
     assert not cache.delete(key)
+
+
+# -- temp files and killed writers -----------------------------------------
+
+def test_put_that_cannot_serialize_leaves_no_temp_file(tmp_path):
+    cache = ResultCache(str(tmp_path))
+    key = "ab" * 32
+    with pytest.raises(TypeError):
+        cache.put(key, {"execution_cycles": 1, "x": object()})
+    assert _temp_files(tmp_path) == []
+    assert cache.get(key) is None
+
+
+def test_evict_removes_temp_files_older_than_the_floor(tmp_path):
+    cache = ResultCache(str(tmp_path))
+    _fill(cache, 2)
+    shard = tmp_path / "00"
+    stale, fresh = shard / ".stale.x.tmp", shard / ".fresh.x.tmp"
+    stale.write_text('{"schema": ')
+    fresh.write_text('{"schema": ')
+    old = time.time() - 3600
+    os.utime(stale, (old, old))
+
+    cache.evict(EvictionPolicy(max_entries=100, floor_seconds=60.0))
+    assert not stale.exists()
+    assert fresh.exists()                     # a live writer's, perhaps
+    assert set(cache.load_index()) == {_key(0), _key(1)}
+
+
+_WRITER = """
+import sys
+from repro.harness.parallel import ResultCache
+cache = ResultCache(sys.argv[1])
+doc = {"execution_cycles": 1, "pad": "x" * 200_000}
+i = 0
+while True:
+    cache.put(f"{i % 64:064x}", dict(doc, execution_cycles=i))
+    i += 1
+"""
+
+
+def test_kill_9_mid_put_leaves_a_store_that_reads_and_evicts_clean(
+        tmp_path):
+    """A writer SIGKILLed while looping ``put``: every listed entry is
+    a whole document, and one eviction pass leaves no file behind."""
+    root = tmp_path / "store"
+    src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.abspath(src) + os.pathsep \
+        + env.get("PYTHONPATH", "")
+    proc = subprocess.Popen([sys.executable, "-c", _WRITER, str(root)],
+                            env=env)
+    try:
+        cache = ResultCache(str(root))
+        deadline = time.monotonic() + 10.0
+        while len(cache.load_index()) < 16 \
+                and time.monotonic() < deadline:
+            time.sleep(0.01)
+    finally:
+        proc.send_signal(signal.SIGKILL)
+        proc.wait()
+    assert proc.returncode == -signal.SIGKILL
+
+    index = cache.load_index()
+    assert len(index) >= 16
+    for key in index:
+        doc = cache.get(key)
+        assert doc is not None and len(doc["pad"]) == 200_000
+    cache.evict(EvictionPolicy(max_entries=0, floor_seconds=0.0))
+    assert glob.glob(os.path.join(str(root), "??", "*.json")) == []
+    assert _temp_files(root) == []
