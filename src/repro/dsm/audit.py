@@ -12,7 +12,9 @@ Passivity contract (the zero-cost guarantee):
 
 * every emission site guards with ``if audit is not None`` -- when no
   auditor is attached the cost is one attribute load and a branch,
-  exactly the ``sim.tracer`` / ``sim.metrics`` idiom;
+  exactly the ``sim.tracer`` idiom.  The audit stream is separate from
+  the tracer's events: its page-level transitions have no trace
+  counterpart, and ``golden_state.json`` pins it;
 * the auditor never consumes simulator RNG, never schedules events,
   never mutates protocol or page state -- it may only read ``sim.now``.
   A run with auditing enabled is therefore bit-identical in cycles to

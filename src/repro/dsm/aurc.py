@@ -464,15 +464,14 @@ class Aurc(DsmProtocol):
                     invalidated.append(ap)
         yield from self._merge_clock(node, st, vc_tuple, notices,
                                      len(invalidated))
-        metrics = self.sim.metrics
         wait_start = self.sim.now
         for writer, seq in waits:
             if seq:
                 self.stats.local_waits += 1
                 yield from node.nic.au_engine.wait_for(writer, seq)
-        if metrics is not None and self.sim.now > wait_start:
-            metrics.inc("au_local_wait_cycles", self.sim.now - wait_start,
-                        node=pid)
+        tracer = self.sim.tracer
+        if tracer is not None and self.sim.now > wait_start:
+            tracer.emit("au-wait", node=pid, dur=self.sim.now - wait_start)
         for ap in invalidated:
             self._invalidate_cached(node, ap)
         if self.prefetch:

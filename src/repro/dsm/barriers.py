@@ -113,17 +113,13 @@ class BarrierService:
         if rid:
             self.protocol.set_stall(pid, prev_stall)
         elapsed = self.sim.now - start
-        metrics = self.sim.metrics
-        if metrics is not None:
-            metrics.observe("barrier_wait_cycles", elapsed,
-                            node=node.node_id)
         audit = self.sim.audit
         if audit is not None:
             # Advance this node's timeline interval: coherence events
             # after this land in the next barrier-delimited column.
             audit.barrier_done(node.node_id)
         tracer = self.sim.tracer
-        if tracer is not None and tracer.wants("barrier"):
+        if tracer is not None:
             tracer.emit("barrier", node=node.node_id, action="wait",
                         barrier=barrier, epoch=state.epoch,
                         begin=start, dur=elapsed,
@@ -149,14 +145,11 @@ class BarrierService:
             return
         # Last arrival: merge coherence info and broadcast releases.
         self.stats.episodes += 1
-        metrics = self.sim.metrics
-        if metrics is not None:
-            metrics.inc("barrier_episodes", barrier=msg.barrier)
         audit = self.sim.audit
         if audit is not None:
             audit.barrier_release(self.stats.episodes, self.sim.now)
         tracer = self.sim.tracer
-        if tracer is not None and tracer.wants("barrier"):
+        if tracer is not None:
             tracer.emit("barrier", node=node.node_id, action="release",
                         barrier=msg.barrier, epoch=mstate.epoch)
         payloads = mstate.payloads

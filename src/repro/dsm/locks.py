@@ -147,15 +147,11 @@ class LockService:
     def _record_acquire(self, node: Node, lock: int, start: float,
                         cached: bool, rid: int = 0) -> None:
         elapsed = self.sim.now - start
-        metrics = self.sim.metrics
-        if metrics is not None:
-            metrics.inc("lock_acquires", node=node.node_id, cached=cached)
-            metrics.observe("lock_acquire_cycles", elapsed, cached=cached)
         audit = self.sim.audit
         if audit is not None:
             audit.lock_acquire(node.node_id, lock, cached)
         tracer = self.sim.tracer
-        if tracer is not None and tracer.wants("lock"):
+        if tracer is not None:
             tracer.emit("lock", node=node.node_id, action="acquire",
                         lock=lock, cached=cached, begin=start, dur=elapsed,
                         **({"req": rid} if rid else {}))
@@ -193,7 +189,7 @@ class LockService:
         else:
             self.stats.forwards += 1
             tracer = self.sim.tracer
-            if tracer is not None and tracer.wants("lock"):
+            if tracer is not None:
                 tracer.emit("lock", node=node.node_id, action="forward",
                             lock=msg.lock, requester=msg.requester,
                             to=previous,
@@ -234,7 +230,7 @@ class LockService:
         """Raw generator: build the grant payload and send ownership."""
         self.stats.grants_sent += 1
         tracer = self.sim.tracer
-        if tracer is not None and tracer.wants("lock"):
+        if tracer is not None:
             tracer.emit("lock", node=node.node_id, action="grant",
                         lock=lock, requester=requester,
                         **({"req": rid} if rid else {}))

@@ -32,11 +32,8 @@ def note_prefetch(sim, node_id: int, action: str, page: int,
     mirroring the :class:`PrefetchStats` counters; both TreadMarks and
     AURC route their prefetch accounting through here so traces and
     metrics stay comparable across protocols.  Zero-cost when neither a
-    tracer nor a registry is attached to ``sim``.
+    tracer nor an auditor is attached to ``sim``.
     """
-    metrics = sim.metrics
-    if metrics is not None:
-        metrics.inc("prefetch_events", node=node_id, action=action)
     audit = sim.audit
     if audit is not None:
         # The auditor keys useless/useful classification to the request
@@ -45,7 +42,7 @@ def note_prefetch(sim, node_id: int, action: str, page: int,
         audit.prefetch(node_id, action, page,
                        tokens=extra.get("tokens"))
     tracer = sim.tracer
-    if tracer is not None and tracer.wants("prefetch"):
+    if tracer is not None:
         extra.pop("tokens", None)
         tracer.emit("prefetch", node=node_id, action=action, page=page,
                     **extra)

@@ -422,12 +422,8 @@ class DsmProtocol:
         if sid:
             self.set_stall(node.node_id, prev_stall)
         elapsed = self.sim.now - start
-        metrics = self.sim.metrics
-        if metrics is not None:
-            metrics.inc("faults", node=node.node_id, kind=kind)
-            metrics.observe("fault_stall_cycles", elapsed, kind=kind)
         tracer = self.sim.tracer
-        if tracer is not None and tracer.wants("fault"):
+        if tracer is not None:
             tracer.emit("fault", node=node.node_id, action=kind,
                         page=view.page, begin=start, dur=elapsed,
                         **({"req": sid} if sid else {}))
@@ -493,12 +489,8 @@ class DsmProtocol:
         if cost:
             yield self.sim.pooled_timeout(cost)
         if notices:
-            metrics = self.sim.metrics
-            if metrics is not None:
-                metrics.inc("write_notices", notices, node=pid)
-                metrics.inc("notice_invalidations", invalidated, node=pid)
             tracer = self.sim.tracer
-            if tracer is not None and tracer.wants("notice"):
+            if tracer is not None:
                 tracer.emit("notice", node=pid, action="process",
                             notices=notices, invalidated=invalidated)
 
@@ -600,7 +592,7 @@ class DsmProtocol:
         if entry is None:
             return
         tracer = self.sim.tracer
-        if tracer is not None and tracer.wants("req"):
+        if tracer is not None:
             tracer.emit("req", leg="done", req=token)
         event, _context = entry
         if not event.triggered:
@@ -626,15 +618,14 @@ class DsmProtocol:
         return getattr(msg, "token", 0) or getattr(msg, "req", 0)
 
     def new_span_id(self) -> int:
-        """Fresh id for a stall/sync span; 0 when "req" tracing is off.
+        """Fresh id for a stall/sync span; 0 when no tracer is attached.
 
         Draws from the same counter as message tokens, so request ids
         and span ids share one namespace and causal analysis can link
         them without disambiguation.  Pure bookkeeping: drawing an id
         never advances simulated time.
         """
-        tracer = self.sim.tracer
-        if tracer is not None and tracer.wants("req"):
+        if self.sim.tracer is not None:
             return self.new_token()
         return 0
 
@@ -650,7 +641,7 @@ class DsmProtocol:
         """Emit the "issue" leg of a request: which stall caused it,
         what it targets, and where it is going."""
         tracer = self.sim.tracer
-        if tracer is None or not tracer.wants("req"):
+        if tracer is None:
             return
         payload: Dict[str, Any] = dict(extra)
         cause = self._stall_req[node.node_id]
@@ -670,7 +661,7 @@ class DsmProtocol:
                        start: float, **extra: Any) -> None:
         """Emit a zero-or-more-cycle sync span ending now (skips empties)."""
         tracer = self.sim.tracer
-        if tracer is None or not tracer.wants(category):
+        if tracer is None:
             return
         dur = self.sim.now - start
         if dur <= 0:

@@ -58,7 +58,6 @@ from repro.hardware.node import Cluster, Node
 from repro.hardware.params import MachineParams
 from repro.sim import AllOf, Simulator
 from repro.stats.breakdown import Category
-from repro.stats.metrics import DIFF_WORDS_BUCKETS
 
 __all__ = ["TreadMarks", "TmStats", "NodeTmState"]
 
@@ -492,7 +491,7 @@ class TreadMarks(DsmProtocol):
         if sid:
             self.set_stall(node.node_id, prev_stall)
         tracer = self.sim.tracer
-        if tracer is not None and tracer.wants("fault"):
+        if tracer is not None:
             tracer.emit("fault", node=node.node_id, action="write-arm",
                         page=tp.page, begin=arm_start,
                         dur=self.sim.now - arm_start,
@@ -615,14 +614,9 @@ class TreadMarks(DsmProtocol):
 
     def _note_diff(self, node: Node, action: str, dirty_words: int,
                    start: float, **extra) -> None:
-        """Guarded metrics/trace emission for one diff create/apply span."""
-        metrics = self.sim.metrics
-        if metrics is not None:
-            metrics.inc(f"diff_{action}s", node=node.node_id)
-            metrics.observe("diff_size_words", dirty_words,
-                            buckets=DIFF_WORDS_BUCKETS, action=action)
+        """Guarded emission for one diff create/apply span."""
         tracer = self.sim.tracer
-        if tracer is not None and tracer.wants("diff"):
+        if tracer is not None:
             tracer.emit("diff", node=node.node_id, action=action,
                         words=dirty_words, begin=start,
                         dur=self.sim.now - start, **extra)

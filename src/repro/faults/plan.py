@@ -142,8 +142,9 @@ class FaultPlan:
 
     The plan owns its RNG; hardware layers call the verdict methods
     below from inside simulation processes, so draws happen in the
-    kernel's deterministic event order.  ``injected`` mirrors the
-    ``faults_injected`` metric for runs without a metrics registry.
+    kernel's deterministic event order.  Each injected fault is counted
+    in ``injected`` and emitted as an ``inject`` event, which a metrics
+    registry folds into ``faults_injected``.
     """
 
     def __init__(self, seed: int = 0, spec: Optional[FaultSpec] = None):
@@ -203,8 +204,9 @@ class FaultPlan:
 
     def count(self, kind: str, **labels) -> None:
         self.injected[kind] = self.injected.get(kind, 0) + 1
-        if self.sim is not None and self.sim.metrics is not None:
-            self.sim.metrics.inc("faults_injected", kind=kind, **labels)
+        tracer = self.sim.tracer if self.sim is not None else None
+        if tracer is not None:
+            tracer.emit("inject", kind=kind, **labels)
 
     def _bounded_drop(self, channel: tuple, prob: float) -> bool:
         """Draw a drop, bounded to ``max_consecutive_drops`` in a row

@@ -31,7 +31,6 @@ from typing import Callable, Dict, Generator, List, Optional
 
 from repro.hardware.params import MachineParams
 from repro.sim import Event, Simulator
-from repro.stats.metrics import QUEUE_WAIT_BUCKETS
 
 __all__ = ["ProtocolController", "Command", "PRIORITY_URGENT",
            "PRIORITY_REMOTE", "PRIORITY_PREFETCH"]
@@ -162,30 +161,22 @@ class ProtocolController:
     def _begin(self, cmd: Command) -> None:
         wait = self.sim.now - cmd.enqueued_at
         self.queue_wait_cycles += wait
-        metrics = self.sim.metrics
-        if metrics is not None:
-            metrics.observe(
-                "ctrl_queue_wait", wait, buckets=QUEUE_WAIT_BUCKETS,
-                node=self.node_id,
-                priority=("low" if cmd.priority >= PRIORITY_PREFETCH
-                          else "high"))
         faults = self.faults
-        if faults is not None:
-            stall = faults.controller_stall(self.node_id)
-            if stall > 0.0:
-                # Stall window: the core is unavailable before the
-                # command runs; not charged as busy time.
-                self.stall_cycles += stall
-                if metrics is not None:
-                    metrics.inc("ctrl_stall_cycles", stall,
-                                node=self.node_id)
-                self._cmd = cmd
-                self._cmd_wait = wait
-                self.sim.call_in(stall, self._start_work)
-                return
+        stall = (faults.controller_stall(self.node_id)
+                 if faults is not None else 0.0)
+        tracer = self.sim.tracer
+        if tracer is not None:
+            tracer.emit("dequeue", node=self.node_id, priority=cmd.priority,
+                        wait=wait, stall=stall)
         self._cmd = cmd
         self._cmd_wait = wait
-        self._start_work()
+        if stall > 0.0:
+            # Stall window: the core is unavailable before the command
+            # runs; not charged as busy time.
+            self.stall_cycles += stall
+            self.sim.call_in(stall, self._start_work)
+        else:
+            self._start_work()
 
     def _start_work(self) -> None:
         self._cmd_started = self.sim.now
@@ -218,13 +209,8 @@ class ProtocolController:
         self.commands_served += 1
         self.per_command_counts[cmd.name] = (
             self.per_command_counts.get(cmd.name, 0) + 1)
-        metrics = self.sim.metrics
-        if metrics is not None:
-            metrics.inc("ctrl_commands", node=self.node_id,
-                        command=cmd.name)
-            metrics.inc("ctrl_busy_cycles", elapsed, node=self.node_id)
         tracer = self.sim.tracer
-        if tracer is not None and tracer.wants("ctrl"):
+        if tracer is not None:
             tracer.emit("ctrl", node=self.node_id, track="ctrl",
                         action=cmd.name, begin=started, dur=elapsed,
                         wait=self._cmd_wait, priority=cmd.priority,

@@ -229,17 +229,17 @@ class MeshNetwork:
             spike = faults.link_spike(path)
             if spike > 0.0:
                 duration += spike
-                metrics = sim.metrics
-                if metrics is not None:
-                    metrics.inc("net_spike_cycles", spike,
-                                traffic_class=traffic_class)
+                tracer = sim.tracer
+                if tracer is not None:
+                    tracer.emit("spike", traffic_class=traffic_class,
+                                spike=spike)
         _TransferFlight(self, src, dst, links, sim.now, duration, nbytes,
                         traffic_class, req, k).advance()
 
     def _account(self, src: int, dst: int, nbytes: int, latency: float,
                  blocked: float, traffic_class: str, start: float,
                  hops: int, req: int) -> None:
-        """Post-transfer stats/metrics/trace."""
+        """Post-transfer stats and emission."""
         stats = self.stats
         stats.messages += 1
         stats.bytes += nbytes
@@ -247,14 +247,8 @@ class MeshNetwork:
         stats.total_blocked += blocked
         per_class = stats.per_class_bytes
         per_class[traffic_class] = per_class.get(traffic_class, 0) + nbytes
-        metrics = self.sim.metrics
-        if metrics is not None:
-            metrics.inc("net_transfers", traffic_class=traffic_class)
-            metrics.inc("net_bytes", nbytes, traffic_class=traffic_class)
-            metrics.inc("net_blocked_cycles", blocked,
-                        traffic_class=traffic_class)
         tracer = self.sim.tracer
-        if tracer is not None and tracer.wants("net"):
+        if tracer is not None:
             tracer.emit("net", node=src, track="net", action=traffic_class,
                         dst=dst, bytes=nbytes, hops=hops,
                         blocked=blocked, begin=start,

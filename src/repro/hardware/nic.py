@@ -35,7 +35,7 @@ numbers never arrive out of order.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.hardware.bus import PciBus
@@ -227,7 +227,7 @@ class _UpdateFlight:
         dst_nic = self.dst_nic
         engine.update_bytes += batch.nbytes
         tracer = engine.sim.tracer
-        if tracer is not None and tracer.wants("au"):
+        if tracer is not None:
             tracer.emit("au", node=batch.dst, track="nic",
                         action="deliver", src=engine.nic.node_id,
                         page=batch.page, bytes=batch.nbytes,
@@ -239,9 +239,6 @@ class _UpdateFlight:
             peer_engine._release_seq_waiters(src)
         if dst_nic.au_handler is not None:
             dst_nic.au_handler(src, batch.page, batch.nbytes, batch.seq)
-        engine._in_flight -= 1
-        if not engine._queue and engine._in_flight == 0:
-            engine._notify_idle()
 
 
 class AutomaticUpdateEngine:
@@ -260,9 +257,7 @@ class AutomaticUpdateEngine:
         self.sim = nic.sim
         self.params = nic.params
         self._queue: deque[UpdateBatch] = deque()
-        self._in_flight = 0
         self._wake: Optional[Event] = None
-        self._idle_waiters: List[Event] = []
         self.sent_seq: Dict[int, int] = {}
         self.received_seq: Dict[int, int] = {}
         self._seq_waiters: Dict[int, List] = {}
@@ -300,7 +295,6 @@ class AutomaticUpdateEngine:
         """
         capacity = self.combining_capacity_bytes
         nbytes = nwords * self.params.word_bytes
-        issued_before = self.updates_issued
         # Top up the most recent still-queued batch for the same page.
         if self._queue:
             tail = self._queue[-1]
@@ -322,34 +316,7 @@ class AutomaticUpdateEngine:
         self.sent_seq[dst] = seq
         if self._wake is not None and not self._wake.triggered:
             self._wake.succeed()
-        metrics = self.sim.metrics
-        if metrics is not None:
-            metrics.inc("au_update_batches",
-                        self.updates_issued - issued_before,
-                        node=self.nic.node_id)
         return max(seq, self.sent_seq.get(dst, 0))
-
-    def flush(self):
-        """Generator: wait until every queued/in-flight update is delivered.
-
-        Used at lock releases: AURC must ensure its updates are visible
-        (or at least stamped) before passing ownership.
-        """
-        start = self.sim.now
-        while self._queue or self._in_flight:
-            done = Event(self.sim)
-            self._idle_waiters.append(done)
-            yield done
-        waited = self.sim.now - start
-        metrics = self.sim.metrics
-        if metrics is not None:
-            metrics.inc("au_flushes", node=self.nic.node_id)
-            metrics.inc("au_flush_wait_cycles", waited,
-                        node=self.nic.node_id)
-        tracer = self.sim.tracer
-        if tracer is not None and tracer.wants("au"):
-            tracer.emit("au", node=self.nic.node_id, track="nic",
-                        action="flush", begin=start, dur=waited)
 
     # -- consumer side --------------------------------------------------------
 
@@ -371,12 +338,10 @@ class AutomaticUpdateEngine:
         the old generator drain loop used, so cycles are bit-identical.
         """
         if not self._queue:
-            self._notify_idle()
             wake = Event(self.sim)
             self._wake = wake
             wake.callbacks.append(self._drain_step)
             return
-        self._in_flight += 1
         self._inject_batch = self._queue.popleft()
         # Per-update injection overhead (1 cycle by default; the
         # figure 13 variant charges full messaging overhead), then the
@@ -407,11 +372,6 @@ class AutomaticUpdateEngine:
             else:
                 still.append((seq, gate))
         self._seq_waiters[src] = still
-
-    def _notify_idle(self) -> None:
-        waiters, self._idle_waiters = self._idle_waiters, []
-        for gate in waiters:
-            gate.succeed()
 
 
 class NetworkInterface:
@@ -470,14 +430,8 @@ class NetworkInterface:
         yield self.pci.transfer(nbytes)
         self.messages_sent += 1
         self.bytes_sent += nbytes
-        metrics = self.sim.metrics
-        if metrics is not None:
-            metrics.inc("nic_messages", node=self.node_id,
-                        traffic_class=traffic_class)
-            metrics.inc("nic_bytes", nbytes, node=self.node_id,
-                        traffic_class=traffic_class)
         tracer = self.sim.tracer
-        if tracer is not None and tracer.wants("msg"):
+        if tracer is not None:
             tracer.emit("msg", node=self.node_id, track="nic",
                         action=type(payload).__name__, dst=dst,
                         bytes=nbytes, traffic_class=traffic_class,
@@ -545,12 +499,11 @@ class NetworkInterface:
         chan = self._recv_channels.get(env.src)
         if chan is None:
             chan = self._recv_channels[env.src] = _RecvChannel()
-        metrics = self.sim.metrics
         if env.seq < chan.next_seq or env.seq in chan.buffer:
             self.dups_dropped += 1
-            if metrics is not None:
-                metrics.inc("nic_dups_dropped", node=self.node_id,
-                            src=env.src)
+            tracer = self.sim.tracer
+            if tracer is not None:
+                tracer.emit("dup", node=self.node_id, src=env.src)
             # Re-ack so a sender whose ack was lost stops retransmitting.
             self._post_ack(env.src)
             return
@@ -571,9 +524,9 @@ class NetworkInterface:
         """Cumulative hardware ack back to ``src`` (itself droppable)."""
         acked = self._recv_channels[src].next_seq - 1
         self.acks_sent += 1
-        metrics = self.sim.metrics
-        if metrics is not None:
-            metrics.inc("nic_acks", node=self.node_id, dst=src)
+        tracer = self.sim.tracer
+        if tracer is not None:
+            tracer.emit("ack", node=self.node_id, dst=src)
         if self.faults.ack_dropped(self.node_id, src):
             return
         yield from self._wire(src, self.params.control_message_bytes,
@@ -589,18 +542,11 @@ class NetworkInterface:
         env = pend.env
         self.retransmits += 1
         self.retx_timeouts += 1
-        metrics = self.sim.metrics
-        if metrics is not None:
-            metrics.inc("nic_retransmits", node=self.node_id, dst=env.dst)
-            metrics.inc("nic_retx_timeouts", node=self.node_id)
-            metrics.observe("nic_backoff_cycles", backoff,
-                            node=self.node_id)
         tracer = self.sim.tracer
-        if tracer is not None and tracer.wants("retx"):
-            now = self.sim.now
+        if tracer is not None:
             tracer.emit("retx", node=self.node_id, track="nic",
                         action="retransmit", dst=env.dst, seq=env.seq,
                         attempt=pend.attempts, begin=pend.last_sent,
-                        dur=now - pend.last_sent,
+                        dur=self.sim.now - pend.last_sent, backoff=backoff,
                         **({"req": env.req} if env.req else {}))
 

@@ -154,7 +154,7 @@ class ComputeProcessor:
             self.breakdown.charge(category, elapsed)
             self.services_handled += 1
             tracer = self.sim.tracer
-            if tracer is not None and tracer.wants("req"):
+            if tracer is not None:
                 tracer.emit("req", leg="svc", node=self.node_id, name=name,
                             charge=category.value, wait=start - posted,
                             begin=start, dur=elapsed,

@@ -25,7 +25,7 @@ from repro.hardware.network import NetworkStats
 from repro.hardware.node import Cluster
 from repro.hardware.params import MachineParams
 from repro.sim import AllOf, Simulator
-from repro.sim.trace import DEFAULT_CATEGORIES, Tracer
+from repro.sim.trace import Tracer
 from repro.stats.breakdown import Category, TimeBreakdown
 from repro.stats.metrics import MetricsRegistry
 from repro.stats.sampler import DEFAULT_SAMPLE_INTERVAL, Sampler
@@ -215,10 +215,12 @@ def run_app(app, config: ProtocolConfig,
     ``app.nprocs`` fixes the processor count; ``params`` (if given) must
     agree or is adjusted via ``replace``.
 
-    ``trace=True`` attaches a :class:`Tracer` (all default categories,
-    capped at ``trace_limit`` events) and ``metrics=True`` a
-    :class:`MetricsRegistry` plus a periodic :class:`Sampler`; both end
-    up on the result (``result.tracer`` / ``result.metrics``).  With
+    The model reports through one :class:`Tracer`, attached when either
+    is requested: ``trace=True`` makes it record (capped at
+    ``trace_limit`` events) and ``metrics=True`` attaches a
+    :class:`MetricsRegistry` that folds every emitted event, plus a
+    periodic :class:`Sampler`.  The recording tracer and the registry
+    end up on the result (``result.tracer`` / ``result.metrics``).  With
     both off -- the default -- no observability object is created and
     the simulation pays only a None-check per emit site.  ``trace`` may
     also be a pre-built :class:`Tracer` (even one constructed with
@@ -250,18 +252,16 @@ def run_app(app, config: ProtocolConfig,
     if params.n_processors != app.nprocs:
         params = params.replace(n_processors=app.nprocs)
     sim = Simulator()
+    registry = MetricsRegistry() if metrics else None
+    tracer = None
     if trace:
-        if isinstance(trace, Tracer):
-            tracer = trace
-            tracer.sim = sim
-            if not tracer.enabled:
-                tracer.enable(*DEFAULT_CATEGORIES)
-        else:
-            tracer = Tracer(sim, limit=trace_limit)
-            tracer.enable(*DEFAULT_CATEGORIES)
+        tracer = trace if isinstance(trace, Tracer) \
+            else Tracer(None, limit=trace_limit)
+        tracer.sim = sim
+        tracer.registry = registry
         sim.tracer = tracer
-    if metrics:
-        sim.metrics = MetricsRegistry()
+    elif metrics:
+        sim.tracer = Tracer(sim, record=False, registry=registry)
     cluster = Cluster(sim, params, with_controller=config.needs_controller)
     if faults is not None:
         faults.install(sim, cluster)
@@ -276,7 +276,7 @@ def run_app(app, config: ProtocolConfig,
         protocol.attach_audit(auditor)
     sampler = None
     if metrics:
-        sampler = Sampler(sim, sim.metrics, cluster, protocol,
+        sampler = Sampler(sim, registry, cluster, protocol,
                           interval=sample_interval)
 
     telemetry.publish("run_started", app=app.name, protocol=config.label,
@@ -323,8 +323,8 @@ def run_app(app, config: ProtocolConfig,
             getattr(protocol, "controller_diff_cycles", [])),
         lock_stats=copy.deepcopy(protocol.locks.stats),
         barrier_stats=copy.deepcopy(protocol.barriers.stats),
-        tracer=sim.tracer,
-        metrics=sim.metrics,
+        tracer=tracer,
+        metrics=registry,
         events_processed=events_processed,
         wall_seconds=wall_seconds,
         audit=auditor,

@@ -303,17 +303,16 @@ class Simulator:
         self._event_pool: List[Event] = []
         self._timeout_pool: List[Timeout] = []
         self._cont_pool: List[Continuation] = []
-        # Observability attachment points.  Instrumented components read
-        # these and emit only when non-None (tracer additionally gated
-        # per category via `wants`), so a bare simulator pays a single
-        # attribute check per potential emission.  The harness attaches
-        # a `repro.sim.trace.Tracer` / `repro.stats.metrics
-        # .MetricsRegistry` when observability is requested; typed as
-        # Any to keep the kernel free of upward imports.
+        # Observability attachment point.  Instrumented components emit
+        # through the tracer only when it is non-None, so a bare
+        # simulator pays a single attribute check per potential
+        # emission.  The harness attaches a `repro.sim.trace.Tracer`
+        # when a trace or metrics are requested (the tracer folds each
+        # event into its metrics registry); typed as Any to keep the
+        # kernel free of upward imports.
         self.tracer: Optional[Any] = None
-        self.metrics: Optional[Any] = None
         # Coherence-audit attachment point (repro.dsm.audit
-        # .CoherenceAuditor): same contract as tracer/metrics -- pages
+        # .CoherenceAuditor): same contract as the tracer -- pages
         # and protocols emit typed state-transition events only when
         # non-None, and the auditor itself is strictly passive (never
         # consumes sim RNG, never schedules events).

@@ -1,42 +1,43 @@
-"""Lightweight event tracing for simulation debugging and analysis.
+"""The one observability call of the model: :meth:`Tracer.emit`.
 
-A :class:`Tracer` collects timestamped, categorized events emitted by
-instrumented components.  Tracing is opt-in and zero-cost when
-disabled: emit through :meth:`Tracer.emit` only after checking
-``tracer.enabled`` (or use :meth:`Tracer.maybe`).
+Every instrumented site in ``hardware/``, ``dsm/`` and ``faults/``
+reports with one ``tracer.emit(category, **fields)``, guarded only by
+``if sim.tracer is not None`` -- a bare simulator has no tracer, so an
+unobserved run pays one attribute check per site.  Each event goes to
+two consumers:
+
+* an attached :class:`~repro.stats.metrics.MetricsRegistry`
+  (``registry``) folds it into counters and histograms;
+* with ``record`` set, events of the :data:`DEFAULT_CATEGORIES` are
+  kept as :class:`TraceEvent` objects for the exporters and the causal
+  analysis.  Other categories only feed the registry.
 
 Typical use::
 
     tracer = Tracer(sim)
-    tracer.enable("fault", "lock")
+    sim.tracer = tracer
     ...
-    tracer.maybe("fault", node=3, page=17, action="diff-fetch")
+    tracer.emit("fault", node=3, page=17, action="read")
     ...
     for event in tracer.select(category="fault", node=3):
         print(event)
-
-The DSM protocols do not emit traces by default (hot paths); tests and
-debugging sessions attach tracers where needed.  The module is part of
-the public kernel API because downstream users building new protocol
-variants need the same visibility we needed while debugging this one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Set
+from typing import Any, Dict, Iterator, List, Optional
 
 from repro.sim.engine import Simulator
 
 __all__ = ["TraceEvent", "Tracer", "DEFAULT_CATEGORIES"]
 
-# The categories the observability layer emits; `repro run --trace`
-# enables all of them.  Custom categories remain fine -- this tuple is
-# a convenience, not a registry.  "req" carries the request-lifecycle
-# legs (issue / svc / done) that stats/causal.py stitches into spans.
-DEFAULT_CATEGORIES = ("fault", "diff", "notice", "prefetch", "lock",
-                      "barrier", "ctrl", "msg", "net", "au", "req",
-                      "retx")
+# The categories a recording tracer keeps -- everything `repro run
+# --trace` writes.  "req" carries the request-lifecycle legs (issue /
+# svc / done) that stats/causal.py stitches into spans.
+DEFAULT_CATEGORIES = frozenset((
+    "fault", "diff", "notice", "prefetch", "lock", "barrier", "ctrl",
+    "msg", "net", "au", "req", "retx"))
 
 
 @dataclass(frozen=True)
@@ -65,46 +66,32 @@ class TraceEvent:
 
 
 class Tracer:
-    """Collects :class:`TraceEvent` objects for enabled categories."""
+    """Folds emitted events into ``registry`` and records them."""
 
     def __init__(self, sim: Optional[Simulator],
-                 limit: Optional[int] = None):
+                 limit: Optional[int] = None, record: bool = True,
+                 registry: Optional[Any] = None):
         # ``sim=None`` builds an unbound tracer; run_app binds it to the
         # run's simulator, letting callers hold the tracer before the
         # run starts (and flush a partial trace if the run dies).
         self.sim = sim
         self.limit = limit
+        self.record = record
+        self.registry = registry
         self.events: List[TraceEvent] = []
-        self._enabled: Set[str] = set()
         self.dropped = 0
 
-    @property
-    def enabled(self) -> bool:
-        return bool(self._enabled)
-
-    def enable(self, *categories: str) -> None:
-        self._enabled.update(categories)
-
-    def disable(self, *categories: str) -> None:
-        if categories:
-            self._enabled.difference_update(categories)
-        else:
-            self._enabled.clear()
-
-    def wants(self, category: str) -> bool:
-        return category in self._enabled
-
     def emit(self, category: str, **payload: Any) -> None:
-        """Record an event (caller has already checked ``wants``)."""
+        """Fold the event into the registry, then record it."""
+        registry = self.registry
+        if registry is not None:
+            registry.fold(category, payload)
+        if not self.record or category not in DEFAULT_CATEGORIES:
+            return
         if self.limit is not None and len(self.events) >= self.limit:
             self.dropped += 1
             return
         self.events.append(TraceEvent(self.sim.now, category, payload))
-
-    def maybe(self, category: str, **payload: Any) -> None:
-        """Record only when the category is enabled."""
-        if category in self._enabled:
-            self.emit(category, **payload)
 
     def select(self, category: Optional[str] = None,
                since: float = 0.0, **match: Any) -> Iterator[TraceEvent]:
@@ -123,10 +110,3 @@ class Tracer:
         for event in self.events:
             out[event.category] = out.get(event.category, 0) + 1
         return out
-
-    def clear(self) -> None:
-        self.events.clear()
-        self.dropped = 0
-
-    def dump(self, category: Optional[str] = None) -> str:
-        return "\n".join(str(e) for e in self.select(category))

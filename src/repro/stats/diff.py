@@ -53,7 +53,8 @@ DIFF_SCHEMA = "repro-diff/1"
 # tests/harness/test_golden_cycles.py).
 GOLDEN_FIXTURE = os.path.join("tests", "fixtures", "golden_cycles.json")
 
-# Human names for cycle-denominated counters, used for detail rows.
+# Human names for cycle-denominated counters and histograms, used for
+# detail rows.
 _CYCLE_COUNTER_LABELS = {
     "nic_backoff_cycles": "retransmit backoff",
     "ctrl_stall_cycles": "controller stall windows",
@@ -63,7 +64,6 @@ _CYCLE_COUNTER_LABELS = {
     "lock_acquire_cycles": "lock acquire stalls",
     "barrier_wait_cycles": "barrier waits",
     "ctrl_busy_cycles": "controller busy",
-    "au_flush_wait_cycles": "AU flush waits",
     "au_local_wait_cycles": "AU local waits",
 }
 
@@ -145,13 +145,19 @@ def golden_doc(key: str, fixture_path: Optional[str] = None) -> dict:
 
 
 def _sum_counters(metrics: Optional[dict]) -> Dict[str, float]:
-    """Counter totals summed over label sets, by name."""
+    """Counter totals summed over label sets, by name, plus the ``sum``
+    of every ``_cycles`` histogram (so cycle distributions such as
+    retransmit backoff become detail rows too)."""
     totals: Dict[str, float] = {}
     if not metrics:
         return totals
     for counter in metrics.get("counters", []):
         name = counter.get("name", "?")
         totals[name] = totals.get(name, 0.0) + counter.get("value", 0.0)
+    for hist in metrics.get("histograms", []):
+        name = hist.get("name", "?")
+        if name.endswith("_cycles"):
+            totals[name] = totals.get(name, 0.0) + hist.get("sum", 0.0)
     return totals
 
 

@@ -1,12 +1,14 @@
 """Labeled metrics registry: counters, gauges, histograms, time series.
 
-The registry is the quantitative half of the observability layer (the
-:class:`~repro.sim.trace.Tracer` is the event half).  Instrumented
-components ask the simulator for its registry (``sim.metrics``) and
-record through the convenience methods; when no registry is attached --
-the default -- the single ``is not None`` guard at each site is the
-entire cost, so simulation timing and results are bit-identical with
-instrumentation off.
+The registry is the quantitative consumer of the model's one emission
+call, :meth:`~repro.sim.trace.Tracer.emit`.  A run with metrics on
+attaches a registry to its tracer, and :meth:`MetricsRegistry.fold`
+turns each emitted event into counter and histogram updates through
+:data:`FOLDS`, the one table that names every metric the model
+produces, its labels and its buckets.  Model code never calls the
+registry itself; a run without a tracer pays one ``is not None``
+check per site, so simulation timing and results are bit-identical
+with instrumentation off.
 
 Metric families:
 
@@ -30,11 +32,13 @@ report and the ``repro metrics`` CLI.
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+
+from repro.hardware.controller import PRIORITY_PREFETCH
 
 __all__ = [
     "Counter", "Gauge", "Histogram", "Series", "MetricsRegistry",
-    "LATENCY_BUCKETS", "DIFF_WORDS_BUCKETS", "QUEUE_WAIT_BUCKETS",
+    "FOLDS", "LATENCY_BUCKETS", "DIFF_WORDS_BUCKETS", "QUEUE_WAIT_BUCKETS",
 ]
 
 # Default bucket boundaries (cycles / words).  A value lands in the
@@ -189,16 +193,9 @@ class Series(_Metric):
 
 
 class MetricsRegistry:
-    """Get-or-create home for every instrument of one simulation run.
+    """Get-or-create home for every instrument of one simulation run."""
 
-    ``enabled`` gates the convenience recorders (:meth:`inc`,
-    :meth:`set_gauge`, :meth:`observe`, :meth:`sample`): when False they
-    return immediately without creating or touching instruments, so a
-    disabled registry records nothing.
-    """
-
-    def __init__(self, enabled: bool = True):
-        self.enabled = enabled
+    def __init__(self):
         self._metrics: Dict[Tuple[str, str, LabelItems], _Metric] = {}
 
     # -- get-or-create accessors ------------------------------------------
@@ -225,26 +222,30 @@ class MetricsRegistry:
     def series(self, name: str, **labels: Any) -> Series:
         return self._get(Series, name, labels)
 
-    # -- guarded convenience recorders ------------------------------------
+    # -- convenience recorders ----------------------------------------------
 
     def inc(self, name: str, amount: float = 1.0, **labels: Any) -> None:
-        if self.enabled:
-            self.counter(name, **labels).inc(amount)
+        self.counter(name, **labels).inc(amount)
 
     def set_gauge(self, name: str, value: float, **labels: Any) -> None:
-        if self.enabled:
-            self.gauge(name, **labels).set(value)
+        self.gauge(name, **labels).set(value)
 
     def observe(self, name: str, value: float,
                 buckets: Iterable[float] = LATENCY_BUCKETS,
                 **labels: Any) -> None:
-        if self.enabled:
-            self.histogram(name, buckets=buckets, **labels).observe(value)
+        self.histogram(name, buckets=buckets, **labels).observe(value)
 
     def sample(self, name: str, time: float, value: float,
                **labels: Any) -> None:
-        if self.enabled:
-            self.series(name, **labels).append(time, value)
+        self.series(name, **labels).append(time, value)
+
+    def fold(self, category: str, event: Dict[str, Any]) -> None:
+        """Apply the :data:`FOLDS` entry of one emitted event, if any."""
+        fold = FOLDS.get((category, event.get("action")))
+        if fold is None:
+            fold = FOLDS.get((category, None))
+        if fold is not None:
+            fold(self, event)
 
     # -- introspection ------------------------------------------------------
 
@@ -265,3 +266,111 @@ class MetricsRegistry:
         for metric in self._metrics.values():
             out[keys[metric.kind]].append(metric.to_json())
         return out
+
+
+# -- the fold table: emitted event -> metrics -------------------------------
+#
+# ``ev`` is the payload a site passed to ``Tracer.emit``; each fold reads
+# only fields its site supplies.
+
+
+def _fault(reg, ev):
+    reg.inc("faults", node=ev["node"], kind=ev["action"])
+    reg.observe("fault_stall_cycles", ev["dur"], kind=ev["action"])
+
+
+def _diff(reg, ev):
+    reg.inc(f"diff_{ev['action']}s", node=ev["node"])
+    reg.observe("diff_size_words", ev["words"],
+                buckets=DIFF_WORDS_BUCKETS, action=ev["action"])
+
+
+def _notice(reg, ev):
+    reg.inc("write_notices", ev["notices"], node=ev["node"])
+    reg.inc("notice_invalidations", ev["invalidated"], node=ev["node"])
+
+
+def _prefetch(reg, ev):
+    reg.inc("prefetch_events", node=ev["node"], action=ev["action"])
+
+
+def _lock_acquire(reg, ev):
+    reg.inc("lock_acquires", node=ev["node"], cached=ev["cached"])
+    reg.observe("lock_acquire_cycles", ev["dur"], cached=ev["cached"])
+
+
+def _dequeue(reg, ev):
+    priority = "low" if ev["priority"] >= PRIORITY_PREFETCH else "high"
+    reg.observe("ctrl_queue_wait", ev["wait"], buckets=QUEUE_WAIT_BUCKETS,
+                node=ev["node"], priority=priority)
+    if ev["stall"] > 0.0:
+        reg.inc("ctrl_stall_cycles", ev["stall"], node=ev["node"])
+
+
+def _ctrl(reg, ev):
+    reg.inc("ctrl_commands", node=ev["node"], command=ev["action"])
+    reg.inc("ctrl_busy_cycles", ev["dur"], node=ev["node"])
+
+
+def _msg(reg, ev):
+    node, traffic_class = ev["node"], ev["traffic_class"]
+    reg.inc("nic_messages", node=node, traffic_class=traffic_class)
+    reg.inc("nic_bytes", ev["bytes"], node=node, traffic_class=traffic_class)
+
+
+def _retransmit(reg, ev):
+    reg.inc("nic_retransmits", node=ev["node"], dst=ev["dst"])
+    reg.inc("nic_retx_timeouts", node=ev["node"])
+    reg.observe("nic_backoff_cycles", ev["backoff"], node=ev["node"])
+
+
+def _net(reg, ev):
+    traffic_class = ev["action"]
+    reg.inc("net_transfers", traffic_class=traffic_class)
+    reg.inc("net_bytes", ev["bytes"], traffic_class=traffic_class)
+    reg.inc("net_blocked_cycles", ev["blocked"],
+            traffic_class=traffic_class)
+
+
+#: ``(category, action) -> fold(registry, event)``.  An action of
+#: ``None`` matches every action of its category without an entry of its
+#: own (and events that carry no action).  Events without an entry --
+#: ``req`` legs, ``fault`` ``write-arm``, ``lock`` ``forward``/``grant``/
+#: ``release``, ``barrier`` ``interval`` -- feed no metric.  The
+#: categories ``dequeue``, ``dup``, ``ack``, ``spike``, ``au-wait`` and
+#: ``inject`` exist only for this table: a tracer never records them.
+FOLDS: Dict[Tuple[str, Optional[str]],
+            Callable[[MetricsRegistry, Dict[str, Any]], None]] = {
+    ("fault", "read"): _fault,
+    ("fault", "write"): _fault,
+    ("fault", "access"): _fault,
+    ("diff", "create"): _diff,
+    ("diff", "apply"): _diff,
+    ("notice", "process"): _notice,
+    ("prefetch", "issue"): _prefetch,
+    ("prefetch", "hit"): _prefetch,
+    ("prefetch", "useless"): _prefetch,
+    ("prefetch", "late"): _prefetch,
+    ("lock", "acquire"): _lock_acquire,
+    ("barrier", "wait"): lambda reg, ev: reg.observe(
+        "barrier_wait_cycles", ev["dur"], node=ev["node"]),
+    ("barrier", "release"): lambda reg, ev: reg.inc(
+        "barrier_episodes", barrier=ev["barrier"]),
+    ("dequeue", None): _dequeue,
+    ("ctrl", None): _ctrl,
+    ("msg", None): _msg,
+    ("retx", "retransmit"): _retransmit,
+    ("dup", None): lambda reg, ev: reg.inc(
+        "nic_dups_dropped", node=ev["node"], src=ev["src"]),
+    ("ack", None): lambda reg, ev: reg.inc(
+        "nic_acks", node=ev["node"], dst=ev["dst"]),
+    # One update batch per delivery, labeled with its sender.
+    ("au", "deliver"): lambda reg, ev: reg.inc(
+        "au_update_batches", node=ev["src"]),
+    ("au-wait", None): lambda reg, ev: reg.inc(
+        "au_local_wait_cycles", ev["dur"], node=ev["node"]),
+    ("net", None): _net,
+    ("spike", None): lambda reg, ev: reg.inc(
+        "net_spike_cycles", ev["spike"], traffic_class=ev["traffic_class"]),
+    ("inject", None): lambda reg, ev: reg.inc("faults_injected", **ev),
+}

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from typing import Dict, Tuple
 
+from repro.hardware.controller import PRIORITY_PREFETCH
 from repro.stats.metrics import MetricsRegistry
 
 __all__ = ["Sampler", "DEFAULT_SAMPLE_INTERVAL"]
@@ -38,11 +39,6 @@ class Sampler:
                  interval: float = DEFAULT_SAMPLE_INTERVAL):
         if interval <= 0:
             raise ValueError(f"sample interval must be positive: {interval}")
-        # Imported here, not at module top: hardware.controller itself
-        # imports stats.metrics, and a top-level import would cycle
-        # through the package __init__.
-        from repro.hardware.controller import PRIORITY_PREFETCH
-        self._low_priority_floor = PRIORITY_PREFETCH
         self.sim = sim
         self.registry = registry
         self.cluster = cluster
@@ -99,9 +95,10 @@ class Sampler:
             reg.sample("controller_occupancy", now,
                        min(1.0, delta / window), node=node.node_id)
             depth = ctrl.depth_by_priority()
-            floor = self._low_priority_floor
-            high = sum(c for p, c in depth.items() if p < floor)
-            low = sum(c for p, c in depth.items() if p >= floor)
+            high = sum(c for p, c in depth.items()
+                       if p < PRIORITY_PREFETCH)
+            low = sum(c for p, c in depth.items()
+                      if p >= PRIORITY_PREFETCH)
             reg.sample("ctrl_queue_depth", now, high,
                        node=node.node_id, priority="high")
             reg.sample("ctrl_queue_depth", now, low,

@@ -35,7 +35,6 @@ def transfer(self, src: int, dst: int, nbytes: int,
     sim = self.sim
     start = sim.now
     path = self.route(src, dst)
-    metrics = sim.metrics
     head = len(path) * self._head_per_hop
     serialization = nbytes * self.params.link_cycles_per_byte
     duration = head + serialization
@@ -45,9 +44,9 @@ def transfer(self, src: int, dst: int, nbytes: int,
         spike = faults.link_spike(path)
         if spike > 0.0:
             duration += spike
-            if metrics is not None:
-                metrics.inc("net_spike_cycles", spike,
-                            traffic_class=traffic_class)
+            if sim.tracer is not None:
+                sim.tracer.emit("spike", traffic_class=traffic_class,
+                                spike=spike)
     held = []
     try:
         for link_key in path:

@@ -250,7 +250,6 @@ def test_run_trace_flushed_on_abort(tmp_path, monkeypatch, capsys):
                    faults=None, **kwargs):
         tracer = trace
         tracer.sim = types.SimpleNamespace(now=42.0)
-        tracer.enable("fault")
         tracer.emit("fault", node=1, action="diff-fetch")
         raise RuntimeError("simulated crash")
 

@@ -111,5 +111,10 @@ def test_aurc_emits_au_events():
     assert counts.get("au", 0) > 0
     doc = result.metrics.to_json()
     names = {c["name"] for c in doc["counters"]}
-    assert "au_update_batches" in names
-    assert "au_flushes" in names or "faults" in names
+    assert "au_update_batches" in names and "faults" in names
+    # One batch counted per delivered "au" event, under the sender.
+    delivered = sum(1 for _ in result.tracer.select(category="au",
+                                                    action="deliver"))
+    batches = sum(c["value"] for c in doc["counters"]
+                  if c["name"] == "au_update_batches")
+    assert delivered > 0 and batches == delivered

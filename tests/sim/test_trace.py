@@ -4,6 +4,7 @@ import pytest
 
 from repro.sim import Simulator
 from repro.sim.trace import TraceEvent, Tracer
+from repro.stats.metrics import MetricsRegistry
 
 
 @pytest.fixture
@@ -12,19 +13,10 @@ def rig():
     return sim, Tracer(sim)
 
 
-def test_disabled_by_default(rig):
-    sim, tracer = rig
-    assert not tracer.enabled
-    tracer.maybe("fault", page=1)
-    assert tracer.events == []
-
-
 def test_enable_and_emit(rig):
     sim, tracer = rig
-    tracer.enable("fault", "lock")
-    assert tracer.wants("fault") and not tracer.wants("net")
-    tracer.maybe("fault", page=1, node=0)
-    tracer.maybe("net", bytes=64)  # not enabled
+    tracer.emit("fault", page=1, node=0)
+    tracer.emit("spike", spike=64.0)  # feeds metrics only, never recorded
     assert len(tracer.events) == 1
     event = tracer.events[0]
     assert event.category == "fault"
@@ -34,11 +26,10 @@ def test_enable_and_emit(rig):
 
 def test_events_carry_sim_time(rig):
     sim, tracer = rig
-    tracer.enable("tick")
 
     def proc():
         yield sim.timeout(42)
-        tracer.maybe("tick", n=1)
+        tracer.emit("net", n=1)
 
     sim.process(proc())
     sim.run()
@@ -47,42 +38,36 @@ def test_events_carry_sim_time(rig):
 
 def test_select_filters(rig):
     sim, tracer = rig
-    tracer.enable("fault")
     for node in (0, 1, 0):
         tracer.emit("fault", node=node)
+    tracer.emit("lock", node=1)
     assert len(list(tracer.select(category="fault", node=0))) == 2
-    assert len(list(tracer.select(node=1))) == 1
-    assert list(tracer.select(category="lock")) == []
+    assert len(list(tracer.select(node=1))) == 2
+    assert list(tracer.select(category="barrier")) == []
+    assert tracer.counts() == {"fault": 3, "lock": 1}
 
 
 def test_limit_drops_excess(rig):
     sim, _ = rig
     tracer = Tracer(sim, limit=2)
-    tracer.enable("x")
     for i in range(5):
-        tracer.maybe("x", i=i)
+        tracer.emit("msg", i=i)
     assert len(tracer.events) == 2
     assert tracer.dropped == 3
 
 
-def test_counts_and_clear(rig):
-    sim, tracer = rig
-    tracer.enable("a", "b")
-    tracer.emit("a")
-    tracer.emit("a")
-    tracer.emit("b")
-    assert tracer.counts() == {"a": 2, "b": 1}
-    tracer.clear()
-    assert tracer.events == [] and tracer.dropped == 0
-
-
-def test_disable_specific_and_all(rig):
-    sim, tracer = rig
-    tracer.enable("a", "b")
-    tracer.disable("a")
-    assert not tracer.wants("a") and tracer.wants("b")
-    tracer.disable()
-    assert not tracer.enabled
+@pytest.mark.parametrize("record", [False, True])
+def test_registry_folds_every_emitted_event(rig, record):
+    sim, _ = rig
+    registry = MetricsRegistry()
+    tracer = Tracer(sim, record=record, registry=registry)
+    tracer.emit("fault", node=0, action="read", page=1, begin=0, dur=80.0)
+    tracer.emit("ack", node=0, dst=1)  # registry-only category
+    assert [e.category for e in tracer.events] == (
+        ["fault"] if record else [])
+    assert registry.counter("faults", node=0, kind="read").value == 1
+    assert registry.histogram("fault_stall_cycles", kind="read").sum == 80.0
+    assert registry.counter("nic_acks", node=0, dst=1).value == 1
 
 
 def test_event_str_and_missing_attr(rig):
@@ -91,15 +76,6 @@ def test_event_str_and_missing_attr(rig):
     assert "fault" in str(event) and "page=3" in str(event)
     with pytest.raises(AttributeError):
         _ = event.nonexistent
-
-
-def test_dump_renders_lines(rig):
-    sim, tracer = rig
-    tracer.enable("a")
-    tracer.emit("a", k=1)
-    tracer.emit("a", k=2)
-    dump = tracer.dump()
-    assert dump.count("\n") == 1 and "k=2" in dump
 
 
 def test_event_pickle_round_trip():

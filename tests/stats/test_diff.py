@@ -86,6 +86,8 @@ def test_faulted_diff_names_detail_mechanisms(baseline_doc, faulted_doc):
     detail_names = {row["name"] for row in doc.get("detail", [])}
     # Seeded chaos faults must surface their mechanisms by name.
     assert any("controller" in name for name in detail_names)
+    # Histogram-only cycle metrics surface too.
+    assert "retransmit backoff" in detail_names
     text = format_diff(doc)
     assert "faulted" in text and "%" in text
 

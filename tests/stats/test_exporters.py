@@ -18,7 +18,6 @@ from repro.stats.exporters import (
 def _tracer_with_events():
     sim = Simulator()
     tracer = Tracer(sim)
-    tracer.enable("fault", "ctrl", "msg")
     tracer.emit("fault", node=3, action="read", page=7,
                 begin=0.0, dur=120.0)
     tracer.emit("ctrl", node=3, track="ctrl", action="diff-apply",
@@ -104,9 +103,8 @@ def test_empty_tracer_exports_cleanly(tmp_path):
 def test_dropped_count_recorded():
     sim = Simulator()
     tracer = Tracer(sim, limit=1)
-    tracer.enable("x")
-    tracer.maybe("x")
-    tracer.maybe("x")
+    tracer.emit("fault")
+    tracer.emit("fault")
     doc = trace_to_chrome(tracer)
     assert doc["otherData"]["dropped_events"] == 1
 
@@ -114,9 +112,8 @@ def test_dropped_count_recorded():
 def test_load_trace_meta_round_trips_both_formats(tmp_path):
     sim = Simulator()
     tracer = Tracer(sim, limit=2)
-    tracer.enable("x")
     for _ in range(3):
-        tracer.maybe("x")
+        tracer.emit("fault")
     for name in ("t.jsonl", "t.json"):
         path = str(tmp_path / name)
         write_trace(tracer, path)

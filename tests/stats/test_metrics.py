@@ -4,6 +4,7 @@ import pytest
 
 from repro.stats.metrics import (
     DIFF_WORDS_BUCKETS,
+    QUEUE_WAIT_BUCKETS,
     Counter,
     Histogram,
     MetricsRegistry,
@@ -71,15 +72,6 @@ def test_series_appends_in_order():
     assert len(series) == 2
 
 
-def test_disabled_registry_records_nothing():
-    reg = MetricsRegistry(enabled=False)
-    reg.inc("faults", node=0)
-    reg.set_gauge("g", 1)
-    reg.observe("h", 5)
-    reg.sample("s", 1.0, 2.0)
-    assert len(reg) == 0
-
-
 def test_to_json_round_trip_shape():
     reg = MetricsRegistry()
     reg.inc("faults", 3, node=0)
@@ -107,3 +99,50 @@ def test_all_filters_by_kind_and_name():
     assert len(reg.all("counter")) == 2
     assert len(reg.all("counter", "a")) == 1
     assert len(reg.all("histogram", "a")) == 1
+
+
+@pytest.mark.parametrize("category,event", [
+    ("fault", {"node": 0, "action": "write-arm", "page": 1, "dur": 5.0}),
+    ("lock", {"node": 0, "action": "forward", "lock": 1}),
+    ("lock", {"node": 0, "action": "grant", "lock": 1}),
+    ("lock", {"node": 0, "action": "release", "lock": 1, "dur": 5.0}),
+    ("barrier", {"node": 0, "action": "interval", "dur": 5.0}),
+    ("req", {"leg": "done", "req": 7}),
+    ("custom", {"node": 0}),
+])
+def test_fold_ignores_events_that_feed_no_metric(category, event):
+    reg = MetricsRegistry()
+    reg.fold(category, event)
+    assert len(reg) == 0
+
+
+def test_fold_dequeue_labels_priority_and_counts_only_real_stalls():
+    reg = MetricsRegistry()
+    reg.fold("dequeue", {"node": 1, "priority": 0, "wait": 30.0,
+                         "stall": 0.0})
+    reg.fold("dequeue", {"node": 1, "priority": 2, "wait": 70.0,
+                         "stall": 400.0})
+    assert reg.histogram("ctrl_queue_wait", buckets=QUEUE_WAIT_BUCKETS,
+                         node=1, priority="high").sum == 30.0
+    low = reg.histogram("ctrl_queue_wait", buckets=QUEUE_WAIT_BUCKETS,
+                        node=1, priority="low")
+    assert low.sum == 70.0 and low.bounds == QUEUE_WAIT_BUCKETS
+    assert [c.value for c in reg.all("counter", "ctrl_stall_cycles")] \
+        == [400.0]
+
+
+def test_fold_names_diff_metrics_by_action():
+    reg = MetricsRegistry()
+    reg.fold("diff", {"node": 2, "action": "create", "words": 17,
+                      "begin": 0.0, "dur": 9.0})
+    assert reg.counter("diff_creates", node=2).value == 1
+    hist = reg.histogram("diff_size_words", buckets=DIFF_WORDS_BUCKETS,
+                         action="create")
+    assert hist.count == 1 and hist.bounds == DIFF_WORDS_BUCKETS
+
+
+def test_fold_inject_keeps_fault_labels():
+    reg = MetricsRegistry()
+    reg.fold("inject", {"kind": "drop", "src": 0, "dst": 3})
+    assert reg.counter("faults_injected", kind="drop", src=0,
+                       dst=3).value == 1
