@@ -35,11 +35,6 @@ _BOUND_LOCK = 1
 _DONE_BARRIER = 500
 
 
-def _tour_cost(dist: np.ndarray, tour: List[int]) -> float:
-    return float(sum(dist[tour[k], tour[k + 1]]
-                     for k in range(len(tour) - 1)))
-
-
 def held_karp(dist: np.ndarray) -> float:
     """Exact TSP solution by dynamic programming (for verification)."""
     n = dist.shape[0]

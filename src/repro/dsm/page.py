@@ -184,9 +184,6 @@ class TmPage(PageView):
         if self.audit is not None:
             self.audit.write(self.page, self.write_active)
 
-    def dirty_count(self) -> int:
-        return int(self.dirty_mask.sum()) if self.dirty_mask is not None else 0
-
     def close_interval(self, interval_id: int, writer: int,
                        vc: tuple = ()) -> bool:
         """End an interval: pin this interval's modifications as a diff.

@@ -671,12 +671,6 @@ class DsmProtocol:
 
     # -- page geometry helpers -----------------------------------------------
 
-    def page_of(self, addr: int) -> int:
-        return addr // self.params.words_per_page
-
-    def page_offset(self, addr: int) -> int:
-        return addr % self.params.words_per_page
-
     def page_manager(self, page: int) -> int:
         """Static home/manager assignment (round-robin by page number)."""
         return page % self.n

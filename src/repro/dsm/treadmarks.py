@@ -761,13 +761,3 @@ class TreadMarks(DsmProtocol):
             note_prefetch(self.sim, node.node_id, "issue", tp.page,
                           writers=len(writers), tokens=tokens)
             self._track_prefetch(node.node_id, tp, AllOf(self.sim, events))
-
-    # ------------------------------------------------------------------
-    # end-of-run accounting
-    # ------------------------------------------------------------------
-
-    def total_diff_cycles(self) -> float:
-        """Twin + diff time across processors and controllers."""
-        processor = sum(node.cpu.breakdown.diff_cycles
-                        for node in self.cluster.nodes)
-        return processor + sum(self.controller_diff_cycles)

@@ -62,9 +62,6 @@ class DirectMappedCache:
         self.misses = 0
         self.invalidations = 0
 
-    def _line_of(self, word_addr: int) -> int:
-        return word_addr // self.words_per_line
-
     def access_range(self, word_addr: int, nwords: int,
                      write: bool = False) -> CacheAccessResult:
         """Touch ``nwords`` consecutive words; returns hit/miss counts.

@@ -91,10 +91,6 @@ class ComputeProcessor:
             self._service_gate.succeed()
         return done
 
-    @property
-    def has_pending_service(self) -> bool:
-        return bool(self._pending)
-
     def _gate(self) -> Event:
         if self._service_gate is None or self._service_gate.triggered:
             self._service_gate = Event(self.sim)

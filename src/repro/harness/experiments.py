@@ -17,8 +17,6 @@ baselines instead of recomputing them.
 
 from __future__ import annotations
 
-import json
-import os
 from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
 from repro.apps.barnes import Barnes
@@ -29,13 +27,13 @@ from repro.apps.tsp import Tsp
 from repro.apps.water import Water
 from repro.dsm.overlap import ALL_MODES
 from repro.harness.parallel import SimRequest, SweepRunner
-from repro.harness.runner import ProtocolConfig, RunResult
+from repro.harness.runner import ProtocolConfig
 from repro.hardware.params import MachineParams
 from repro.stats.breakdown import Category
 
 __all__ = [
     "APP_FACTORIES", "APP_ORDER", "MODE_ORDER", "scaled_app",
-    "quick_sizes", "archive_report",
+    "quick_sizes",
     "fig1_speedups", "fig2_breakdown", "fig_overlap_modes",
     "fig11_12_protocol_comparison", "fig13_messaging_overhead",
     "fig14_network_bandwidth", "fig15_memory_latency",
@@ -76,18 +74,6 @@ def scaled_app(name: str, nprocs: int, quick: bool = False):
     factory = APP_FACTORIES[name]
     kwargs = _QUICK_SIZES[name] if quick else {}
     return factory(nprocs, **kwargs)
-
-
-def archive_report(report_dir: str, name: str, nprocs: int,
-                   config: ProtocolConfig, result: RunResult) -> None:
-    """Write one RunReport JSON per simulation into ``report_dir``."""
-    from repro.stats.report import RunReport
-
-    os.makedirs(report_dir, exist_ok=True)
-    slug = config.label.replace("/", "-").replace("+", "")
-    path = os.path.join(report_dir, f"{name}-{slug}-{nprocs}p.json")
-    with open(path, "w") as fh:
-        json.dump(RunReport(result).to_json(), fh)
 
 
 def _ensure_runner(runner: Optional[SweepRunner]) -> SweepRunner:

@@ -202,21 +202,15 @@ def execute_request(request: SimRequest) -> dict:
     """Run one simulation in the current process; returns its JSON doc.
 
     This is the process-pool worker: it must stay module-level (picklable
-    by reference) and return only plain data.  ``REPRO_REPORT_DIR``
-    archiving (one RunReport per simulation) happens here, so reports are
-    written exactly for the simulations that actually ran.
+    by reference) and return only plain data.
     """
-    from repro.harness.experiments import APP_FACTORIES, archive_report
+    from repro.harness.experiments import APP_FACTORIES
     app = APP_FACTORIES[request.app_name](request.nprocs,
                                           **dict(request.size_kwargs))
-    report_dir = os.environ.get("REPRO_REPORT_DIR", "")
     start = time.perf_counter()
     result = run_app(app, request.config, params=request.params,
-                     verify=request.verify, metrics=bool(report_dir))
+                     verify=request.verify)
     wall = time.perf_counter() - start
-    if report_dir:
-        archive_report(report_dir, request.app_name, request.nprocs,
-                       request.config, result)
     doc = result.to_json()
     doc["wall_seconds"] = wall
     # Process-lifetime peak RSS, captured here so it survives caching.

@@ -18,8 +18,8 @@ Routes::
     POST   /v1/runs              submit one run spec
     POST   /v1/sweeps            submit {"runs": [spec, ...]}
     GET    /v1/jobs/{id}         repro-serve/1 job document
-    GET    /v1/jobs/{id}/events  NDJSON event stream (history replay +
-                                 live TelemetryBus bridge; SSE with
+    GET    /v1/jobs/{id}/events  NDJSON event stream (history replay,
+                                 then the job's live events; SSE with
                                  Accept: text/event-stream)
     DELETE /v1/jobs/{id}         cancel a queued job
     GET    /v1/metrics           server metrics registry + admission
@@ -37,7 +37,6 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Set, Tuple
 
-from repro.harness import telemetry
 from repro.harness.parallel import EvictionPolicy, ResultCache
 from repro.serve.admission import AdmissionController, QuotaConfig
 from repro.serve.jobs import JobManager, SpecError
@@ -88,24 +87,20 @@ class _HttpError(Exception):
 class ReproServer:
     """The serve front end: sockets, routing, and streaming."""
 
-    def __init__(self, config: ServeConfig,
-                 bus: Optional[telemetry.TelemetryBus] = None):
+    def __init__(self, config: ServeConfig):
         self.config = config
-        self.bus = bus if bus is not None else telemetry.bus()
         cache = None if config.no_cache \
             else ResultCache(config.cache_dir)
         self.jobs = JobManager(
             workers=config.workers, cache=cache,
             job_timeout=config.job_timeout,
-            eviction=config.eviction, evict_every=config.evict_every,
-            bus=self.bus)
+            eviction=config.eviction, evict_every=config.evict_every)
         self.admission = AdmissionController(
             default_quota=config.quota,
             tenant_quotas=dict(config.tenant_quotas),
             max_queue_depth=config.max_queue_depth)
         self.registry = self.jobs.registry
         self._server: Optional[asyncio.base_events.Server] = None
-        self._bridge: Optional[telemetry.AsyncBridge] = None
         # Connections waiting for their next request; stop() closes them.
         self._idle: Set[asyncio.StreamWriter] = set()
         self._stopping = False
@@ -114,13 +109,9 @@ class ReproServer:
 
     async def start(self) -> Tuple[str, int]:
         self.jobs.start()
-        self._bridge = telemetry.AsyncBridge(
-            asyncio.get_running_loop(), bus=self.bus)
         self._server = await asyncio.start_server(
             self._handle, self.config.host, self.config.port)
         host, port = self._server.sockets[0].getsockname()[:2]
-        self.bus.publish("serve_started", host=host, port=port,
-                         workers=self.jobs.workers)
         return host, port
 
     async def serve_forever(self) -> None:
@@ -140,9 +131,6 @@ class ReproServer:
                 writer.close()
             await self._server.wait_closed()
             self._server = None
-        if self._bridge is not None:
-            self._bridge.close()
-            self._bridge = None
         await self.jobs.close()
 
     # -- request plumbing --------------------------------------------------
@@ -396,30 +384,14 @@ class ReproServer:
                 return f"data: {line}\n\n".encode()
             return (line + "\n").encode()
 
-        # Attach the live bus bridge *before* replaying history, so an
-        # edge landing between replay and attach cannot be lost; the
-        # job-id filter drops other jobs' traffic.
-        assert self._bridge is not None
-        watched = {job_id}
-        if job.members:
-            watched.update(job.members)
-        queue = self._bridge.stream()
+        # No await between attach and snapshot: every event lands in
+        # exactly one of the replay or the queue.
+        queue = self.jobs.watch(job)
         try:
-            # (kind, ts) identifies an edge: an event published just
-            # before attach can still be dispatched to our queue just
-            # after it (the bus->loop hop), and would otherwise appear
-            # twice -- once from the replay, once live.
-            replayed = set()
-            for event in list(job.history):
+            for event in job.history:
                 writer.write(encode(event))
-                replayed.add((event.get("kind"), event.get("ts")))
-            await writer.drain()
-            if job.terminal:
-                writer.write(encode({"kind": "_end", "job": job.id,
-                                     "state": job.state}))
+            while not job.terminal or not queue.empty():
                 await writer.drain()
-                return
-            while True:
                 try:
                     event = await asyncio.wait_for(
                         queue.get(), _STREAM_IDLE_HEARTBEAT)
@@ -428,25 +400,15 @@ class ReproServer:
                     # stream and lets a dead client surface as a
                     # write error instead of a leaked task.
                     writer.write(b":\n\n" if sse else b"\n")
-                    await writer.drain()
-                    continue
-                if event.get("job") not in watched:
-                    continue
-                if (event.get("kind"), event.get("ts")) in replayed:
                     continue
                 writer.write(encode(event))
-                await writer.drain()
-                job = self.jobs.get(job_id) or job
-                if job.terminal:
-                    writer.write(encode({"kind": "_end",
-                                         "job": job.id,
-                                         "state": job.state}))
-                    await writer.drain()
-                    return
+            writer.write(encode({"kind": "_end", "job": job.id,
+                                 "state": job.state}))
+            await writer.drain()
         except (ConnectionResetError, BrokenPipeError, OSError):
             pass
         finally:
-            self._bridge.unstream(queue)
+            self.jobs.unwatch(job, queue)
 
 
 async def _run_and_block(config: ServeConfig,

@@ -22,12 +22,13 @@ deduplicated cheapest first:
 Misses are queued FIFO *per tenant* and dispatched round-robin across
 tenants onto a bounded ``ProcessPoolExecutor``, so one tenant's burst
 cannot starve another's interactive request.  Every lifecycle edge is
-published to the PR-6 :class:`~repro.harness.telemetry.TelemetryBus`
-(tagged with the job id), which the HTTP layer bridges to streaming
-clients; the same edges land in each job's bounded event history for
-replay.  Completions are committed to the store and, when an
-:class:`~repro.harness.parallel.EvictionPolicy` is configured, trigger
-a periodic background eviction pass.
+one :meth:`JobManager._publish`: it lands in the job's bounded event
+history (for replay) and in the queue of every stream watching that
+job (:meth:`JobManager.watch`).  Everything here runs on the event
+loop, so a stream's attach and its history snapshot are one step and
+no edge is lost or shown twice.  Completions are committed to the
+store and, when an :class:`~repro.harness.parallel.EvictionPolicy` is
+configured, trigger a periodic background eviction pass.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ from collections import OrderedDict, deque
 from concurrent.futures import ProcessPoolExecutor
 from typing import Any, Deque, Dict, List, Optional, Set
 
-from repro.harness import telemetry
 from repro.harness.bench import config_for
 from repro.harness.parallel import (
     EvictionPolicy,
@@ -63,6 +63,9 @@ _TERMINAL = ("done", "failed", "cancelled", "timeout")
 _JOB_HISTORY_MAX = 4096
 # Per-job event-history bound (replayable via /events).
 _EVENT_HISTORY_MAX = 256
+# Per-stream queue bound: a stream that stops draining (a stalled
+# client) loses its oldest events rather than blocking _publish.
+_WATCH_QUEUE_MAX = 1024
 # Job-table hits whose recency the store has not been told yet are
 # stamped at this many distinct keys (and before every eviction and at
 # close), so a crash loses the recency of at most this many entries --
@@ -183,7 +186,6 @@ class JobManager:
                  eviction: Optional[EvictionPolicy] = None,
                  evict_every: int = 32,
                  registry: Optional[MetricsRegistry] = None,
-                 bus: Optional[telemetry.TelemetryBus] = None,
                  salt: Optional[str] = None):
         self.workers = max(1, workers)
         self.cache = cache
@@ -192,7 +194,6 @@ class JobManager:
         self.evict_every = max(1, evict_every)
         self.registry = registry if registry is not None \
             else MetricsRegistry()
-        self.bus = bus if bus is not None else telemetry.bus()
         self.salt = salt
         self.jobs: "OrderedDict[str, Job]" = OrderedDict()
         self._queues: Dict[str, Deque[Job]] = {}
@@ -201,6 +202,8 @@ class JobManager:
         # waiting on that member.
         self._live_sweeps: Dict[str, Dict[str, Job]] = {}
         self._touched: Set[str] = set()
+        # job id -> queues of the streams watching it.
+        self._watchers: Dict[str, List[asyncio.Queue]] = {}
         self._running = 0
         self._puts_since_evict = 0
         self._pool: Optional[ProcessPoolExecutor] = None
@@ -230,10 +233,6 @@ class JobManager:
     def queue_depth(self) -> int:
         return sum(len(queue) for queue in self._queues.values())
 
-    def _gauges(self) -> None:
-        self.registry.set_gauge("serve_queue_depth", self.queue_depth)
-        self.registry.set_gauge("serve_inflight", self._running)
-
     # -- events ------------------------------------------------------------
 
     def _publish(self, job: Job, kind: str, **fields: Any) -> None:
@@ -243,10 +242,29 @@ class JobManager:
             event.setdefault("run", job.run)
         event.update(fields)
         job.history.append(event)
-        # The bus is the single fan-out point: sweep logs, --watch
-        # renderers, and the HTTP AsyncBridge all hang off it.
-        self.bus.publish(kind, **{k: v for k, v in event.items()
-                                  if k != "kind"})
+        for queue in self._watchers.get(job.id, ()):
+            if queue.full():
+                queue.get_nowait()
+            queue.put_nowait(event)
+
+    def watch(self, job: Job) -> "asyncio.Queue[dict]":
+        """A queue receiving every event published from now on for
+        ``job`` and, for a sweep, for each of its members.
+
+        Replay ``job.history`` before the next ``await`` and nothing
+        is missed or doubled; detach with :meth:`unwatch`.
+        """
+        queue: "asyncio.Queue[dict]" = asyncio.Queue(_WATCH_QUEUE_MAX)
+        for job_id in (job.id, *(job.members or ())):
+            self._watchers.setdefault(job_id, []).append(queue)
+        return queue
+
+    def unwatch(self, job: Job, queue: "asyncio.Queue[dict]") -> None:
+        for job_id in (job.id, *(job.members or ())):
+            queues = self._watchers[job_id]
+            queues.remove(queue)
+            if not queues:
+                del self._watchers[job_id]
 
     # -- submission --------------------------------------------------------
 
@@ -391,7 +409,6 @@ class JobManager:
         self.registry.inc("serve_jobs_queued", tenant=job.tenant)
         self._publish(job, "job_queued",
                       queue_depth=self.queue_depth)
-        self._gauges()
         self._pump()
 
     def _next_job(self) -> Optional[Job]:
@@ -415,7 +432,6 @@ class JobManager:
                 continue
             self._running += 1
             asyncio.get_running_loop().create_task(self._drive(job))
-        self._gauges()
 
     async def _drive(self, job: Job) -> None:
         job.state = "running"
@@ -479,7 +495,6 @@ class JobManager:
             fields = {"error": error}
         self._publish(job, f"job_{'finished' if state == 'done' else state}",
                       **fields)
-        self._gauges()
         for sweep in list(self._live_sweeps.get(job.id, {}).values()):
             self._refresh_sweep(sweep)
 
@@ -498,7 +513,6 @@ class JobManager:
             self.registry.inc("serve_evictions", stats["evicted"])
             self.registry.inc("serve_evicted_bytes",
                               stats["evicted_bytes"])
-            self.bus.publish("store_evicted", **stats)
 
     # -- queries -----------------------------------------------------------
 
@@ -523,9 +537,9 @@ class JobManager:
                 except ValueError:
                     pass
             self._finish(job, "cancelled", error="cancelled by client")
-            self._gauges()
         return job
 
     def metrics_json(self) -> dict:
-        self._gauges()
+        self.registry.set_gauge("serve_queue_depth", self.queue_depth)
+        self.registry.set_gauge("serve_inflight", self._running)
         return self.registry.to_json()

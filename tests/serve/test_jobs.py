@@ -15,9 +15,13 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from repro.harness.parallel import EvictionPolicy, ResultCache
-from repro.harness.telemetry import TelemetryBus
 from repro.serve import jobs as jobs_module
-from repro.serve.jobs import JobManager, SpecError, request_from_spec
+from repro.serve.jobs import (
+    Job,
+    JobManager,
+    SpecError,
+    request_from_spec,
+)
 
 
 def _spec(protocol="Base", procs=2):
@@ -32,8 +36,7 @@ def _result(i=0):
 
 def _manager(monkeypatch, worker=None, workers=2, **kwargs):
     """A JobManager on a thread pool with a stubbed worker function."""
-    manager = JobManager(workers=workers, bus=TelemetryBus(),
-                         **kwargs)
+    manager = JobManager(workers=workers, **kwargs)
     manager._pool = ThreadPoolExecutor(max_workers=workers)
     monkeypatch.setattr(jobs_module, "execute_request",
                         worker or (lambda request: _result()))
@@ -547,6 +550,63 @@ def test_live_sweep_map_follows_sweep_lifetimes(monkeypatch):
         assert again is a and manager._live_sweeps == {}
         fresh = await manager.submit_sweep([_spec(procs=4)], "carol")
         assert fresh.state == "done" and manager._live_sweeps == {}
+        await manager.close()
+
+    asyncio.run(scenario())
+
+
+# -- watchers --------------------------------------------------------------
+
+def test_a_watcher_that_never_drains_keeps_the_newest_events():
+    bound = jobs_module._WATCH_QUEUE_MAX
+
+    async def scenario():
+        manager = JobManager(workers=1)
+        job = Job("a" * 64, "run", "alice")
+        other = Job("b" * 64, "run", "bob")
+        queue = manager.watch(job)
+        for i in range(bound + 10):
+            manager._publish(job, "tick", i=i)     # never blocks
+            manager._publish(other, "tick", i=i)
+        assert queue.qsize() == bound
+        events = [queue.get_nowait() for _ in range(bound)]
+        assert [event["i"] for event in events] == \
+            list(range(10, bound + 10))
+        assert {event["job"] for event in events} == {job.id}
+        manager.unwatch(job, queue)
+        manager._publish(job, "tick", i=-1)
+        assert queue.empty() and manager._watchers == {}
+        await manager.close()
+
+    asyncio.run(scenario())
+
+
+def test_a_sweep_watcher_sees_its_members_in_publish_order(monkeypatch):
+    release = threading.Event()
+
+    def worker(request):
+        release.wait(5.0)
+        return _result()
+
+    async def scenario():
+        manager = _manager(monkeypatch, worker=worker)
+        sweep = await manager.submit_sweep(
+            [_spec(), _spec(protocol="I+D")], "alice")
+        queue = manager.watch(sweep)
+        release.set()
+        await _wait_terminal(sweep)
+        events = [queue.get_nowait() for _ in range(queue.qsize())]
+        manager.unwatch(sweep, queue)
+        for member_id in sweep.members:
+            mine = [event for event in events
+                    if event["job"] == member_id]
+            # The tail of the member's history, in publish order.
+            history = list(manager.get(member_id).history)
+            assert mine == history[len(history) - len(mine):]
+            assert [event["kind"] for event in mine].count(
+                "job_finished") == 1
+        assert events[-1]["kind"] == "sweep_finished"
+        assert events[-1] is sweep.history[-1]
         await manager.close()
 
     asyncio.run(scenario())

@@ -14,7 +14,6 @@ import threading
 import pytest
 
 from repro.harness.parallel import EvictionPolicy
-from repro.harness.telemetry import TelemetryBus
 from repro.serve import (
     QuotaConfig,
     ReproServer,
@@ -30,7 +29,6 @@ class _Server:
 
     def __init__(self, config: ServeConfig):
         self.config = config
-        self.bus = TelemetryBus()
         self.addr = None
         self.error = None
         self._started = threading.Event()
@@ -49,7 +47,7 @@ class _Server:
     async def _main(self):
         self._loop = asyncio.get_running_loop()
         self._stop_event = asyncio.Event()
-        server = ReproServer(self.config, bus=self.bus)
+        server = ReproServer(self.config)
         self.addr = await server.start()
         self._started.set()
         try:
@@ -159,6 +157,35 @@ def test_event_stream_replays_and_ends(tmp_path):
         replay = [event["kind"] for event in client.events(job_id)]
         assert replay.count("job_finished") == 1
         assert replay[-1] == "_end"
+
+
+def test_live_sweep_stream_shows_each_member_edge_once(tmp_path):
+    """A stream opened while the members wait: every member's start
+    and finish arrive once, in publish order, and ``_end`` comes after
+    ``sweep_finished``."""
+    with _Server(_config(tmp_path, workers=1)) as server:
+        client = server.client()
+        # A full-size run holds the one worker while the stream opens.
+        blocker = client.submit_run(dict(_spec(procs=8), quick=False))
+        sweep = client.submit_sweep([_spec(procs=3),
+                                     _spec(protocol="I+D", procs=3)])
+        members = sweep["job"]["members"]
+        assert sweep["job"]["state"] == "queued"
+        events = list(client.events(sweep["job"]["id"]))
+        assert client.job(blocker["job"]["id"])["job"]["state"] == "done"
+    edges = [(event["kind"], event["job"]) for event in events]
+    sweep_id = sweep["job"]["id"]
+    assert edges == [("sweep_submitted", sweep_id),
+                     ("job_started", members[0]),
+                     ("job_finished", members[0]),
+                     ("job_started", members[1]),
+                     ("job_finished", members[1]),
+                     ("sweep_finished", sweep_id),
+                     ("_end", sweep_id)]
+    stamps = [event["ts"] for event in events[:-1]]
+    assert stamps == sorted(stamps)
+    assert events[-1]["state"] == "done"
+    assert not any("mono" in event for event in events)
 
 
 def test_hits_do_not_erase_the_replayable_history(tmp_path):
