@@ -152,13 +152,19 @@ import argparse
 import json
 import os
 import sys
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 
 from repro.dsm.overlap import ALL_MODES
 from repro.harness import experiments, figures
 from repro.harness.bench import config_for
 from repro.harness.parallel import ResultCache, SimRequest, SweepRunner
 from repro.harness.runner import run_app
+from repro.harness.telemetry import (
+    LiveRenderer,
+    SweepLogWriter,
+    read_sweep_log,
+    sweep_log_summary,
+)
 from repro.stats.exporters import (
     load_trace_file,
     load_trace_meta,
@@ -180,7 +186,8 @@ def _add_sweep_flags(parser, default_jobs) -> None:
 
 def _make_runner(args) -> SweepRunner:
     cache = None if args.no_cache else ResultCache()
-    return SweepRunner(jobs=args.jobs, cache=cache)
+    return SweepRunner(jobs=args.jobs, cache=cache,
+                       on_event=args.on_event)
 
 
 def _add_telemetry_flags(parser) -> None:
@@ -194,35 +201,28 @@ def _add_telemetry_flags(parser) -> None:
 
 
 @contextmanager
-def _telemetry_sinks(args):
-    """Attach the --watch renderer and --sweep-log writer for the
-    duration of a command; the log's ``_meta`` trailer records an
-    abnormal exit.  A no-op for commands without those flags."""
-    watch = getattr(args, "watch", False)
-    log_path = getattr(args, "sweep_log", None)
-    if not watch and not log_path:
-        yield
-        return
-    from repro.harness import telemetry
+def _event_sink(args):
+    """The command's ``on_event``: the --sweep-log writer, the --watch
+    renderer, both, or None.  The log stays open for the whole command,
+    so its ``_meta`` trailer records an abnormal exit."""
+    sinks = []
+    with ExitStack() as stack:
+        if getattr(args, "sweep_log", None):
+            context = {"command": args.command, "argv": sys.argv[1:]}
+            sinks.append(stack.enter_context(
+                SweepLogWriter(args.sweep_log, context=context)))
+        if getattr(args, "watch", False):
+            sinks.append(LiveRenderer(
+                echo=lambda line: print(line, file=sys.stderr)))
+        if len(sinks) < 2:
+            yield sinks[0] if sinks else None
+            return
 
-    bus = telemetry.bus()
-    renderer = None
-    if watch:
-        renderer = telemetry.LiveRenderer(
-            echo=lambda line: print(line, file=sys.stderr))
-        bus.subscribe(renderer)
-    try:
-        if log_path:
-            context = {"command": args.command,
-                       "argv": sys.argv[1:]}
-            with telemetry.SweepLogWriter(log_path, bus=bus,
-                                          context=context):
-                yield
-        else:
-            yield
-    finally:
-        if renderer is not None:
-            bus.unsubscribe(renderer)
+        def each(event):
+            for sink in sinks:
+                sink(event)
+
+        yield each
 
 
 def _add_protocol_flags(parser, default: str) -> None:
@@ -987,7 +987,8 @@ def _cmd_chaos(args) -> int:
           f"{list(protocols)}, {args.procs} procs"
           f"{' (quick)' if args.quick else ''}")
     report = run_chaos(seeds=args.seeds, apps=apps, protocols=protocols,
-                       procs=args.procs, quick=args.quick, spec=spec)
+                       procs=args.procs, quick=args.quick, spec=spec,
+                       on_event=args.on_event)
     total = report["total"]
     print(f"survival: {report['survived']}/{total}, "
           f"memory+verify correct: {report['matched']}/{total}, "
@@ -1004,12 +1005,6 @@ def _cmd_chaos(args) -> int:
 
 
 def _cmd_watch(args) -> int:
-    from repro.harness.telemetry import (
-        LiveRenderer,
-        read_sweep_log,
-        sweep_log_summary,
-    )
-
     renderer = LiveRenderer()
     if not args.follow:
         try:
@@ -1393,7 +1388,8 @@ def _cmd_list(_args) -> int:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        with _telemetry_sinks(args):
+        with _event_sink(args) as on_event:
+            args.on_event = on_event
             return args.handler(args)
     except BrokenPipeError:
         # The reader went away (``repro trace FILE | head``).  Point

@@ -307,10 +307,6 @@ class NodeAudit:
         self._ring(page, f"{kind} fault")
         self._mark(page, B_FAULT)
 
-    def invalidated(self, page: int) -> None:
-        self._count(page, "invalidate")
-        self._ring(page, "invalidated")
-
 
 class CoherenceAuditor:
     """Passive subscriber + online invariant sanitizer.

@@ -23,6 +23,9 @@ single-use) and reports, per run:
 
 Chaos runs never touch the result cache: a faulted run must not be
 served from -- or poison -- the cache entry of its fault-free twin.
+The optional ``on_event`` sink receives ``chaos_started``, one
+``chaos_cell`` per baseline, one ``chaos_run`` per faulted run and
+``chaos_finished``.
 """
 
 from __future__ import annotations
@@ -32,10 +35,10 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.faults import FaultPlan, FaultSpec
-from repro.harness import telemetry
 from repro.harness.bench import config_for
 from repro.harness.experiments import scaled_app
 from repro.harness.runner import run_app
+from repro.harness.telemetry import EventSink
 
 __all__ = ["CHAOS_SCHEMA", "DEFAULT_APPS", "DEFAULT_PROTOCOLS",
            "memory_match", "run_chaos"]
@@ -68,14 +71,19 @@ def run_chaos(seeds: int = 3,
               procs: int = 4,
               quick: bool = True,
               spec: Optional[FaultSpec] = None,
-              echo=print) -> dict:
+              echo=print,
+              on_event: Optional[EventSink] = None) -> dict:
     """Sweep ``seeds`` fault seeds over apps x protocols; returns the
     ``repro-chaos/1`` report document."""
     spec = spec if spec is not None else FaultSpec.chaos()
     seed_values = list(range(1, seeds + 1))
-    telemetry.publish("chaos_started", apps=list(apps),
-                      protocols=list(protocols), seeds=seed_values,
-                      n_procs=procs, quick=quick)
+
+    def emit(kind: str, **fields) -> None:
+        if on_event is not None:
+            on_event(dict(kind=kind, **fields))
+
+    emit("chaos_started", apps=list(apps), protocols=list(protocols),
+         seeds=seed_values, n_procs=procs, quick=quick)
     rows = []
     for app_name in apps:
         for protocol in protocols:
@@ -83,10 +91,9 @@ def run_chaos(seeds: int = 3,
             baseline = run_app(
                 scaled_app(app_name, procs, quick=quick), config,
                 snapshot_memory=True)
-            telemetry.publish(
-                "chaos_cell", app=app_name,
-                protocol=baseline.protocol_label, n_procs=procs,
-                baseline_cycles=baseline.execution_cycles)
+            emit("chaos_cell", app=app_name,
+                 protocol=baseline.protocol_label, n_procs=procs,
+                 baseline_cycles=baseline.execution_cycles)
             if echo is not None:
                 echo(f"  {app_name:8s} {baseline.protocol_label:8s} "
                      f"baseline {baseline.execution_cycles / 1e6:8.2f} "
@@ -123,11 +130,10 @@ def run_chaos(seeds: int = 3,
                     row["faults"] = result.fault_stats
                     row["violations"] = result.audit.violation_count
                 rows.append(row)
-                telemetry.publish(
-                    "chaos_run", app=app_name, protocol=row["protocol"],
-                    seed=seed, survived=row["survived"],
-                    verified=row["verified"], memory=row["memory"],
-                    overhead=row["overhead"], error=row["error"])
+                emit("chaos_run", app=app_name, protocol=row["protocol"],
+                     seed=seed, survived=row["survived"],
+                     verified=row["verified"], memory=row["memory"],
+                     overhead=row["overhead"], error=row["error"])
                 if echo is not None:
                     if row["survived"]:
                         injected = sum(
@@ -159,7 +165,6 @@ def run_chaos(seeds: int = 3,
         "ok": (survived == len(rows) and matched == len(rows)
                and clean == len(rows)),
     }
-    telemetry.publish("chaos_finished", total=len(rows),
-                      survived=survived, matched=matched,
-                      clean=clean, ok=report["ok"])
+    emit("chaos_finished", total=len(rows), survived=survived,
+         matched=matched, clean=clean, ok=report["ok"])
     return report

@@ -19,7 +19,9 @@ baselines.  This module supplies the missing execution layer:
   disk cache, and fanning cache misses out over a
   ``ProcessPoolExecutor`` (``jobs=1`` stays fully in-process for
   debugging).  Results come back as :class:`SimResult` views that are
-  drop-in replacements for live :class:`RunResult` objects.
+  drop-in replacements for live :class:`RunResult` objects.  Its
+  optional ``on_event`` sink sees each job's lifecycle edges, emitted
+  here in the coordinating process -- never from a pool worker.
 
 Determinism contract: the simulation kernel is single-threaded and
 seed-free, so a request's result is a pure function of its fingerprint
@@ -43,8 +45,8 @@ from typing import (Dict, Iterable, Iterator, List, Optional, Sequence,
                     Tuple)
 
 from repro.dsm.prefetch import PrefetchStats
-from repro.harness import telemetry
 from repro.harness.runner import ProtocolConfig, run_app
+from repro.harness.telemetry import EventSink
 from repro.hardware.params import MachineParams
 from repro.stats.breakdown import Category, TimeBreakdown
 
@@ -554,12 +556,19 @@ class SweepRunner:
     without one the runner still deduplicates within its own lifetime
     via the in-memory memo (so e.g. figure 13's sweep point that equals
     the default parameters is simulated once).
+
+    ``on_event`` (e.g. a :class:`~repro.harness.telemetry
+    .SweepLogWriter`) is called with one dict per lifecycle edge:
+    ``sweep_started``, ``job_queued`` (pooled) or ``job_started``
+    (in-process), ``job_cached``, ``job_finished`` / ``job_failed`` and
+    ``sweep_finished``.  Every event is built here, in the coordinating
+    process, as the edge is seen.
     """
 
     def __init__(self, jobs: Optional[int] = 1,
                  cache: Optional[ResultCache] = None,
                  salt: Optional[str] = None,
-                 bus: Optional[telemetry.TelemetryBus] = None):
+                 on_event: Optional[EventSink] = None):
         if jobs is None:
             jobs = os.cpu_count() or 1
         if jobs < 1:
@@ -568,7 +577,7 @@ class SweepRunner:
         self.cache = cache
         self.salt = code_salt() if salt is None else salt
         self.stats = SweepStats()
-        self.bus = bus if bus is not None else telemetry.bus()
+        self.on_event = on_event
         self._memo: Dict[str, dict] = {}
 
     # -- execution ---------------------------------------------------------
@@ -600,28 +609,22 @@ class SweepRunner:
             else:
                 to_run[key] = request
                 plan.append(("run", key))
-        bus = self.bus
-        if bus.active:
-            bus.publish("sweep_started", jobs=len(requests),
-                        unique=len(to_run),
-                        cached=len(requests) - len(to_run),
-                        workers=min(self.jobs, max(1, len(to_run))))
+        emit = self.on_event
+        if emit is not None:
+            emit({"kind": "sweep_started", "jobs": len(requests),
+                  "unique": len(to_run),
+                  "cached": len(requests) - len(to_run),
+                  "workers": min(self.jobs, max(1, len(to_run)))})
             # Same-batch duplicates ("dup") are not in the memo yet --
-            # their event is published after compute fills it in.
+            # their event is emitted after compute fills it in.
             for (kind, key), request in zip(plan, requests):
                 if kind == "hit":
-                    bus.publish(
-                        "job_cached", run=request.label, source="cache",
-                        wall_seconds=self._memo[key].get(
-                            "wall_seconds", 0.0))
+                    emit(_cached_event(request, "cache", self._memo[key]))
         compute = self._execute(to_run)
-        if bus.active:
+        if emit is not None:
             for (kind, key), request in zip(plan, requests):
                 if kind == "dup":
-                    bus.publish(
-                        "job_cached", run=request.label, source="memo",
-                        wall_seconds=self._memo[key].get(
-                            "wall_seconds", 0.0))
+                    emit(_cached_event(request, "memo", self._memo[key]))
         elapsed = time.perf_counter() - batch_start
         self.stats.batch_seconds += elapsed
 
@@ -637,22 +640,21 @@ class SweepRunner:
                 self.stats.compute_seconds += result.wall_seconds
             self.stats.note_run(request, cached, result.wall_seconds)
             results.append(result)
-        if bus.active:
+        if emit is not None:
             hits = len(requests) - len(to_run)
             workers = min(self.jobs, max(1, len(to_run)))
-            bus.publish(
-                "sweep_finished", jobs=len(requests), hits=hits,
-                misses=len(to_run),
-                hit_rate=hits / len(requests) if requests else 0.0,
-                batch_seconds=elapsed, compute_seconds=compute,
-                worker_utilization=(compute / (workers * elapsed)
-                                    if elapsed > 0 else None))
+            emit({"kind": "sweep_finished", "jobs": len(requests),
+                  "hits": hits, "misses": len(to_run),
+                  "hit_rate": hits / len(requests) if requests else 0.0,
+                  "batch_seconds": elapsed, "compute_seconds": compute,
+                  "worker_utilization": (compute / (workers * elapsed)
+                                         if elapsed > 0 else None)})
         return results
 
     def _execute(self, to_run: Dict[str, SimRequest]) -> float:
         """Run the cache misses; returns their summed compute seconds.
 
-        Completions stream to the telemetry bus as they happen (the
+        Completions reach ``on_event`` as they happen (the
         pooled path consumes futures with ``as_completed``), so a live
         watcher sees per-job progress rather than one burst at the end
         of the batch.  Result order -- and therefore every cached or
@@ -661,7 +663,7 @@ class SweepRunner:
         if not to_run:
             return 0.0
         items = list(to_run.items())
-        bus = self.bus
+        emit = self.on_event
         docs: Dict[str, dict] = {}
         failure: Optional[BaseException] = None
         if self.jobs > 1 and len(items) > 1:
@@ -669,8 +671,8 @@ class SweepRunner:
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 futures = {}
                 for key, request in items:
-                    if bus.active:
-                        bus.publish("job_queued", run=request.label)
+                    if emit is not None:
+                        emit({"kind": "job_queued", "run": request.label})
                     futures[pool.submit(execute_request, request)] = \
                         (key, request)
                 for future in as_completed(futures):
@@ -678,30 +680,27 @@ class SweepRunner:
                     try:
                         doc = future.result()
                     except BaseException as exc:
-                        if bus.active:
-                            bus.publish("job_failed", run=request.label,
-                                        error=f"{type(exc).__name__}: "
-                                              f"{exc}")
+                        if emit is not None:
+                            emit(_failed_event(request, exc))
                         if failure is None:
                             failure = exc
                         continue
                     docs[key] = doc
-                    if bus.active:
-                        self._publish_finished(request, doc)
+                    if emit is not None:
+                        emit(_finished_event(request, doc))
         else:
             for key, request in items:
-                if bus.active:
-                    bus.publish("job_started", run=request.label)
+                if emit is not None:
+                    emit({"kind": "job_started", "run": request.label})
                 try:
                     doc = execute_request(request)
                 except BaseException as exc:
-                    if bus.active:
-                        bus.publish("job_failed", run=request.label,
-                                    error=f"{type(exc).__name__}: {exc}")
+                    if emit is not None:
+                        emit(_failed_event(request, exc))
                     raise
                 docs[key] = doc
-                if bus.active:
-                    self._publish_finished(request, doc)
+                if emit is not None:
+                    emit(_finished_event(request, doc))
         if failure is not None:
             raise failure
         compute = 0.0
@@ -713,11 +712,22 @@ class SweepRunner:
                 self.cache.put(key, doc)
         return compute
 
-    def _publish_finished(self, request: SimRequest, doc: dict) -> None:
-        wall = doc.get("wall_seconds", 0.0)
-        events = doc.get("events_processed", 0)
-        self.bus.publish(
-            "job_finished", run=request.label, wall_seconds=wall,
-            execution_cycles=doc.get("execution_cycles"),
-            events_processed=events,
-            events_per_second=events / wall if wall else 0.0)
+
+def _cached_event(request: SimRequest, source: str, doc: dict) -> dict:
+    return {"kind": "job_cached", "run": request.label, "source": source,
+            "wall_seconds": doc.get("wall_seconds", 0.0)}
+
+
+def _failed_event(request: SimRequest, exc: BaseException) -> dict:
+    return {"kind": "job_failed", "run": request.label,
+            "error": f"{type(exc).__name__}: {exc}"}
+
+
+def _finished_event(request: SimRequest, doc: dict) -> dict:
+    wall = doc.get("wall_seconds", 0.0)
+    events = doc.get("events_processed", 0)
+    return {"kind": "job_finished", "run": request.label,
+            "wall_seconds": wall,
+            "execution_cycles": doc.get("execution_cycles"),
+            "events_processed": events,
+            "events_per_second": events / wall if wall else 0.0}

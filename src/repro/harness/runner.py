@@ -18,7 +18,6 @@ from typing import List, Optional
 
 from repro.dsm.aurc import Aurc
 from repro.dsm.overlap import BASE, OverlapMode, mode_by_name
-from repro.harness import telemetry
 from repro.dsm.shmem import DsmApi, SharedSegment
 from repro.dsm.treadmarks import TreadMarks
 from repro.hardware.network import NetworkStats
@@ -228,10 +227,9 @@ def run_app(app, config: ProtocolConfig,
     holding the tracer before the run starts can flush a partial trace
     when the run dies, instead of losing every recorded event.
 
-    Run start and completion are published to the process telemetry bus
-    (:mod:`repro.harness.telemetry`); with no subscribers -- the
-    default, and always the case inside pool workers -- that is a
-    single truthiness check.
+    ``run_app`` emits no telemetry: its callers -- the sweep runner's
+    ``job_*`` events, chaos's ``chaos_run`` -- report each run once,
+    from the coordinating process (:mod:`repro.harness.telemetry`).
 
     ``faults`` (a fresh :class:`~repro.faults.FaultPlan`) arms fault
     injection on the cluster before any worker starts; its summary
@@ -279,9 +277,6 @@ def run_app(app, config: ProtocolConfig,
         sampler = Sampler(sim, registry, cluster, protocol,
                           interval=sample_interval)
 
-    telemetry.publish("run_started", app=app.name, protocol=config.label,
-                      n_procs=app.nprocs,
-                      faulted=faults is not None)
     done_events = []
     for pid in range(app.nprocs):
         api = DsmApi(protocol, pid)
@@ -346,11 +341,4 @@ def run_app(app, config: ProtocolConfig,
         result.final_memory = sim.run(until=snapshot_done)
     if faults is not None:
         result.fault_stats = faults.summary(cluster)
-    telemetry.publish(
-        "run_finished", app=app.name, protocol=config.label,
-        n_procs=app.nprocs, execution_cycles=execution_cycles,
-        wall_seconds=wall_seconds, events_processed=events_processed,
-        events_per_second=(events_processed / wall_seconds
-                          if wall_seconds else 0.0),
-        verified=result.verified, faulted=faults is not None)
     return result

@@ -1,10 +1,15 @@
-"""Fleet telemetry: a process-local event bus for the harness layers.
+"""Fleet telemetry: the sweep log and the live renderer.
 
-The sweep runner, the chaos harness, and ``run_app`` itself publish
-structured progress events (job queued / started / cache-hit / finished
-/ failed, per-job wall seconds, simulated cycles, events-per-second,
-worker utilization, cache hit-rate) to a :class:`TelemetryBus`.
-Consumers subscribe callbacks:
+The sweep runner (:class:`~repro.harness.parallel.SweepRunner`) and the
+chaos harness (:func:`~repro.harness.chaos.run_chaos`) each take one
+optional ``on_event`` callable and hand it a dict per lifecycle edge
+(job queued / started / cache-hit / finished / failed, per-job wall
+seconds, simulated cycles, events-per-second, worker utilization, cache
+hit-rate).  The events are built in the coordinating process from job
+completions; pool workers and ``run_app`` emit nothing, so the
+simulation kernel is byte-identical with telemetry on or off.  The two
+consumers here are plain callables, and ``repro figure``/``scale``/
+``chaos`` pass in one or both:
 
 * :class:`SweepLogWriter` appends every event to a JSONL *sweep log*
   (``repro-sweep-log/1``): an append-only, replayable record of a whole
@@ -16,16 +21,13 @@ Consumers subscribe callbacks:
   output (``repro figure ... --watch``), and ``repro watch FILE``
   replays or tails a sweep log through it after the fact.
 
-``repro serve`` keeps no bus: a served job's events go from
+A consumer exception propagates to the emitter: telemetry consumers are
+part of the harness, not untrusted plugins, and a silently broken log
+writer would defeat the whole point of the layer.
+
+``repro serve`` does not use these: a served job's events go from
 ``JobManager._publish`` (``repro.serve.jobs``) straight into its
 history and the queues of the streams watching it.
-
-Cost contract: publishing to a bus with no subscribers is a single
-truthiness check, so instrumented code paths pay nothing when nobody is
-watching.  The bus is process-local by design -- pool workers run with
-an empty bus and all telemetry is derived in the coordinating process
-from job completions, keeping the simulation kernel byte-identical
-with telemetry on or off.
 """
 
 from __future__ import annotations
@@ -35,122 +37,65 @@ import time
 from typing import Any, Callable, Dict, List, Optional
 
 __all__ = [
-    "SWEEP_LOG_SCHEMA", "TelemetryBus", "SweepLogWriter", "LiveRenderer",
-    "bus", "publish", "read_sweep_log", "sweep_log_duration",
-    "sweep_log_summary",
+    "SWEEP_LOG_SCHEMA", "EventSink", "SweepLogWriter", "LiveRenderer",
+    "read_sweep_log", "sweep_log_duration", "sweep_log_summary",
 ]
 
 SWEEP_LOG_SCHEMA = "repro-sweep-log/1"
 
-Subscriber = Callable[[Dict[str, Any]], None]
-
-
-class TelemetryBus:
-    """Synchronous fan-out of event dicts to subscribed callbacks.
-
-    Events are plain dicts with a ``kind`` key plus whatever fields the
-    publisher attaches; ``ts`` (host epoch seconds, for display) and
-    ``mono`` (``time.perf_counter()`` seconds, for duration math --
-    immune to wall-clock steps from NTP or a suspended laptop) are
-    stamped here so every subscriber sees the same timestamps.  A
-    subscriber exception
-    propagates to the publisher: telemetry consumers are part of the
-    harness, not untrusted plugins, and a silently broken log writer
-    would defeat the whole point of the layer.
-    """
-
-    def __init__(self):
-        self._subscribers: List[Subscriber] = []
-
-    @property
-    def active(self) -> bool:
-        return bool(self._subscribers)
-
-    def subscribe(self, callback: Subscriber) -> Subscriber:
-        self._subscribers.append(callback)
-        return callback
-
-    def unsubscribe(self, callback: Subscriber) -> None:
-        try:
-            self._subscribers.remove(callback)
-        except ValueError:
-            pass
-
-    def publish(self, kind: str, **fields: Any) -> None:
-        if not self._subscribers:
-            return
-        event = {"kind": kind, "ts": time.time(),
-                 "mono": time.perf_counter()}
-        event.update(fields)
-        for callback in list(self._subscribers):
-            callback(event)
-
-
-# The process-wide default bus.  Publishers (SweepRunner, run_app,
-# run_chaos) default to this one; CLI commands attach their consumers
-# here.  Pool workers inherit a fresh, subscriber-less bus.
-_BUS = TelemetryBus()
-
-
-def bus() -> TelemetryBus:
-    """The process-wide default telemetry bus."""
-    return _BUS
-
-
-def publish(kind: str, **fields: Any) -> None:
-    """Publish to the default bus (no-op without subscribers)."""
-    _BUS.publish(kind, **fields)
+#: What ``SweepRunner`` and ``run_chaos`` accept as ``on_event``.
+EventSink = Callable[[Dict[str, Any]], None]
 
 
 class SweepLogWriter:
     """Append-only JSONL sweep log (``repro-sweep-log/1``).
 
-    One JSON object per line: a header record first (schema, argv
-    context), then every bus event in arrival order, then a ``_meta``
-    trailer with the event count and a closed/aborted marker.  Lines are
+    An event sink: call it with each event dict.  One JSON object per
+    line: a header record first (schema, argv context), then every
+    event in arrival order, then a ``_meta`` trailer with the event
+    count and a closed/aborted marker.  Every record is stamped here
+    with ``ts`` (host epoch seconds, for display) and ``mono``
+    (``time.perf_counter()`` seconds, for duration math -- immune to
+    wall-clock steps from NTP or a suspended laptop).  Lines are
     flushed as written so ``repro watch --follow`` can tail a live
     sweep.  Use as a context manager -- ``__exit__`` writes the trailer
     with ``aborted`` set when the sweep died on an exception, so even a
     crashed campaign leaves a well-formed, replayable log.
     """
 
-    def __init__(self, path: str, bus: Optional[TelemetryBus] = None,
-                 context: Optional[dict] = None):
+    def __init__(self, path: str, context: Optional[dict] = None):
         self.path = path
         self.events_written = 0
         self.closed = False
-        self._bus = bus if bus is not None else _BUS
         self._fh = open(path, "w")
         self._mono_open = time.perf_counter()
-        header = {"schema": SWEEP_LOG_SCHEMA, "kind": "_open",
-                  "ts": time.time(), "mono": self._mono_open}
+        header = {"schema": SWEEP_LOG_SCHEMA, "kind": "_open"}
         if context:
             header.update(context)
-        self._write(header)
-        self._bus.subscribe(self)
+        self._write(header, self._mono_open)
 
     def __call__(self, event: Dict[str, Any]) -> None:
         if self.closed:
             return
-        self._write(event)
+        self._write(event, time.perf_counter())
         self.events_written += 1
 
-    def _write(self, record: Dict[str, Any]) -> None:
-        self._fh.write(json.dumps(record, default=repr) + "\n")
+    def _write(self, record: Dict[str, Any], mono: float) -> None:
+        stamped = dict(record, ts=time.time(), mono=mono)
+        self._fh.write(json.dumps(stamped, default=repr) + "\n")
         self._fh.flush()
 
     def close(self, aborted: Optional[str] = None) -> None:
         if self.closed:
             return
         self.closed = True
-        self._bus.unsubscribe(self)
         mono = time.perf_counter()
-        trailer = {"kind": "_meta", "ts": time.time(), "mono": mono,
+        trailer = {"kind": "_meta",
                    "duration_seconds": mono - self._mono_open,
                    "events": self.events_written}
         if aborted is not None:
             trailer["aborted"] = aborted
-        self._write(trailer)
+        self._write(trailer, mono)
         self._fh.close()
 
     def __enter__(self) -> "SweepLogWriter":
@@ -179,19 +124,12 @@ def read_sweep_log(path: str) -> List[Dict[str, Any]]:
 
 
 def sweep_log_duration(records: List[Dict[str, Any]]) -> float:
-    """Elapsed seconds a sweep log covers, from the monotonic stamps.
-
-    Prefers the ``mono`` (``time.perf_counter()``) span between the
-    first and last stamped records; epoch ``ts`` is display-only and
-    steps with the host clock, so it is used only as a fallback for
-    logs written before ``mono`` existed.
-    """
-    for key in ("mono", "ts"):
-        stamps = [record[key] for record in records
-                  if isinstance(record.get(key), (int, float))]
-        if len(stamps) >= 2:
-            return max(0.0, stamps[-1] - stamps[0])
-    return 0.0
+    """Elapsed seconds a sweep log covers: the span of its ``mono``
+    (``time.perf_counter()``) stamps.  Epoch ``ts`` is display-only and
+    steps with the host clock."""
+    stamps = [record["mono"] for record in records
+              if isinstance(record.get("mono"), (int, float))]
+    return max(0.0, stamps[-1] - stamps[0]) if len(stamps) >= 2 else 0.0
 
 
 def sweep_log_summary(records: List[Dict[str, Any]]) -> Dict[str, Any]:
@@ -226,10 +164,10 @@ def sweep_log_summary(records: List[Dict[str, Any]]) -> Dict[str, Any]:
 
 
 class LiveRenderer:
-    """Render bus events as one-line progress output.
+    """Render events as one-line progress output.
 
-    Subscribes like any other consumer; also reused by ``repro watch``
-    to replay a recorded sweep log.  Output goes through ``echo``
+    An event sink like :class:`SweepLogWriter`; also reused by ``repro
+    watch`` to replay a recorded sweep log.  Output goes through ``echo``
     (default ``print``) so tests can capture it.
     """
 
@@ -282,15 +220,6 @@ class LiveRenderer:
                       f"(hit rate {100 * event.get('hit_rate', 0.0):.0f}%)"
                       f"{util_s}, "
                       f"{event.get('batch_seconds', 0.0):.2f}s wall")
-        elif kind == "run_started":
-            self.echo(f"[watch] run      {event.get('app', '?')}/"
-                      f"{event.get('protocol', '?')}/"
-                      f"{event.get('n_procs', '?')}p started")
-        elif kind == "run_finished":
-            self.echo(f"[watch] run      {event.get('app', '?')}/"
-                      f"{event.get('protocol', '?')} done: "
-                      f"{event.get('execution_cycles', 0) / 1e6:.2f} "
-                      f"Mcycles in {event.get('wall_seconds', 0.0):.3f}s")
         elif kind == "chaos_cell":
             self.echo(f"[watch] chaos    {event.get('app', '?')}/"
                       f"{event.get('protocol', '?')} baseline "

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import signal
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Set, Tuple
 
@@ -388,7 +389,7 @@ class ReproServer:
         # exactly one of the replay or the queue.
         queue = self.jobs.watch(job)
         try:
-            for event in job.history:
+            for event in self.jobs.replay(job):
                 writer.write(encode(event))
             while not job.terminal or not queue.empty():
                 await writer.drain()
@@ -416,6 +417,12 @@ async def _run_and_block(config: ServeConfig,
                          ) -> None:
     server = ReproServer(config)
     host, port = await server.start()
+    # A plain ``kill`` (SIGTERM) takes Ctrl-C's path: asyncio.run
+    # cancels this task on SIGINT, and so does this handler, so the
+    # ``finally`` below closes the job manager and joins the worker
+    # pool.  A second SIGTERM during the drain kills outright.
+    loop = asyncio.get_running_loop()
+    loop.add_signal_handler(signal.SIGTERM, asyncio.current_task().cancel)
     if port_file:
         with open(port_file, "w") as fh:
             fh.write(f"{host} {port}\n")
@@ -426,6 +433,7 @@ async def _run_and_block(config: ServeConfig,
     except asyncio.CancelledError:
         pass
     finally:
+        loop.remove_signal_handler(signal.SIGTERM)
         await server.stop()
 
 

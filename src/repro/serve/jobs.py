@@ -247,12 +247,26 @@ class JobManager:
                 queue.get_nowait()
             queue.put_nowait(event)
 
+    def replay(self, job: Job) -> List[dict]:
+        """``job``'s recorded events in publish order; for a sweep, its
+        own merged with each member's, so a stream opened late still
+        shows every member edge.  The sort is stable and the members
+        come first: a member edge and the sweep edge it triggered can
+        share a ``ts``, and the member's was published first."""
+        if job.members is None:
+            return list(job.history)
+        events = [event for mid in job.members if mid in self.jobs
+                  for event in self.jobs[mid].history]
+        events.extend(job.history)
+        events.sort(key=lambda event: event["ts"])
+        return events
+
     def watch(self, job: Job) -> "asyncio.Queue[dict]":
         """A queue receiving every event published from now on for
         ``job`` and, for a sweep, for each of its members.
 
-        Replay ``job.history`` before the next ``await`` and nothing
-        is missed or doubled; detach with :meth:`unwatch`.
+        Take :meth:`replay` before the next ``await`` and nothing is
+        missed or doubled; detach with :meth:`unwatch`.
         """
         queue: "asyncio.Queue[dict]" = asyncio.Queue(_WATCH_QUEUE_MAX)
         for job_id in (job.id, *(job.members or ())):

@@ -187,18 +187,52 @@ def test_figure_sweep_log_and_watch_flags(tmp_path, capsys):
     assert records[0]["command"] == "figure"
 
 
+def test_figure_sweep_log_is_whole_at_any_jobs(tmp_path, capfd):
+    """Only the coordinating process writes the log and the --watch
+    lines: each trailer counts every event line, no pool worker adds
+    any, and each job's edges match across --jobs but for the pool
+    queueing where the serial path starts."""
+    from collections import defaultdict
+
+    from repro.harness.telemetry import read_sweep_log
+
+    edges = {}
+    for jobs in ("1", "2"):
+        log = str(tmp_path / f"sweep{jobs}.jsonl")
+        assert main(["figure", "2", "--quick", "--jobs", jobs,
+                     "--no-cache", "--sweep-log", log, "--watch"]) == 0
+        records = read_sweep_log(log)
+        events = records[1:-1]
+        assert records[-1]["kind"] == "_meta"
+        assert records[-1]["events"] == len(events)
+        watch = [line for line in capfd.readouterr().err.splitlines()
+                 if line.startswith("[watch]")]
+        assert len(watch) == len(events)
+        per_job = defaultdict(list)
+        for event in events:
+            assert not event["kind"].startswith("run_")
+            per_job[event.get("run")].append(event["kind"])
+        edges[jobs] = dict(per_job)
+    assert edges["1"][None] == ["sweep_started", "sweep_finished"]
+    assert len(edges["1"]) > 2
+    assert edges["2"] == {
+        run: ["job_queued" if kind == "job_started" else kind
+              for kind in kinds]
+        for run, kinds in edges["1"].items()}
+
+
 def test_watch_command_replays_and_reports_closure(tmp_path, capsys):
-    from repro.harness.telemetry import SweepLogWriter, TelemetryBus
+    from repro.harness.telemetry import SweepLogWriter
 
     log = str(tmp_path / "sweep.jsonl")
-    bus = TelemetryBus()
-    with SweepLogWriter(log, bus=bus):
-        bus.publish("sweep_started", jobs=1, unique=1, workers=1)
-        bus.publish("job_finished", run="Em3d/TM/Base/2p",
-                    wall_seconds=0.2, events_processed=10,
-                    events_per_second=50.0)
-        bus.publish("sweep_finished", misses=1, hits=0, hit_rate=0.0,
-                    batch_seconds=0.2)
+    with SweepLogWriter(log) as writer:
+        writer({"kind": "sweep_started", "jobs": 1, "unique": 1,
+                "workers": 1})
+        writer({"kind": "job_finished", "run": "Em3d/TM/Base/2p",
+                "wall_seconds": 0.2, "events_processed": 10,
+                "events_per_second": 50.0})
+        writer({"kind": "sweep_finished", "misses": 1, "hits": 0,
+                "hit_rate": 0.0, "batch_seconds": 0.2})
     assert main(["watch", log]) == 0
     out = capsys.readouterr().out
     assert "finished Em3d/TM/Base/2p" in out
@@ -206,12 +240,11 @@ def test_watch_command_replays_and_reports_closure(tmp_path, capsys):
 
 
 def test_watch_command_flags_aborted_log(tmp_path, capsys):
-    from repro.harness.telemetry import SweepLogWriter, TelemetryBus
+    from repro.harness.telemetry import SweepLogWriter
 
     log = str(tmp_path / "sweep.jsonl")
-    bus = TelemetryBus()
     with pytest.raises(ValueError):
-        with SweepLogWriter(log, bus=bus):
+        with SweepLogWriter(log):
             raise ValueError("interrupted")
     assert main(["watch", log]) == 0
     assert "aborted: ValueError: interrupted" in capsys.readouterr().out

@@ -1,68 +1,30 @@
-"""Fleet telemetry: the event bus, the JSONL sweep log, the live
-renderer, and the publishers wired into the sweep/run/chaos layers."""
+"""Fleet telemetry: the JSONL sweep log, the live renderer, and the
+``on_event`` sinks of the sweep runner and the chaos harness."""
 
 import json
 
 import pytest
 
 from repro.harness import telemetry
+from repro.harness.chaos import run_chaos
 from repro.harness.parallel import SimRequest, SweepRunner
-from repro.harness.runner import ProtocolConfig, run_app
+from repro.harness.runner import ProtocolConfig
 from repro.harness.telemetry import (
     SWEEP_LOG_SCHEMA,
     LiveRenderer,
     SweepLogWriter,
-    TelemetryBus,
     read_sweep_log,
     sweep_log_summary,
 )
-
-
-@pytest.fixture
-def quiet_bus():
-    """Detach any leaked subscribers from the process bus and restore
-    them afterwards, so tests observe only their own events."""
-    bus = telemetry.bus()
-    saved = list(bus._subscribers)
-    bus._subscribers.clear()
-    yield bus
-    bus._subscribers[:] = saved
-
-
-# -- the bus ---------------------------------------------------------------
-
-def test_bus_is_inert_without_subscribers():
-    bus = TelemetryBus()
-    assert not bus.active
-    bus.publish("anything", x=1)  # must be a silent no-op
-
-
-def test_bus_delivers_stamped_events_in_order():
-    bus = TelemetryBus()
-    seen = []
-    bus.subscribe(seen.append)
-    bus.publish("first", a=1)
-    bus.publish("second", b=2)
-    assert [e["kind"] for e in seen] == ["first", "second"]
-    assert seen[0]["a"] == 1 and "ts" in seen[0]
-
-
-def test_bus_unsubscribe_is_idempotent():
-    bus = TelemetryBus()
-    cb = bus.subscribe(lambda e: None)
-    bus.unsubscribe(cb)
-    bus.unsubscribe(cb)  # second removal must not raise
-    assert not bus.active
 
 
 # -- the sweep log ---------------------------------------------------------
 
 def test_sweep_log_roundtrip(tmp_path):
     path = tmp_path / "sweep.jsonl"
-    bus = TelemetryBus()
-    with SweepLogWriter(str(path), bus=bus, context={"argv": ["x"]}):
-        bus.publish("job_finished", run="A", wall_seconds=0.5)
-        bus.publish("job_cached", run="B")
+    with SweepLogWriter(str(path), context={"argv": ["x"]}) as writer:
+        writer({"kind": "job_finished", "run": "A", "wall_seconds": 0.5})
+        writer({"kind": "job_cached", "run": "B"})
     records = read_sweep_log(str(path))
     assert records[0]["schema"] == SWEEP_LOG_SCHEMA
     assert records[0]["kind"] == "_open"
@@ -79,26 +41,25 @@ def test_sweep_log_roundtrip(tmp_path):
 
 def test_sweep_log_meta_written_on_abnormal_exit(tmp_path):
     path = tmp_path / "sweep.jsonl"
-    bus = TelemetryBus()
     with pytest.raises(RuntimeError):
-        with SweepLogWriter(str(path), bus=bus):
-            bus.publish("job_started", run="A")
+        with SweepLogWriter(str(path)) as writer:
+            writer({"kind": "job_started", "run": "A"})
             raise RuntimeError("campaign died")
     records = read_sweep_log(str(path))
     meta = records[-1]
     assert meta["kind"] == "_meta"
     assert meta["aborted"] == "RuntimeError: campaign died"
     assert meta["events"] == 1
-    assert not bus.active  # the writer detached itself
+    writer({"kind": "job_finished", "run": "A"})  # dropped once closed
+    assert read_sweep_log(str(path)) == records
     summary = sweep_log_summary(records)
     assert summary["closed"] and "RuntimeError" in summary["aborted"]
 
 
 def test_sweep_log_reader_skips_torn_final_line(tmp_path):
     path = tmp_path / "sweep.jsonl"
-    bus = TelemetryBus()
-    writer = SweepLogWriter(str(path), bus=bus)
-    bus.publish("job_finished", run="A", wall_seconds=0.1)
+    writer = SweepLogWriter(str(path))
+    writer({"kind": "job_finished", "run": "A", "wall_seconds": 0.1})
     writer.close()
     with path.open("a") as fh:
         fh.write('{"kind": "job_fin')  # killed mid-write
@@ -108,27 +69,20 @@ def test_sweep_log_reader_skips_torn_final_line(tmp_path):
 
 
 def test_sweep_log_carries_monotonic_stamps(tmp_path):
-    # Every record gets both an epoch ts (display) and a perf_counter
-    # mono stamp (duration math); the trailer's duration_seconds is the
-    # monotonic span, so a wall-clock step mid-sweep cannot corrupt it.
+    # The writer stamps every record with an epoch ts (display) and a
+    # perf_counter mono stamp (duration math); the trailer's
+    # duration_seconds is the monotonic span, so a wall-clock step
+    # mid-sweep cannot corrupt it.
     path = tmp_path / "sweep.jsonl"
-    bus = TelemetryBus()
-    with SweepLogWriter(str(path), bus=bus):
-        bus.publish("job_finished", run="A", wall_seconds=0.1)
+    with SweepLogWriter(str(path)) as writer:
+        writer({"kind": "job_finished", "run": "A", "wall_seconds": 0.1})
     records = read_sweep_log(str(path))
     assert all("ts" in r and "mono" in r for r in records)
     header, trailer = records[0], records[-1]
     assert trailer["duration_seconds"] == \
         pytest.approx(trailer["mono"] - header["mono"])
     assert sweep_log_summary(records)["duration_seconds"] >= 0.0
-
-
-def test_sweep_log_duration_falls_back_to_ts():
-    # Pre-mono logs still summarize: the epoch stamps are the fallback.
-    records = [{"kind": "_open", "ts": 100.0},
-               {"kind": "_meta", "ts": 103.5}]
-    assert telemetry.sweep_log_duration(records) == pytest.approx(3.5)
-    assert telemetry.sweep_log_duration([{"kind": "_open"}]) == 0.0
+    assert telemetry.sweep_log_duration(records[:1]) == 0.0
 
 
 # -- the live renderer -----------------------------------------------------
@@ -157,16 +111,17 @@ def test_renderer_tracks_progress_and_replays(tmp_path):
 
 def test_renderer_ignores_unknown_kinds():
     lines = []
-    LiveRenderer(echo=lines.append)({"kind": "someday_a_new_kind"})
+    renderer = LiveRenderer(echo=lines.append)
+    renderer({"kind": "someday_a_new_kind"})
+    renderer({"kind": "run_started", "app": "Em3d"})  # not a sweep edge
     assert lines == []
 
 
-# -- publisher wiring ------------------------------------------------------
+# -- the sinks of the sweep runner and the chaos harness --------------------
 
-def test_sweep_runner_publishes_lifecycle_events(quiet_bus):
+def test_sweep_runner_publishes_lifecycle_events():
     seen = []
-    quiet_bus.subscribe(seen.append)
-    runner = SweepRunner(jobs=1, cache=None)
+    runner = SweepRunner(jobs=1, cache=None, on_event=seen.append)
     request = SimRequest.for_app("Ocean", 2,
                                  ProtocolConfig.treadmarks("Base"),
                                  quick=True, verify=False)
@@ -184,30 +139,22 @@ def test_sweep_runner_publishes_lifecycle_events(quiet_bus):
     assert done["jobs"] == 2 and done["hits"] == 1
 
 
-def test_run_app_publishes_run_events(quiet_bus):
+def test_chaos_hands_its_events_to_its_sink():
+    # run_app emits nothing: a chaos campaign's sink sees only chaos
+    # edges, one chaos_run per faulted run.
     seen = []
-    quiet_bus.subscribe(seen.append)
-    from repro.harness.experiments import scaled_app
-    run_app(scaled_app("Ocean", 2, quick=True),
-            ProtocolConfig.treadmarks("Base"), verify=False)
-    kinds = [e["kind"] for e in seen]
-    assert kinds == ["run_started", "run_finished"]
-    assert seen[1]["execution_cycles"] > 0
-    assert seen[1]["app"] == "Ocean"
+    report = run_chaos(seeds=1, apps=("Em3d",), protocols=("Base",),
+                       procs=2, echo=None, on_event=seen.append)
+    assert [e["kind"] for e in seen] == [
+        "chaos_started", "chaos_cell", "chaos_run", "chaos_finished"]
+    assert seen[2]["survived"] and seen[2]["seed"] == 1
+    assert seen[-1]["ok"] == report["ok"]
 
 
-def test_publish_without_subscribers_costs_nothing(quiet_bus):
-    # The no-subscriber fast path must not even build the event dict;
-    # this guards the contract that pool workers (fresh bus, no
-    # consumers) pay nothing for the instrumentation.
-    quiet_bus.publish("job_finished", run="X")  # no error, no effect
-    assert not quiet_bus.active
-
-
-def test_sweep_log_events_are_json_lines(quiet_bus, tmp_path):
+def test_sweep_log_events_are_json_lines(tmp_path):
     path = tmp_path / "sweep.jsonl"
-    runner = SweepRunner(jobs=1, cache=None)
-    with SweepLogWriter(str(path), bus=quiet_bus):
+    with SweepLogWriter(str(path)) as writer:
+        runner = SweepRunner(jobs=1, cache=None, on_event=writer)
         runner.run_batch([SimRequest.for_app(
             "Ocean", 2, ProtocolConfig.treadmarks("Base"),
             quick=True, verify=False)])

@@ -299,7 +299,43 @@ def test_idle_connections_do_not_delay_stop(tmp_path, caplog):
         caplog.text
 
 
+def _children(pid):
+    """Pids of ``pid``'s live child processes (the pool's workers)."""
+    kids = []
+    for entry in os.listdir("/proc"):
+        if entry.isdigit():
+            try:
+                with open(f"/proc/{entry}/stat") as fh:
+                    fields = fh.read().rsplit(")", 1)[1].split()
+            except OSError:
+                continue
+            if int(fields[1]) == pid and fields[0] != "Z":
+                kids.append(int(entry))
+    return kids
+
+
+def _alive(pid):
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
 def test_sigint_with_idle_clients_exits_promptly_and_cleanly(tmp_path):
+    _exits_promptly_and_cleanly(tmp_path, signal.SIGINT)
+
+
+def test_sigterm_with_idle_clients_exits_promptly_and_cleanly(tmp_path):
+    # A plain ``kill`` must drain as Ctrl-C does: dying at -15 would
+    # leave the pool's workers running.
+    _exits_promptly_and_cleanly(tmp_path, signal.SIGTERM)
+
+
+def _exits_promptly_and_cleanly(tmp_path, signum):
+    """Boot ``repro serve``, run a job, keep two clients idle, send
+    ``signum``: the server exits 0 within 2 s, logs no traceback and
+    takes its pool's workers with it."""
     port_file = tmp_path / "port"
     log_path = tmp_path / "serve.log"
     env = dict(os.environ)
@@ -328,8 +364,10 @@ def test_sigint_with_idle_clients_exits_promptly_and_cleanly(tmp_path):
         assert done["job"]["state"] == "done"      # the pool is up
         assert clients[1].submit_run(spec)["job"]["dedupe"] == "cached"
         assert all(c._conn.sock is not None for c in clients)
+        workers = _children(proc.pid)
+        assert workers
         start = time.monotonic()
-        proc.send_signal(signal.SIGINT)
+        proc.send_signal(signum)
         proc.wait(timeout=10.0)
         elapsed = time.monotonic() - start
     finally:
@@ -338,9 +376,13 @@ def test_sigint_with_idle_clients_exits_promptly_and_cleanly(tmp_path):
             proc.wait()
     for client in clients:
         client.close()
+    left = [pid for pid in workers if _alive(pid)]
+    for pid in left:            # leak no worker, whatever the verdict
+        os.kill(pid, signal.SIGKILL)
     assert proc.returncode == 0
     assert elapsed < 2.0, f"exit took {elapsed:.2f}s"
     assert "Traceback" not in log_path.read_text()
+    assert not left, f"pool workers {left} outlived the server"
 
 
 # -- the parser against the one it replaced --------------------------------

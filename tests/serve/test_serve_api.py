@@ -160,9 +160,9 @@ def test_event_stream_replays_and_ends(tmp_path):
 
 
 def test_live_sweep_stream_shows_each_member_edge_once(tmp_path):
-    """A stream opened while the members wait: every member's start
-    and finish arrive once, in publish order, and ``_end`` comes after
-    ``sweep_finished``."""
+    """A stream opened while the members wait: every member's queue,
+    start and finish arrive once, in publish order, and ``_end`` comes
+    after ``sweep_finished``."""
     with _Server(_config(tmp_path, workers=1)) as server:
         client = server.client()
         # A full-size run holds the one worker while the stream opens.
@@ -175,7 +175,9 @@ def test_live_sweep_stream_shows_each_member_edge_once(tmp_path):
         assert client.job(blocker["job"]["id"])["job"]["state"] == "done"
     edges = [(event["kind"], event["job"]) for event in events]
     sweep_id = sweep["job"]["id"]
-    assert edges == [("sweep_submitted", sweep_id),
+    assert edges == [("job_queued", members[0]),
+                     ("job_queued", members[1]),
+                     ("sweep_submitted", sweep_id),
                      ("job_started", members[0]),
                      ("job_finished", members[0]),
                      ("job_started", members[1]),
@@ -186,6 +188,29 @@ def test_live_sweep_stream_shows_each_member_edge_once(tmp_path):
     assert stamps == sorted(stamps)
     assert events[-1]["state"] == "done"
     assert not any("mono" in event for event in events)
+
+
+def test_late_sweep_stream_replays_every_member_edge(tmp_path):
+    """A stream opened after both members finished replays each
+    member's queue/start/finish exactly once, merged with the sweep's
+    own edges in publish order."""
+    with _Server(_config(tmp_path)) as server:
+        client = server.client()
+        sweep = client.submit_sweep([_spec(), _spec(protocol="I+D")])
+        sweep_id = sweep["job"]["id"]
+        assert client.wait(sweep_id)["job"]["state"] == "done"
+        events = list(client.events(sweep_id))
+    members = sweep["job"]["members"]
+    edges = [(event["kind"], event["job"]) for event in events]
+    for member in members:
+        for kind in ("job_queued", "job_started", "job_finished"):
+            assert edges.count((kind, member)) == 1, (kind, edges)
+    assert edges.count(("sweep_submitted", sweep_id)) == 1
+    assert edges[-2:] == [("sweep_finished", sweep_id),
+                          ("_end", sweep_id)]
+    assert len(edges) == 3 * len(members) + 3
+    stamps = [event["ts"] for event in events[:-1]]
+    assert stamps == sorted(stamps)
 
 
 def test_hits_do_not_erase_the_replayable_history(tmp_path):
