@@ -32,11 +32,12 @@ serving node's computation processor, and prefetch requests have no
 priority support -- the two structural reasons prefetching hurts AURC
 in the paper.
 
-Documented simplifications (DESIGN.md section 2): directory metadata and
-pair-formation notifications are instantaneous (data-plane only); the
-home's frame is brought current instantaneously at a revert-to-home
-transition.  All timing-bearing traffic (updates, fetches, sync
-messages) is simulated mechanistically.
+Documented simplifications (DESIGN.md section 2): update data lands in
+the destination frame at the write; directory metadata, pair formation
+and the home's frame at a revert-to-home transition change instantly.
+A fetched copy therefore fills only the words not written since its
+request.  All timing-bearing traffic (updates, fetches, sync messages)
+is simulated mechanistically.
 """
 
 from __future__ import annotations
@@ -106,7 +107,7 @@ class AurcStats:
 class AurcPage(PageView):
     """One node's view of one page under AURC."""
 
-    __slots__ = ("pending_stamps", "partner")
+    __slots__ = ("pending_stamps", "partner", "landed")
 
     def __init__(self, page: int, words: int, audit=None):
         super().__init__(page, words, audit)
@@ -115,6 +116,27 @@ class AurcPage(PageView):
         # so it self-prunes to the handful of in-flight writers.
         self.pending_stamps: Dict[int, Tuple[int, int, int]] = {}
         self.partner: Optional[int] = None
+        # Words written into this frame since a page fetch was issued
+        # (None when no fetch is in flight): the fetched copy must not
+        # overwrite them.
+        self.landed: Optional[np.ndarray] = None
+
+    def write(self, offset: int, values: np.ndarray) -> None:
+        """Store ``values`` at ``offset``, marking them for an in-flight
+        fetch."""
+        self.ensure_frame()[offset:offset + len(values)] = values
+        if self.landed is not None:
+            self.landed[offset:offset + len(values)] = True
+
+    def begin_fetch(self, authority: int):
+        """Arm ``landed`` for a fetch from ``authority``; return the
+        update sequences it must drain first, and the notices (all
+        pending) the copy covers."""
+        self.landed = np.zeros(self.words, dtype=bool)
+        stamps = self.pending_stamps.items()
+        return ({w: seq for w, (_i, dst, seq) in stamps
+                 if dst == authority and seq},
+                {w: interval for w, (interval, _d, _s) in stamps})
 
     def record_notice(self, writer: int, interval_id: int, dst: int,
                       seq: int) -> bool:
@@ -126,14 +148,6 @@ class AurcPage(PageView):
             self.audit.aurc_notice(self.page, writer, interval_id,
                                    dst, seq, newly_invalid)
         return newly_invalid
-
-    def fetch_stamps(self, authority: int):
-        """For a copy fetched from ``authority``: the update sequences it
-        must drain first, and the notices (all pending) the copy covers."""
-        stamps = self.pending_stamps.items()
-        return ({w: seq for w, (_i, dst, seq) in stamps
-                 if dst == authority and seq},
-                {w: interval for w, (interval, _d, _s) in stamps})
 
     def state_nbytes(self) -> int:
         """Bytes of coherence metadata (excludes the data frame)."""
@@ -391,14 +405,13 @@ class Aurc(DsmProtocol):
                 yield from self._fault(node, st, ap, True)
             self._note_use(node, ap)
             chunk = values[cursor:cursor + count]
-            ap.ensure_frame()[offset:offset + count] = chunk
+            ap.write(offset, chunk)
             # Automatic update: data lands at the destination's frame
             # instantly (data plane); timing flows through the AU engine.
             dst = self._update_destination(pid, page)
             if dst is not None:
-                dst_page = self.states[dst].page(page,
-                                                 self.params.words_per_page)
-                dst_page.ensure_frame()[offset:offset + count] = chunk
+                self.states[dst].page(page, self.params.words_per_page
+                                      ).write(offset, chunk)
                 seq = node.nic.au_engine.post_write(dst, page, count)
                 st.current_writes[page] = (dst, seq)
             else:
@@ -520,7 +533,7 @@ class Aurc(DsmProtocol):
         """Processor-context generator: fetch a page copy from authority."""
         self.stats.fetches += 1
         pid = node.node_id
-        wait_stamps, covered = ap.fetch_stamps(authority)
+        wait_stamps, covered = ap.begin_fetch(authority)
         token = self.new_token()
         done = self.register_pending(token, (ap, covered))
         request = AurcPageRequest(
@@ -535,21 +548,11 @@ class Aurc(DsmProtocol):
             interruptible=False)
         self._install(node, ap, reply, covered)
 
-    def _receives_updates(self, pid: int, page: int) -> bool:
-        """True when ``pid``'s frame is an automatic-update destination
-        (pairwise partner, or the home of a write-through page): such a
-        frame is always current and must never be overwritten by a
-        possibly older fetched snapshot."""
-        ap = self.states[pid].pages.get(page)
-        if ap is not None and ap.partner is not None:
-            return True
-        entry = self.directory.get(page)
-        return (entry is not None and entry.mode == HOME
-                and pid == self.page_home(page))
-
     def _install(self, node: Node, ap: AurcPage, reply: AurcPageReply,
-                 covered: Optional[Dict[int, int]] = None) -> None:
-        """Install a fetched copy.
+                 covered: Dict[int, int]) -> None:
+        """Install a fetched copy into every word not written since the
+        request was issued (``ap.landed``); those hold newer values, put
+        there by this node or by the instant data plane.
 
         ``covered`` is the set of (writer -> interval) notices that were
         pending when the request was issued; the copy satisfies exactly
@@ -557,13 +560,15 @@ class Aurc(DsmProtocol):
         arrived *after* the request stay pending -- the snapshot may
         predate them -- and trigger a refetch on the next access.
         """
-        if not (self._receives_updates(node.node_id, ap.page)
-                and ap.has_frame):
-            # (Else the instant data plane has kept, maybe advanced, our
-            # frame since the snapshot: installing it would lose updates.)
+        if ap.has_frame and ap.landed is not None:
+            np.copyto(ap.frame, reply.frame, where=~ap.landed)
+        else:
+            # (A disarmed mask: after finalize() a fault no longer waits
+            # for a prefetch in flight, whose install came first.)
             ap.frame = reply.frame.copy()
+        ap.landed = None
         ap.adopt_snapshot(reply.versions)
-        for writer, through in (covered or {}).items():
+        for writer, through in covered.items():
             ap.mark_applied(writer, through)
         for writer in list(ap.pending_stamps):
             # A stamp carries notified[writer]: covered iff not pending.
@@ -620,15 +625,6 @@ class Aurc(DsmProtocol):
         if msg.prefetch:
             def apply_work():
                 yield node.memory.access(self.params.words_per_page)
-                st = self.states[node.node_id]
-                if (ap.page in st.current_writes
-                        and not self._receives_updates(node.node_id,
-                                                       ap.page)):
-                    # We wrote this page while the prefetch was in
-                    # flight; installing the snapshot would lose our
-                    # local words.  Drop the prefetch instead.
-                    self.complete_pending(msg.token, msg)
-                    return
                 self._install(node, ap, msg, covered)
                 self.complete_pending(msg.token, msg)
             node.cpu.post_service("pf-install", apply_work,
@@ -661,7 +657,7 @@ class Aurc(DsmProtocol):
             token = self.new_token()
             note_prefetch(self.sim, pid, "issue", ap.page,
                           authority=authority, tokens=[token])
-            stamps, covered = ap.fetch_stamps(authority)
+            stamps, covered = ap.begin_fetch(authority)
             done = self.register_pending(token, (ap, covered))
             request = AurcPageRequest(requester=pid, page=ap.page,
                                       token=token, stamps=stamps,

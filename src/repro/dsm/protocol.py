@@ -537,8 +537,8 @@ class DsmProtocol:
         if view.is_valid():
             view.prefetch_ready = True
         elif not settled:
-            # Re-invalidated in flight, or its install was dropped; the
-            # next fault fetches the remainder.
+            # Re-invalidated in flight; the next fault fetches the
+            # remainder.
             self._prefetch_wasted(pid, view)
 
     def finalize(self) -> None:

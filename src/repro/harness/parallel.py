@@ -36,8 +36,10 @@ import dataclasses
 import functools
 import hashlib
 import json
+import multiprocessing
 import os
 import tempfile
+import threading
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
@@ -53,7 +55,7 @@ from repro.stats.breakdown import Category, TimeBreakdown
 __all__ = [
     "SimRequest", "SimResult", "ResultCache", "SweepRunner",
     "SweepStats", "EvictionPolicy", "code_salt", "default_cache_dir",
-    "execute_request", "CACHE_SCHEMA",
+    "execute_request", "exit_with_parent", "CACHE_SCHEMA",
 ]
 
 CACHE_SCHEMA = "repro-cache/1"
@@ -225,6 +227,27 @@ def execute_request(request: SimRequest) -> dict:
     except (ImportError, OSError):  # non-POSIX host: omit the field
         pass
     return doc
+
+
+def exit_with_parent() -> None:
+    """Process-pool initializer: end this worker when its parent dies.
+
+    A parent killed by SIGKILL never shuts its pool down, and the idle
+    workers would block on the call queue forever.  A daemon thread
+    waits on the parent's sentinel instead and exits the process.
+    (Under ``fork`` a later worker inherits an earlier one's end of
+    that pipe, so the workers exit in turn, the last forked first.)
+    """
+    parent = multiprocessing.parent_process()
+    if parent is None:
+        return
+
+    def watch() -> None:
+        parent.join()
+        os._exit(1)
+
+    threading.Thread(target=watch, name="exit-with-parent",
+                     daemon=True).start()
 
 
 class _Namespace:
@@ -668,7 +691,8 @@ class SweepRunner:
         failure: Optional[BaseException] = None
         if self.jobs > 1 and len(items) > 1:
             workers = min(self.jobs, len(items))
-            with ProcessPoolExecutor(max_workers=workers) as pool:
+            with ProcessPoolExecutor(max_workers=workers,
+                                     initializer=exit_with_parent) as pool:
                 futures = {}
                 for key, request in items:
                     if emit is not None:

@@ -46,6 +46,7 @@ from repro.harness.parallel import (
     ResultCache,
     SimRequest,
     execute_request,
+    exit_with_parent,
 )
 from repro.stats.metrics import MetricsRegistry
 
@@ -213,7 +214,8 @@ class JobManager:
 
     def start(self) -> None:
         if self._pool is None:
-            self._pool = ProcessPoolExecutor(max_workers=self.workers)
+            self._pool = ProcessPoolExecutor(max_workers=self.workers,
+                                             initializer=exit_with_parent)
 
     async def close(self) -> None:
         self._draining = True

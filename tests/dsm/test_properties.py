@@ -194,33 +194,47 @@ def test_protocols_agree_on_final_state(program):
     assert np.array_equal(finals[0], finals[2])
 
 
-# ROADMAP's AURC stale-read reproducer: all three lock regions share one
-# page, so AURC walks SOLO -> PAIRWISE -> a third sharer replaces the
-# first -> the replaced node returns -> HOME.  P1, holding lock 1, reads
-# word 0 of lock 1's region as 0.0 although P2 wrote 1.0 under lock 1
-# and released it first (mismatch (1, 1, 0, [0.0], [1.0])).  TreadMarks
-# serves the right value.  The AURC cases are strict xfails: they pin
-# the open bug and fail once AURC's behaviour on this program changes.
-STALE_READ_PROGRAM = [
-    [("cs", 0, 0, 1, False), ("compute", 100), ("cs", 1, 0, 1, False),
-     ("compute", 100), ("cs", 0, 0, 1, False)],
-    [("compute", 100), ("compute", 451), ("cs", 0, 0, 1, False),
-     ("cs", 1, 0, 1, True), ("cs", 0, 0, 1, False)],
-    [("compute", 100), ("cs", 1, 0, 1, True),
-     ("barrier",), ("barrier",), ("barrier",)],
-]
+# AURC stale-read reproducers.  In the first, all three lock regions
+# share one page, so AURC walks SOLO -> PAIRWISE -> a third sharer
+# replaces the first -> the replaced node returns -> HOME.  P1's page
+# fetch is issued while P1 is P2's pair partner; P2's write lands in
+# P1's frame while the fetch is in flight, and the fetched copy
+# predates it.  The second reaches the same race with four procs.
+# Both read 0.0 where the oracle says 1.0 when the install overwrites
+# the whole frame.  The third is the other direction: P0's write
+# reaches P1 only through the fetched copy, so keeping P1's whole
+# frame would lose it.  Installing the copy into every word not
+# written since the request holds all three.
+STALE_READ_PROGRAMS = {
+    "pair-replaced-then-home": [
+        [("cs", 0, 0, 1, False), ("compute", 100), ("cs", 1, 0, 1, False),
+         ("compute", 100), ("cs", 0, 0, 1, False)],
+        [("compute", 100), ("compute", 451), ("cs", 0, 0, 1, False),
+         ("cs", 1, 0, 1, True), ("cs", 0, 0, 1, False)],
+        [("compute", 100), ("cs", 1, 0, 1, True),
+         ("barrier",), ("barrier",), ("barrier",)],
+    ],
+    "four-procs": [
+        [("cs", 0, 0, 1, False), ("compute", 1450), ("cs", 1, 0, 1, True)],
+        [("cs", 2, 0, 1, True), ("compute", 100), ("barrier",)],
+        [("compute", 599), ("cs", 0, 0, 1, True), ("cs", 2, 0, 1, True)],
+        [("barrier",), ("cs", 0, 0, 1, False), ("cs", 1, 0, 1, False)],
+    ],
+    "update-only-in-copy": [
+        [("cs", 0, 0, 1, True), ("barrier",), ("compute", 100)],
+        [("cs", 1, 0, 1, False), ("compute", 100), ("cs", 0, 0, 1, False)],
+        [("compute", 100), ("cs", 2, 9, 5, True), ("barrier",)],
+    ],
+}
 
-_AURC_STALE_READ = pytest.mark.xfail(
-    strict=True, raises=AssertionError,
-    reason="AURC serves a stale read inside a critical section "
-           "(ROADMAP, first open item)")
 
-
+@pytest.mark.parametrize("program", list(STALE_READ_PROGRAMS))
 @pytest.mark.parametrize("kind, mode, prefetch", [
     ("tm", "Base", False),
     ("tm", "I+P+D", False),
-    pytest.param("aurc", "Base", False, marks=_AURC_STALE_READ),
-    pytest.param("aurc", "Base", True, marks=_AURC_STALE_READ),
+    ("aurc", "Base", False),
+    ("aurc", "Base", True),
 ])
-def test_stale_read_reproducer(kind, mode, prefetch):
-    _run_program(STALE_READ_PROGRAM, kind, mode, prefetch=prefetch)
+def test_stale_read_reproducer(program, kind, mode, prefetch):
+    _run_program(STALE_READ_PROGRAMS[program], kind, mode,
+                 prefetch=prefetch)

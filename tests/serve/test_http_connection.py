@@ -6,6 +6,7 @@ instead of through :class:`ServeClient`.
 """
 
 import asyncio
+import contextlib
 import json
 import logging
 import os
@@ -315,11 +316,12 @@ def _children(pid):
 
 
 def _alive(pid):
+    """True while ``pid`` runs (a zombie awaiting its reaper has exited)."""
     try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
         return False
-    return True
 
 
 def test_sigint_with_idle_clients_exits_promptly_and_cleanly(tmp_path):
@@ -332,10 +334,11 @@ def test_sigterm_with_idle_clients_exits_promptly_and_cleanly(tmp_path):
     _exits_promptly_and_cleanly(tmp_path, signal.SIGTERM)
 
 
-def _exits_promptly_and_cleanly(tmp_path, signum):
-    """Boot ``repro serve``, run a job, keep two clients idle, send
-    ``signum``: the server exits 0 within 2 s, logs no traceback and
-    takes its pool's workers with it."""
+@contextlib.contextmanager
+def _serving_with_pool(tmp_path):
+    """Boot ``repro serve`` with two workers and run one job on it.
+    Yields the server process, two connected clients and the log path;
+    kills the server on the way out if it still runs."""
     port_file = tmp_path / "port"
     log_path = tmp_path / "serve.log"
     env = dict(os.environ)
@@ -348,6 +351,7 @@ def _exits_promptly_and_cleanly(tmp_path, signum):
              "--port-file", str(port_file), "--workers", "2",
              "--cache-dir", str(tmp_path / "store")],
             stdout=log, stderr=subprocess.STDOUT, env=env)
+    clients = []
     try:
         deadline = time.monotonic() + 30.0
         while not (port_file.exists()
@@ -363,6 +367,34 @@ def _exits_promptly_and_cleanly(tmp_path, signum):
             clients[0].submit_run(spec)["job"]["id"])
         assert done["job"]["state"] == "done"      # the pool is up
         assert clients[1].submit_run(spec)["job"]["dedupe"] == "cached"
+        yield proc, clients, log_path
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+        for client in clients:
+            client.close()
+
+
+def _survivors(workers, timeout):
+    """The ``workers`` still alive after up to ``timeout`` seconds;
+    kills them, so no test leaks a worker whatever its verdict."""
+    deadline = time.monotonic() + timeout
+    left = [pid for pid in workers if _alive(pid)]
+    while left and time.monotonic() < deadline:
+        time.sleep(0.05)
+        left = [pid for pid in left if _alive(pid)]
+    for pid in left:
+        with contextlib.suppress(ProcessLookupError):
+            os.kill(pid, signal.SIGKILL)
+    return left
+
+
+def _exits_promptly_and_cleanly(tmp_path, signum):
+    """Boot ``repro serve``, run a job, keep two clients idle, send
+    ``signum``: the server exits 0 within 2 s, logs no traceback and
+    takes its pool's workers with it."""
+    with _serving_with_pool(tmp_path) as (proc, clients, log_path):
         assert all(c._conn.sock is not None for c in clients)
         workers = _children(proc.pid)
         assert workers
@@ -370,19 +402,23 @@ def _exits_promptly_and_cleanly(tmp_path, signum):
         proc.send_signal(signum)
         proc.wait(timeout=10.0)
         elapsed = time.monotonic() - start
-    finally:
-        if proc.poll() is None:
-            proc.kill()
-            proc.wait()
-    for client in clients:
-        client.close()
-    left = [pid for pid in workers if _alive(pid)]
-    for pid in left:            # leak no worker, whatever the verdict
-        os.kill(pid, signal.SIGKILL)
+    left = _survivors(workers, 0.0)
     assert proc.returncode == 0
     assert elapsed < 2.0, f"exit took {elapsed:.2f}s"
     assert "Traceback" not in log_path.read_text()
     assert not left, f"pool workers {left} outlived the server"
+
+
+def test_sigkilled_server_leaves_no_pool_worker_behind(tmp_path):
+    # SIGKILL runs no shutdown: the workers must notice on their own
+    # that their parent is gone, not block on the call queue forever.
+    with _serving_with_pool(tmp_path) as (proc, _clients, _log):
+        workers = _children(proc.pid)
+        assert workers
+        proc.kill()
+        proc.wait()
+    left = _survivors(workers, 10.0)
+    assert not left, f"pool workers {left} outlived the killed server"
 
 
 # -- the parser against the one it replaced --------------------------------
