@@ -58,6 +58,7 @@ from repro.dsm.protocol import (
     NodeState,
 )
 from repro.dsm.shmem import SharedSegment
+from repro.dsm.timestamps import IntervalStore
 from repro.hardware.node import Cluster, Node
 from repro.hardware.params import MachineParams
 from repro.sim import Event, Simulator
@@ -140,10 +141,14 @@ class AurcPage(PageView):
 
     def record_notice(self, writer: int, interval_id: int, dst: int,
                       seq: int) -> bool:
-        was_valid = self.is_valid()
-        if self._note(writer, interval_id):
+        """Merge a write notice with its flush stamp; returns True if it
+        newly invalidated a valid copy."""
+        newly_invalid = False
+        if self.notified.raise_to(writer, interval_id):
             self.pending_stamps[writer] = (interval_id, dst, seq)
-        newly_invalid = was_valid and self.pending != 0
+            if interval_id > self.applied.get(writer, 0):
+                newly_invalid = not self.pending and self.frame is not None
+                self.pending |= 1 << writer
         if self.audit is not None:
             self.audit.aurc_notice(self.page, writer, interval_id,
                                    dst, seq, newly_invalid)
@@ -206,8 +211,8 @@ class NodeAurcState(NodeState):
 
     page_class = AurcPage
 
-    def __init__(self, pid: int, n: int):
-        super().__init__(pid, n)
+    def __init__(self, pid: int, n: int, intervals: IntervalStore):
+        super().__init__(pid, n, intervals)
         # page -> (dst, seq): last update stamp of the open interval.
         self.current_writes: Dict[int, Tuple[int, int]] = {}
 
@@ -442,7 +447,7 @@ class Aurc(DsmProtocol):
             record = AurcIntervalRecord(writer=pid, interval_id=new_id,
                                         pages=pages, vc=st.vc.as_tuple(),
                                         stamps=stamps)
-            st.log.add(record)
+            st.log.publish(record)
             if self.audit is not None:
                 self.audit.vc_advance(pid, pid, new_id, pages,
                                       st.vc.as_tuple(), stamps=stamps)
@@ -451,28 +456,38 @@ class Aurc(DsmProtocol):
 
     def _merge_coherence_info(self, node: Node, vc_tuple, records):
         """Raw generator: merge notices; invalidate or wait per page."""
-        st = self.states[node.node_id]
         pid = node.node_id
+        st = self.states[pid]
+        views = st.pages
+        words = self.params.words_per_page
         notices = 0
         invalidated: List[AurcPage] = []
         waits: List[Tuple[int, int]] = []   # (writer, seq) to drain locally
         for record in records:
-            if record.writer == pid:
+            writer = record.writer
+            if writer == pid:
                 continue
             st.log.add(record)
-            notices += record.notice_count
-            for page in record.pages:
-                ap = st.page(page, self.params.words_per_page)
-                dst, seq = record.stamps.get(page, (record.writer, 0))
-                newly_invalid = ap.record_notice(record.writer,
-                                                 record.interval_id, dst, seq)
+            interval_id = record.interval_id
+            pages = record.pages
+            stamps = record.stamps
+            notices += len(pages)
+            for page in pages:
+                ap = views.get(page)
+                if ap is None:
+                    ap = st.page(page, words)
+                # Every written page has a stamp: ``_end_interval`` takes
+                # ``pages`` and ``stamps`` from the same writes.
+                dst, seq = stamps[page]
+                newly_invalid = ap.record_notice(writer, interval_id,
+                                                 dst, seq)
                 if ap.prefetch_ready:
                     self._prefetch_wasted(pid, ap)
                 if dst == pid:
                     # Updates flow to us automatically (pairwise partner
                     # or we are the home): wait, do not invalidate.
-                    waits.append((record.writer, seq))
-                    ap.mark_applied(record.writer, record.interval_id)
+                    waits.append((writer, seq))
+                    ap.mark_applied(writer, interval_id)
                 elif newly_invalid and ap.has_frame:
                     invalidated.append(ap)
         yield from self._merge_clock(node, st, vc_tuple, notices,

@@ -14,8 +14,9 @@ Each node tracks, for every shared page it has touched:
 The first three are :class:`PageView`, the base of :class:`TmPage` and
 ``aurc.AurcPage``.  Validity is queried far more often than it changes,
 so the view maintains ``pending`` -- an int bitset, bit ``w`` set iff
-``notified[w] > applied[w]`` -- at the only two places those maps are
-written (``_note``, ``mark_applied``) instead of rescanning them per
+``notified[w] > applied[w]`` -- where those maps are written (each
+page class's ``record_notice``, one pass over ``notified`` and at most
+one ``applied.get``; ``mark_applied``) instead of rescanning them per
 query.  The mask has no order, so ``pending_writers()`` filters
 ``notified``'s insertion-ordered ids by it: arrival order is the
 diff-request issue order the goldens pin.
@@ -86,14 +87,6 @@ class PageView:
 
     # -- notices --------------------------------------------------------------
 
-    def _note(self, writer: int, interval_id: int) -> bool:
-        """Merge a write notice; True if it advanced ``notified[writer]``."""
-        if not self.notified.raise_to(writer, interval_id):
-            return False
-        if interval_id > self.applied.get(writer, 0):
-            self.pending |= 1 << writer
-        return True
-
     def mark_applied(self, writer: int, through_id: int) -> None:
         if self.applied.raise_to(writer, through_id):
             if through_id >= self.notified.get(writer, 0):
@@ -156,9 +149,11 @@ class TmPage(PageView):
 
     def record_notice(self, writer: int, interval_id: int) -> bool:
         """Merge a write notice; returns True if it newly invalidated."""
-        was_valid = self.is_valid()
-        self._note(writer, interval_id)
-        newly_invalid = was_valid and self.pending != 0
+        newly_invalid = False
+        if (self.notified.raise_to(writer, interval_id)
+                and interval_id > self.applied.get(writer, 0)):
+            newly_invalid = not self.pending and self.frame is not None
+            self.pending |= 1 << writer
         if self.audit is not None:
             self.audit.notice(self.page, writer, interval_id,
                               newly_invalid)

@@ -5,8 +5,9 @@ charges realistic serialization time.
 
 :class:`DsmProtocol` is what TreadMarks and AURC share -- AURC is
 TreadMarks' LRC with automatic updates in place of twins and diffs
-(paper sections 2 and 3.3): per-node clocks, interval logs and page
-views (:class:`NodeState`); message plumbing and request-lifecycle
+(paper sections 2 and 3.3): per-node clocks, interval-log views of the
+run's one :class:`~repro.dsm.timestamps.IntervalStore`, and page views
+(:class:`NodeState`); message plumbing and request-lifecycle
 spans; the lock/barrier hooks; the processor operations invoked through
 :class:`~repro.dsm.shmem.DsmApi`; and the prefetch ledger.  A subclass
 keeps only what makes it that protocol (see :class:`DsmProtocol`).
@@ -24,7 +25,7 @@ from repro.dsm.diffs import DiffRecord
 from repro.dsm.page import PageView
 from repro.dsm.prefetch import note_prefetch
 from repro.dsm.shmem import SharedSegment
-from repro.dsm.timestamps import IntervalLog, VectorClock
+from repro.dsm.timestamps import IntervalLog, IntervalStore, VectorClock
 from repro.hardware.node import Cluster, Node
 from repro.hardware.params import MachineParams
 from repro.sim import Event, Simulator
@@ -254,11 +255,13 @@ class NodeState:
 
     page_class = PageView
 
-    def __init__(self, pid: int, n: int):
+    def __init__(self, pid: int, n: int, intervals: IntervalStore):
         self.pid = pid
         self.vc = VectorClock(n)
-        self.last_barrier_vc = VectorClock(n)
-        self.log = IntervalLog(n)
+        # The clock as of the last barrier release, as a message tuple.
+        self.last_barrier_vc: Tuple[int, ...] = (0,) * n
+        # This node's view of the run's one interval store.
+        self.log = IntervalLog(intervals)
         self.pages: Dict[int, PageView] = {}
         # Coherence-audit adapter (repro.dsm.audit.NodeAudit) handed to
         # every page this node creates; None when unaudited.
@@ -312,7 +315,11 @@ class DsmProtocol:
         # (0 = none); request issue legs reference it as their cause.
         # Only maintained while request-lifecycle tracing is enabled.
         self._stall_req: List[int] = [0] * self.n
-        self.states = [self.state_class(i, self.n) for i in range(self.n)]
+        # Every interval record of the run, once; each node's ``log`` is
+        # a view of it.
+        self.intervals = IntervalStore(self.n)
+        self.states = [self.state_class(i, self.n, self.intervals)
+                       for i in range(self.n)]
         self.locks = LockService(self)
         self.barriers = BarrierService(self)
         # Coherence auditor (set by attach_audit); None when unaudited.
@@ -436,7 +443,7 @@ class DsmProtocol:
     def lock_grant_payload(self, node: Node, requester: int, req_payload):
         """Raw generator: the interval records the requester lacks."""
         st = self.states[node.node_id]
-        records = st.log.records_behind(VectorClock(values=req_payload))
+        records = st.log.records_behind(req_payload)
         notices = sum(r.notice_count for r in records)
         yield self.sim.pooled_timeout(
             (notices + 1) * self.params.list_processing_cycles_per_element)
@@ -456,7 +463,7 @@ class DsmProtocol:
         total_notices = 0
         merged_vc = st.vc.copy()
         for vc_tuple, records in payloads:
-            merged_vc.merge(VectorClock(values=vc_tuple))
+            merged_vc.merge(vc_tuple)
             for record in records:
                 st.log.add(record)
                 total_notices += record.notice_count
@@ -471,14 +478,14 @@ class DsmProtocol:
         vc_tuple, records = payload
         yield from self._merge_coherence_info(node, vc_tuple, records)
         st = self.states[node.node_id]
-        st.last_barrier_vc = st.vc.copy()
+        st.last_barrier_vc = st.vc.as_tuple()
 
     def _merge_clock(self, node: Node, st: NodeState, vc_tuple,
                      notices: int, invalidated: int):
         """Raw generator: the tail every notice merge shares -- merge the
         clock, charge list processing and page-state changes, emit."""
         pid = node.node_id
-        st.vc.merge(VectorClock(values=vc_tuple))
+        st.vc.merge(vc_tuple)
         if self.audit is not None:
             # Covering-acquire point: all notices are recorded, so the
             # hb-notice-coverage check must pass for every interval the

@@ -25,7 +25,7 @@ Charging conventions are described in :mod:`repro.dsm.locks`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List
+from typing import List, Tuple
 
 import numpy as np
 
@@ -48,7 +48,7 @@ from repro.dsm.protocol import (
     PageRequest,
 )
 from repro.dsm.shmem import SharedSegment
-from repro.dsm.timestamps import IntervalRecord, VectorClock
+from repro.dsm.timestamps import IntervalRecord
 from repro.hardware.controller import (
     PRIORITY_PREFETCH,
     PRIORITY_REMOTE,
@@ -232,7 +232,7 @@ class TreadMarks(DsmProtocol):
             record = IntervalRecord(writer=pid, interval_id=new_id,
                                     pages=tuple(sorted(written)),
                                     vc=vc_tuple)
-            st.log.add(record)
+            st.log.publish(record)
             if self.audit is not None:
                 self.audit.vc_advance(pid, pid, new_id,
                                       record.pages, vc_tuple)
@@ -253,12 +253,12 @@ class TreadMarks(DsmProtocol):
                                              for r in payload[1])
         if self.hybrid_updates:
             piggybacked = yield from self._collect_hybrid_diffs(
-                node, requester, VectorClock(values=req_payload))
+                node, requester, req_payload)
             payload += (piggybacked,)
         return payload
 
     def _collect_hybrid_diffs(self, node: Node, requester: int,
-                              req_vc: VectorClock):
+                              req_vc: Tuple[int, ...]):
         """Raw generator (Lazy Hybrid): materialize the grantor's own
         recent diffs for pages the requester is known to cache."""
         pid = node.node_id
@@ -334,21 +334,28 @@ class TreadMarks(DsmProtocol):
 
     def _merge_coherence_info(self, node: Node, vc_tuple, records):
         """Raw generator: record notices, invalidate, maybe prefetch."""
-        st = self.states[node.node_id]
+        pid = node.node_id
+        st = self.states[pid]
+        views = st.pages
+        words = self.params.words_per_page
         invalidated: List[TmPage] = []
         notices = 0
         for record in records:
-            if record.writer == node.node_id:
+            writer = record.writer
+            if writer == pid:
                 continue
             st.log.add(record)
-            notices += record.notice_count
-            for page in record.pages:
-                tp = st.page(page, self.params.words_per_page)
-                newly_invalid = tp.record_notice(record.writer,
-                                                 record.interval_id)
+            interval_id = record.interval_id
+            pages = record.pages
+            notices += len(pages)
+            for page in pages:
+                tp = views.get(page)
+                if tp is None:
+                    tp = st.page(page, words)
+                newly_invalid = tp.record_notice(writer, interval_id)
                 if tp.prefetch_ready:
                     # A prefetched page re-invalidated before any use.
-                    self._prefetch_wasted(node.node_id, tp)
+                    self._prefetch_wasted(pid, tp)
                 if newly_invalid:
                     invalidated.append(tp)
         yield from self._merge_clock(node, st, vc_tuple, notices,

@@ -22,7 +22,9 @@ __all__ = ["Resource"]
 
 
 class Request(Event):
-    """Pending acquisition of a resource slot; fires when granted."""
+    """Pending acquisition of a resource slot; fires (value None) when
+    granted.  The request itself is the token :meth:`Resource.release`
+    takes: it never refers to itself, so refcounting frees it."""
 
     __slots__ = ("requested_at",)
 
@@ -182,7 +184,7 @@ class Resource:
         self.holder = req
         self.wait_time += now - req.requested_at
         self.total_requests += 1
-        req.succeed(req)
+        req.succeed()
 
 
 class _BurstWaiter(_Waiter):

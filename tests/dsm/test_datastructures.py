@@ -1,4 +1,4 @@
-"""Unit tests for vector clocks, interval logs, diffs, and page state."""
+"""Unit tests for vector clocks, the interval store, diffs, and page state."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,8 @@ from repro.dsm.diffs import DiffRecord, apply_diff, apply_order, \
 from repro.dsm.overlap import ALL_MODES, BASE, ID, OverlapMode, mode_by_name
 from repro.dsm.page import TmPage
 from repro.dsm.shmem import SharedSegment
-from repro.dsm.timestamps import IntervalLog, IntervalRecord, VectorClock
+from repro.dsm.timestamps import (IntervalLog, IntervalRecord, IntervalStore,
+                                   VectorClock)
 from repro.hardware.params import MachineParams
 
 
@@ -22,6 +23,13 @@ def test_vector_clock_advance_and_merge():
     b.advance(1)
     a.merge(b)
     assert a.as_tuple() == (2, 1, 0)
+
+
+def test_vector_clock_merges_a_message_tuple():
+    a = VectorClock(values=[2, 0, 1])
+    a.merge((1, 3, 1))
+    assert a.as_tuple() == (2, 3, 1)
+    assert list(a) == [2, 3, 1]
 
 
 def test_vector_clock_dominates():
@@ -44,35 +52,65 @@ def test_vector_clock_equality():
     assert VectorClock(values=[1, 2]) != VectorClock(values=[2, 1])
 
 
-# -- interval log -------------------------------------------------------------
+# -- interval store and per-node logs ----------------------------------------
 
 def _rec(writer, iid, pages=(1,), vc=()):
     return IntervalRecord(writer=writer, interval_id=iid,
                           pages=tuple(pages), vc=vc)
 
 
+def _store(n, *records):
+    """A store filled as writers close intervals: in id order."""
+    store = IntervalStore(n)
+    for record in records:
+        store.add(record)
+    return store
+
+
 def test_interval_log_add_is_idempotent():
-    log = IntervalLog(2)
-    assert log.add(_rec(0, 1))
-    assert not log.add(_rec(0, 1))
+    record = _rec(0, 1)
+    log = IntervalLog(_store(2, record))
+    assert log.count() == 0
+    assert log.add(record)
+    assert not log.add(record)
     assert log.count() == 1
 
 
 def test_records_after_sorted_and_filtered():
-    log = IntervalLog(2)
-    for iid in (3, 1, 2):
-        log.add(_rec(0, iid))
-    records = log.records_after(0, 1)
-    assert [r.interval_id for r in records] == [2, 3]
+    # Ids may skip (an interval that wrote nothing has no record); a log
+    # knows a prefix of each writer, so learning id 4 covers 1, 2, 4.
+    records = [_rec(0, iid) for iid in (1, 2, 4, 5)]
+    store = _store(2, *records)
+    log = IntervalLog(store)
+    log.add(records[2])
+    assert [r.interval_id for r in log.records_after(0, 1)] == [2, 4]
+    assert log.records_after(0, 4) == []
+    assert log.records_after(1, 0) == []
+    assert log.count() == 3
+    with pytest.raises(ValueError):
+        store.add(_rec(0, 3))  # a writer closes intervals in order
 
 
 def test_records_behind_vector_clock():
-    log = IntervalLog(2)
-    log.add(_rec(0, 1))
+    store = _store(2, _rec(0, 1), _rec(0, 2), _rec(1, 1))
+    log = IntervalLog(store)
     log.add(_rec(0, 2))
     log.add(_rec(1, 1))
-    behind = log.records_behind(VectorClock(values=[1, 0]))
-    assert {(r.writer, r.interval_id) for r in behind} == {(0, 2), (1, 1)}
+    for clock in ((1, 0), VectorClock(values=[1, 0])):
+        behind = log.records_behind(clock)
+        assert {(r.writer, r.interval_id) for r in behind} == {(0, 2),
+                                                               (1, 1)}
+
+
+def test_publish_appends_to_the_one_store():
+    store = IntervalStore(2)
+    writer, reader = IntervalLog(store), IntervalLog(store)
+    record = _rec(1, 3)
+    writer.publish(record)
+    assert store.records[1] == [record] and writer.known == [0, 3]
+    assert reader.records_behind((0, 0)) == []  # not learned yet
+    assert reader.add(record)
+    assert reader.records_behind((0, 0)) == [record]
 
 
 # -- diffs --------------------------------------------------------------------

@@ -1,12 +1,14 @@
 """Maintained invalidation state must equal what a rescan would compute.
 
-``PageView.pending`` (bit w set iff ``notified[w] > applied[w]``) and
-the id-sorted ``IntervalLog`` replaced per-query recomputation.  These
+``PageView.pending`` (bit w set iff ``notified[w] > applied[w]``)
+replaced per-query recomputation, and the run's one ``IntervalStore``
+replaced each node's own copy of the records it learned.  These
 tests pin the replacement to the old from-scratch definitions -- in
 order, since ``pending_writers()`` order feeds diff-request issue order
 -- and make the O(writers) rescan impossible to reintroduce unnoticed.
 """
 
+import collections
 import sys
 
 import numpy as np
@@ -18,10 +20,11 @@ from repro.dsm.aurc import AurcPage
 from repro.dsm.compact import NodeIntMap
 from repro.dsm.diffs import DiffRecord
 from repro.dsm.page import TmPage
-from repro.dsm.timestamps import IntervalLog, IntervalRecord, VectorClock
+from repro.dsm.timestamps import IntervalLog, IntervalRecord, IntervalStore
+from repro.faults import FaultPlan, FaultSpec
 from repro.harness import runner
 from repro.harness.bench import config_for
-from repro.harness.experiments import APP_FACTORIES, quick_sizes
+from repro.harness.experiments import APP_FACTORIES, quick_sizes, scaled_app
 
 WORDS = 8
 
@@ -129,9 +132,11 @@ def test_state_nbytes_counts_the_pending_word():
     assert sys.getsizeof(page.pending) > sys.getsizeof(0)
 
 
-# -- IntervalLog against the dict + sorted() implementation it replaced ------
+# -- the interval store against the per-node dict log it replaced ----------
 
 class _DictLog:
+    """One node's own copy of every record it learned: the oracle."""
+
     def __init__(self, n_procs):
         self.n_procs = n_procs
         self.by_writer = [{} for _ in range(n_procs)]
@@ -157,14 +162,24 @@ class _DictLog:
         return sum(len(slot) for slot in self.by_writer)
 
 
+def _same_records(got, want):
+    assert len(got) == len(want)
+    assert all(g is w for g, w in zip(got, want))
+
+
 N_LOG = 4
+nodes = st.integers(0, N_LOG - 1)
+lags = st.lists(st.integers(0, 3), min_size=N_LOG, max_size=N_LOG)
 log_ops = st.lists(
     st.one_of(
-        st.tuples(st.just("add"), st.integers(0, N_LOG - 1),
-                  st.integers(1, 12)),
-        st.tuples(st.just("after"), st.integers(0, N_LOG - 1),
-                  st.integers(0, 13)),
-        st.tuples(st.just("behind"),
+        # node closes an interval, ``gap`` ids past its last one (ids
+        # skip where an interval wrote nothing)
+        st.tuples(st.just("close"), nodes, st.integers(1, 3)),
+        # sender ships its records behind the receiver's knowledge,
+        # backed off by ``lag`` per writer, as grants and barriers do
+        st.tuples(st.just("ship"), nodes, nodes, lags),
+        st.tuples(st.just("after"), nodes, nodes, st.integers(0, 13)),
+        st.tuples(st.just("behind"), nodes,
                   st.lists(st.integers(0, 13), min_size=N_LOG,
                            max_size=N_LOG)),
     ),
@@ -174,35 +189,109 @@ log_ops = st.lists(
 @given(ops=log_ops)
 @settings(max_examples=150, deadline=None)
 def test_interval_log_matches_dict_model(ops):
-    log, model = IntervalLog(N_LOG), _DictLog(N_LOG)
+    """Writers fill the one store at interval close and nodes learn
+    per-writer prefixes; every node's view answers exactly as its own
+    dict of learned records would (same record objects, same order)."""
+    store = IntervalStore(N_LOG)
+    logs = [IntervalLog(store) for _ in range(N_LOG)]
+    models = [_DictLog(N_LOG) for _ in range(N_LOG)]
+    last_id = [0] * N_LOG
     for op in ops:
-        if op[0] == "add":
-            # Out-of-order and duplicate ids; a duplicate keeps the
-            # first record (identity, not just equality).
-            record = IntervalRecord(writer=op[1], interval_id=op[2],
+        if op[0] == "close":
+            node, gap = op[1], op[2]
+            last_id[node] += gap
+            record = IntervalRecord(writer=node, interval_id=last_id[node],
                                     pages=(0,))
-            assert log.add(record) == model.add(record)
+            logs[node].publish(record)
+            assert models[node].add(record)
+        elif op[0] == "ship":
+            src, dst, lag = op[1], op[2], op[3]
+            clock = [max(0, known - back)
+                     for known, back in zip(logs[dst].known, lag)]
+            payload = logs[src].records_behind(clock)
+            _same_records(payload, models[src].records_behind(clock))
+            for record in payload:
+                assert logs[dst].add(record) == models[dst].add(record)
         elif op[0] == "after":
-            got = log.records_after(op[1], op[2])
-            want = model.records_after(op[1], op[2])
-            assert len(got) == len(want)
-            assert all(g is w for g, w in zip(got, want))
+            node, writer, after_id = op[1], op[2], op[3]
+            _same_records(logs[node].records_after(writer, after_id),
+                          models[node].records_after(writer, after_id))
         else:
-            clock = VectorClock(values=op[1])
-            got = log.records_behind(clock)
-            want = model.records_behind(clock)
-            assert len(got) == len(want)
-            assert all(g is w for g, w in zip(got, want))
+            node, clock = op[1], op[2]
+            _same_records(logs[node].records_behind(clock),
+                          models[node].records_behind(clock))
+    for log, model in zip(logs, models):
         assert log.count() == model.count()
 
 
 def test_interval_log_queries_return_fresh_lists():
-    log = IntervalLog(2)
-    log.add(IntervalRecord(writer=0, interval_id=1, pages=(0,)))
+    store = IntervalStore(2)
+    log = IntervalLog(store)
+    log.publish(IntervalRecord(writer=0, interval_id=1, pages=(0,)))
     log.records_after(0, 0).clear()
     log.records_after(1, 0).append(None)
+    log.records_behind((0, 0)).clear()
     assert len(log.records_after(0, 0)) == 1
     assert log.records_after(1, 0) == []
+    assert len(store.records[0]) == 1
+
+
+# One reference dict log per node, fed every ``publish``/``add`` the
+# protocol makes; each store-backed answer is checked against it.
+RECORDED_RUNS = [
+    ("Water", "Base", None),
+    ("Water", "I+P+D", None),
+    ("Water", "aurc", None),
+    ("Water", "aurc+prefetch", None),
+    ("Em3d", "I+P+D", None),
+    ("Em3d", "aurc", None),
+    ("Water", "I+P+D", 1),   # under the chaos fault spec, seed 1
+]
+
+
+@pytest.mark.parametrize("app_name,protocol,fault_seed", RECORDED_RUNS)
+def test_store_matches_per_node_logs_in_a_run(app_name, protocol,
+                                              fault_seed, monkeypatch):
+    models = {}
+    calls = collections.Counter()
+
+    def model_of(log):
+        if log not in models:
+            models[log] = _DictLog(len(log.known))
+        return models[log]
+
+    def recorded(name, model_name, check):
+        original = getattr(IntervalLog, name)
+
+        def wrapper(self, *args):
+            got = original(self, *args)
+            calls[name] += 1
+            check(got, getattr(model_of(self), model_name)(*args))
+            return got
+        monkeypatch.setattr(IntervalLog, name, wrapper)
+
+    def published(got, want):
+        assert want  # a closed interval is new to its writer
+
+    def learned(got, want):
+        assert got == want
+
+    recorded("publish", "add", published)
+    recorded("add", "add", learned)
+    recorded("records_after", "records_after", _same_records)
+    recorded("records_behind", "records_behind", _same_records)
+    faults = (FaultPlan(seed=fault_seed, spec=FaultSpec.chaos())
+              if fault_seed is not None else None)
+    result = runner.run_app(scaled_app(app_name, 8, quick=True),
+                            config_for(protocol), verify=True,
+                            faults=faults)
+    assert result.verified
+    assert calls["publish"] and calls["add"] and calls["records_behind"]
+    # Every close goes to the one store and every learned record is in it.
+    (store,) = {log.store for log in models}
+    assert sum(map(len, store.records)) == calls["publish"]
+    for log, model in models.items():
+        assert log.count() == model.count()
 
 
 # -- whole runs ---------------------------------------------------------------

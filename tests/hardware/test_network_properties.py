@@ -4,7 +4,8 @@ and timestamp algebra."""
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dsm.timestamps import IntervalLog, IntervalRecord, VectorClock
+from repro.dsm.timestamps import (IntervalLog, IntervalRecord, IntervalStore,
+                                   VectorClock)
 from repro.faults import FaultPlan, FaultSpec
 from repro.hardware.bus import PciBus
 from repro.hardware.network import MeshNetwork
@@ -259,18 +260,25 @@ def test_dominance_is_transitive(a, b, c):
 
 @given(records=st.lists(
     st.tuples(st.integers(0, 2), st.integers(1, 20)),
-    min_size=0, max_size=30))
+    min_size=0, max_size=30),
+    cuts=st.lists(st.integers(0, 20), min_size=3, max_size=3))
 @settings(max_examples=40, deadline=None)
-def test_interval_log_records_behind_complement(records):
-    """records_behind(vc) returns exactly the records not covered by vc."""
-    log = IntervalLog(3)
-    inserted = set()
-    for writer, iid in records:
-        log.add(IntervalRecord(writer=writer, interval_id=iid,
-                               pages=(0,)))
-        inserted.add((writer, iid))
+def test_interval_log_records_behind_complement(records, cuts):
+    """records_behind(vc) returns exactly the known records not covered
+    by vc: writers fill the store in id order, and the node has learned
+    each writer's records through ``cuts[w]``."""
+    store = IntervalStore(3)
+    inserted = set(records)
+    for writer, iid in sorted(inserted):
+        store.add(IntervalRecord(writer=writer, interval_id=iid,
+                                 pages=(0,)))
+    log = IntervalLog(store)
+    for writer, cut in enumerate(cuts):
+        for record in store.records[writer]:
+            if record.interval_id <= cut:
+                log.add(record)
     clock = VectorClock(values=[5, 10, 0])
     behind = {(r.writer, r.interval_id)
               for r in log.records_behind(clock)}
-    expected = {(w, i) for w, i in inserted if i > clock[w]}
+    expected = {(w, i) for w, i in inserted if clock[w] < i <= cuts[w]}
     assert behind == expected

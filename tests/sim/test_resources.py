@@ -1,8 +1,11 @@
 """Tests for the one-slot contended resource."""
 
+import gc
+
 import pytest
 
 from repro.sim import Resource, Simulator
+from repro.sim.resources import Request
 
 
 def test_resource_serializes_users():
@@ -125,3 +128,40 @@ def test_peak_queue_length_zero_when_uncontended():
     assert res.wait_time == 0
 
 
+def test_granted_request_is_freed_by_refcount():
+    """A contended grant leaves no reference cycle: once released and
+    dropped, the request dies by refcount, without the cyclic
+    collector (which stays off while the run executes)."""
+
+    def live_requests():
+        return sum(type(obj) is Request for obj in gc.get_objects())
+
+    sim = Simulator()
+    res = Resource(sim)
+    granted = []
+
+    def holder():
+        req = res.request()
+        yield req
+        yield sim.timeout(10)
+        res.release(req)
+
+    def waiter():
+        req = res.request()  # queued behind holder: a contended grant
+        yield req
+        granted.append(sim.now)
+        res.release(req)
+
+    gc.collect()  # drop what earlier tests left behind
+    before = live_requests()
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        sim.process(holder())
+        sim.process(waiter())
+        sim.run()
+        assert granted == [10] and res.holder is None
+        assert live_requests() == before
+    finally:
+        if was_enabled:
+            gc.enable()
