@@ -9,7 +9,7 @@ Commands
     when FILE ends in ``.jsonl``); ``--metrics FILE`` writes the
     machine-readable JSON run report (metrics registry + time series);
     ``--audit`` attaches the coherence-state sanitizer (exits nonzero
-    on any protocol-invariant violation).
+    on any stale read its value check finds).
 
 ``figure N``
     Regenerate one of the paper's figures (1, 2, 5-11, 13-16; 12 is an
@@ -284,7 +284,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--audit", action="store_true",
                        help="attach the coherence-state sanitizer; "
                             "prints the audit summary and exits "
-                            "nonzero on any invariant violation")
+                            "nonzero on any stale read")
     _add_sweep_flags(run_p, default_jobs=1)
 
     fig_p = sub.add_parser("figure", help="regenerate a paper figure")
@@ -688,8 +688,8 @@ def _cmd_run(args) -> int:
         print()
         print(result.audit.format_summary())
         if not result.audit.ok:
-            print("AUDIT FAILURE: coherence-invariant violations "
-                  "detected", file=sys.stderr)
+            print("AUDIT FAILURE: stale reads detected",
+                  file=sys.stderr)
             return 1
     return 0
 
@@ -870,11 +870,11 @@ def _cmd_inspect(args) -> int:
         print(f"inspect document -> {args.json}")
     if violations:
         for detail in audit.get("violations_detail", ())[:10]:
-            print(f"  violation: {detail.get('check')} page "
-                  f"{detail.get('page')} node {detail.get('node')} "
-                  f"-- {detail.get('detail')}", file=sys.stderr)
-        print("AUDIT FAILURE: coherence-invariant violations "
-              "detected", file=sys.stderr)
+            print(f"  violation: node {detail.get('node')} read word "
+                  f"{detail.get('word')} (page {detail.get('page')}) = "
+                  f"{detail.get('value')}, expected "
+                  f"{detail.get('expected')}", file=sys.stderr)
+        print("AUDIT FAILURE: stale reads detected", file=sys.stderr)
         return 1
     return 0
 
@@ -959,8 +959,8 @@ def _cmd_scale(args) -> int:
                                  preset=preset, app_name=args.app)
         print(result.audit.format_summary())
         if not result.audit.ok:
-            print("AUDIT FAILURE: coherence-invariant violations "
-                  "detected", file=sys.stderr)
+            print("AUDIT FAILURE: stale reads detected",
+                  file=sys.stderr)
             return 1
         if not result.verified:
             print("VERIFY FAILURE: audited run failed result "
@@ -998,7 +998,7 @@ def _cmd_chaos(args) -> int:
         print(f"chaos report -> {args.report}")
     if not report["ok"]:
         print("CHAOS FAILURE: some faulted runs hung, diverged, "
-              "failed verification, or violated coherence invariants",
+              "failed verification, or read stale values",
               file=sys.stderr)
         return 1
     return 0

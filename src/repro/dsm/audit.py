@@ -1,12 +1,13 @@
-"""Coherence-state introspection: typed audit stream + online sanitizer.
+"""Coherence-state introspection: typed audit stream + value check.
 
 The protocols in this reproduction (TreadMarks LRC and AURC, per the
 paper's sections 2-3) manipulate hidden per-page state -- write notices,
 twins, diffs, vector-timestamped intervals -- that the time-domain
 observability stack (metrics, traces, causal spans) never sees.  This
 module defines :class:`CoherenceAuditor`, a strictly passive subscriber
-to a typed event stream emitted from ``page.py``, ``treadmarks.py``,
-``aurc.py``, ``locks.py``, ``barriers.py`` and ``prefetch.py``.
+to a typed event stream emitted from ``protocol.py``, ``page.py``,
+``treadmarks.py``, ``aurc.py``, ``locks.py``, ``barriers.py`` and
+``prefetch.py``.
 
 Passivity contract (the zero-cost guarantee):
 
@@ -16,38 +17,32 @@ Passivity contract (the zero-cost guarantee):
   the tracer's events: its page-level transitions have no trace
   counterpart, and ``golden_state.json`` pins it;
 * the auditor never consumes simulator RNG, never schedules events,
-  never mutates protocol or page state -- it may only read ``sim.now``.
-  A run with auditing enabled is therefore bit-identical in cycles to
-  the same run without (enforced by tests/harness/test_golden_audit.py
-  against the 18-config golden fixture).
+  never mutates protocol or page state -- it may only read ``sim.now``
+  and the nodes' vector clocks.  A run with auditing enabled is
+  therefore bit-identical in cycles to the same run without (enforced
+  by tests/harness/test_golden_audit.py against the 18-config golden
+  fixture).
 
-On top of the stream sits an **online invariant sanitizer** -- a
-race-detector analogue for LRC/AURC.  Checks, as events arrive:
+On top of the stream sits one online check, the **value check**.  A
+data-race-free program must read, under LRC and AURC, the value its
+last happens-before write left.  The auditor keeps a shadow per shared
+word, ``(value, writer, interval)`` of the last write, which each
+protocol's write path stores right after the frame store; ``interval``
+is the writer's open interval.  At every read, ``proc_read`` hands the
+words it captured to :meth:`NodeAudit.read`, which compares each word
+whose last write happens-before the read -- the writer is the reader,
+or the reader's vector clock covers the writer's interval.  A word
+whose last write is concurrent with the read (TSP's unlocked bound
+read) is skipped, so no exemption list is needed.  A word nobody wrote
+reads as written with 0.0 in everybody's interval 0.
 
-``hb-notice-coverage``
-    After a sync merge advances node *p*'s vector clock to cover writer
-    *w*'s interval *i*, *p* must hold a write notice for every page of
-    *i* (LRC's correctness core: notices travel before-or-at the
-    covering acquire, paper section 2.1).
-``diff-order``
-    Diffs apply in per-writer interval order: an incoming diff whose
-    ``from_id`` exceeds the page's applied watermark for that writer
-    would skip an interval's writes (overlap is legal, gaps are not).
-``twin-write``
-    No write lands on a page whose write collection is not armed
-    (i.e. on an uncollected twin) -- writes would escape the next diff.
-``aurc-stamp-order``
-    AURC flush stamps are monotone per (writer, page, destination):
-    SHRIMP's automatic-update channel is FIFO, so a regressing sequence
-    number means updates were reordered or replayed (paper section 3).
-``aurc-directory``
-    The home directory's sharing mode agrees with its sharer count
-    (SOLO = 1, PAIRWISE = 2).
-``dual-protocol``
-    A page never holds conflicting protocol state on one node (both
-    TreadMarks twin/diff state and AURC stamp state).
+The value check replaced six invariants over notice, diff and stamp
+bookkeeping: scored against a table of protocol mutants
+(tests/dsm/test_mutants.py, DESIGN.md section 10), none of them caught
+a mutant the value check missed.
 
-Violations carry the offending page / interval / node and the last
+A violation carries the node, page and word, the value read and the
+value expected (with its writer and interval), and the last
 ``ring_depth`` transitions of that (node, page), pulled from a bounded
 ring buffer.
 """
@@ -58,6 +53,8 @@ import hashlib
 import json
 from collections import deque
 from typing import Any, Dict, List, Optional, Set, Tuple
+
+import numpy as np
 
 __all__ = ["CoherenceAuditor", "NodeAudit", "Violation", "RING_DEPTH",
            "TIMELINE_BITS", "timeline_char"]
@@ -100,34 +97,34 @@ def timeline_char(bits: int) -> str:
 
 
 class Violation:
-    """One sanitizer finding, with attribution and recent history."""
+    """One stale read, with attribution and recent history."""
 
-    __slots__ = ("check", "node", "page", "writer", "interval_id", "at",
-                 "detail", "recent")
+    __slots__ = ("node", "page", "word", "value", "expected", "writer",
+                 "interval_id", "at", "recent")
 
-    def __init__(self, check: str, node: int, page: int, writer: int,
-                 interval_id: int, at: int, detail: str,
+    def __init__(self, node: int, page: int, word: int, value: float,
+                 expected: float, writer: int, interval_id: int, at: int,
                  recent: Tuple[str, ...]):
-        self.check = check
         self.node = node
         self.page = page
+        self.word = word
+        self.value = value
+        self.expected = expected
         self.writer = writer
         self.interval_id = interval_id
         self.at = at
-        self.detail = detail
         self.recent = recent
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (f"Violation({self.check} node={self.node} "
-                f"page={self.page} writer={self.writer} "
-                f"interval={self.interval_id} @{self.at})")
+        return (f"Violation(node={self.node} word={self.word} "
+                f"read={self.value} expected={self.expected} @{self.at})")
 
     def format(self) -> str:
         lines = [
-            f"VIOLATION [{self.check}] page {self.page} on node "
-            f"{self.node} (writer {self.writer}, interval "
-            f"{self.interval_id}) at cycle {self.at}",
-            f"  {self.detail}",
+            f"VIOLATION stale read of word {self.word} (page {self.page}) "
+            f"on node {self.node} at cycle {self.at}",
+            f"  read {self.value!r}, expected {self.expected!r} written "
+            f"by node {self.writer} in interval {self.interval_id}",
         ]
         if self.recent:
             lines.append(f"  last {len(self.recent)} transitions:")
@@ -136,13 +133,14 @@ class Violation:
 
     def to_json(self) -> dict:
         return {
-            "check": self.check,
             "node": self.node,
             "page": self.page,
+            "word": self.word,
+            "value": self.value,
+            "expected": self.expected,
             "writer": self.writer,
             "interval_id": self.interval_id,
             "at": self.at,
-            "detail": self.detail,
             "recent": list(self.recent),
         }
 
@@ -155,18 +153,17 @@ class NodeAudit:
     on the parent auditor; nothing is written back into the protocol.
     """
 
-    __slots__ = ("auditor", "node", "epoch", "kind", "notified",
-                 "applied", "rings", "counts", "timeline", "hb_verified")
+    __slots__ = ("auditor", "node", "vc", "epoch", "applied", "rings",
+                 "counts", "timeline")
 
     def __init__(self, auditor: "CoherenceAuditor", node: int):
         self.auditor = auditor
         self.node = node
+        #: The node's live vector clock, read-only here (set by the
+        #: protocol's ``attach_audit``).
+        self.vc = None
         #: Barrier episodes this node has completed (timeline x-axis).
         self.epoch = 0
-        #: page -> "tm" | "aurc" (dual-protocol conflict detection).
-        self.kind: Dict[int, str] = {}
-        #: (page, writer) -> highest interval id noticed here.
-        self.notified: Dict[Tuple[int, int], int] = {}
         #: page -> {writer: applied-through interval id} mirror.
         self.applied: Dict[int, Dict[int, int]] = {}
         #: page -> ring of recent transition strings.
@@ -175,8 +172,6 @@ class NodeAudit:
         self.counts: Dict[int, Dict[str, int]] = {}
         #: page -> {barrier interval: timeline bits}.
         self.timeline: Dict[int, Dict[int, int]] = {}
-        #: writer -> vc component already hb-verified (check cursor).
-        self.hb_verified: Dict[int, int] = {}
 
     # -- internals ---------------------------------------------------
 
@@ -199,23 +194,39 @@ class NodeAudit:
             cells = self.timeline[page] = {}
         cells[self.epoch] = cells.get(self.epoch, 0) | bit
 
-    def _tag(self, page: int, kind: str) -> None:
-        have = self.kind.get(page)
-        if have is None:
-            self.kind[page] = kind
-        elif have != kind:
-            self.auditor._violate(
-                "dual-protocol", self.node, page, -1, -1,
-                f"page carries {have} state but received a {kind} event")
+    # -- the value check --------------------------------------------
+
+    def store(self, page: int, offset: int, values: np.ndarray) -> None:
+        """This node stored ``values`` at ``offset`` of ``page``."""
+        auditor = self.auditor
+        lo = page * auditor.words_per_page + offset
+        hi = lo + len(values)
+        auditor.value[lo:hi] = values
+        auditor.writer[lo:hi] = self.node
+        auditor.interval[lo:hi] = self.vc[self.node] + 1
+
+    def read(self, page: int, offset: int, chunk: np.ndarray) -> None:
+        """This node read ``chunk`` at ``offset`` of ``page``: compare
+        every word whose last write happens-before the read."""
+        auditor = self.auditor
+        lo = page * auditor.words_per_page + offset
+        hi = lo + len(chunk)
+        writer = auditor.writer[lo:hi]
+        interval = auditor.interval[lo:hi]
+        clock = np.array(self.vc.as_tuple())
+        ordered = (writer == self.node) | (clock[writer] >= interval)
+        auditor.compared += int(np.count_nonzero(ordered))
+        expected = auditor.value[lo:hi]
+        stale = np.flatnonzero(ordered & (chunk != expected))
+        for i in stale.tolist():
+            auditor._violate(self.node, page, lo + i, float(chunk[i]),
+                             float(expected[i]), int(writer[i]),
+                             int(interval[i]))
 
     # -- page-level event intake ------------------------------------
 
     def notice(self, page: int, writer: int, interval_id: int,
                newly_invalid: bool) -> None:
-        self._tag(page, "tm")
-        key = (page, writer)
-        if interval_id > self.notified.get(key, 0):
-            self.notified[key] = interval_id
         self._count(page, "notice")
         self._ring(page, f"notice w{writer} i{interval_id}"
                          f"{' ->invalid' if newly_invalid else ''}")
@@ -225,11 +236,7 @@ class NodeAudit:
                 self.auditor.page_stats(page).get("invalidations", 0) + 1
 
     def aurc_notice(self, page: int, writer: int, interval_id: int,
-                    dst: int, seq: int, newly_invalid: bool) -> None:
-        self._tag(page, "aurc")
-        key = (page, writer)
-        if interval_id > self.notified.get(key, 0):
-            self.notified[key] = interval_id
+                    dst: int, seq: int) -> None:
         self._count(page, "notice")
         self._ring(page, f"aurc-notice w{writer} i{interval_id} "
                          f"stamp=({dst},{seq})")
@@ -256,19 +263,14 @@ class NodeAudit:
         self._mark(page, B_INSTALL)
 
     def twin_armed(self, page: int) -> None:
-        self._tag(page, "tm")
         self._count(page, "twin")
         self._ring(page, "twin armed (write collection)")
         self._mark(page, B_TWIN)
 
-    def write(self, page: int, armed: bool) -> None:
+    def write(self, page: int, offset: int, values: np.ndarray) -> None:
+        """A TreadMarks write: counted, then stored in the shadow."""
         self._count(page, "write")
-        if not armed:
-            self.auditor._violate(
-                "twin-write", self.node, page, self.node, -1,
-                "write landed while write collection was not armed "
-                "(uncollected twin): the update would escape the next "
-                "diff")
+        self.store(page, offset, values)
 
     def interval_closed(self, page: int, writer: int,
                         interval_id: int) -> None:
@@ -277,22 +279,14 @@ class NodeAudit:
 
     def diff_created(self, page: int, writer: int, from_id: int,
                      to_id: int) -> None:
-        self._tag(page, "tm")
         self._count(page, "diff_created")
         self._ring(page, f"diff created w{writer} ({from_id},{to_id}]")
 
     def diff_applied(self, page: int, writer: int, from_id: int,
-                     to_id: int, applied_before: int) -> None:
+                     to_id: int) -> None:
         self._count(page, "diff_applied")
-        self._ring(page, f"diff applied w{writer} ({from_id},{to_id}] "
-                         f"(had {applied_before})")
+        self._ring(page, f"diff applied w{writer} ({from_id},{to_id}]")
         self._mark(page, B_DIFF_APPLIED)
-        if from_id > applied_before:
-            self.auditor._violate(
-                "diff-order", self.node, page, writer, to_id,
-                f"diff ({from_id},{to_id}] applied over watermark "
-                f"{applied_before}: intervals "
-                f"{applied_before + 1}..{from_id} skipped")
 
     def materialized(self, page: int, count: int) -> None:
         if count:
@@ -309,12 +303,13 @@ class NodeAudit:
 
 
 class CoherenceAuditor:
-    """Passive subscriber + online invariant sanitizer.
+    """Passive subscriber + online value check.
 
     Attach with :meth:`repro.harness.runner.run_app`'s ``audit=True``
     (which sets ``sim.audit`` and calls the protocol's
-    ``attach_audit``).  May be constructed standalone for unit tests
-    and fed synthetic events through :meth:`node_view`.
+    ``attach_audit``).  May be constructed standalone for unit tests:
+    size the shadow with :meth:`track_words` and feed events through
+    :meth:`node_view`.
     """
 
     def __init__(self, sim: Optional[Any] = None,
@@ -328,13 +323,14 @@ class CoherenceAuditor:
         self.nodes: Dict[int, NodeAudit] = {}
         self.violations: List[Violation] = []
         self.violation_count = 0
-        #: How many times each sanitizer check ran (vacuity guard).
-        self.checks: Dict[str, int] = {}
-        #: writer -> [(pages, vc), ...] indexed by interval_id - 1.
-        self.intervals: Dict[int, List[Tuple[Tuple[int, ...],
-                                             Tuple[int, ...]]]] = {}
-        #: (writer, page, dst) -> highest AURC flush seq seen.
-        self.stamp_high: Dict[Tuple[int, int, int], int] = {}
+        #: The shadow: per shared word, the last write's value, writer
+        #: and interval (sized by track_words).
+        self.words_per_page = 0
+        self.value = np.zeros(0)
+        self.writer = np.zeros(0, dtype=np.int64)
+        self.interval = np.zeros(0, dtype=np.int64)
+        #: Words the value check compared (vacuity guard).
+        self.compared = 0
         #: page -> cross-node aggregate stats (top-pages ranking).
         self._page_stats: Dict[int, Dict[str, int]] = {}
         #: (node, page) -> outstanding prefetch request tokens.
@@ -348,7 +344,6 @@ class CoherenceAuditor:
         self.prefetch_useful = 0
         self.prefetch_useless = 0
         self.prefetch_late = 0
-        self.sync_merges = 0
         self.lock_acquires = 0
         #: [(epoch, release cycle), ...] -- timeline column boundaries.
         self.barrier_releases: List[Tuple[int, int]] = []
@@ -362,6 +357,14 @@ class CoherenceAuditor:
         sim = self.sim
         return sim.now if sim is not None else 0
 
+    def track_words(self, total_words: int, words_per_page: int) -> None:
+        """Size the shadow to the shared segment: every word starts as
+        0.0, written by node 0 in interval 0 (which every clock covers)."""
+        self.words_per_page = words_per_page
+        self.value = np.zeros(total_words)
+        self.writer = np.zeros(total_words, dtype=np.int64)
+        self.interval = np.zeros(total_words, dtype=np.int64)
+
     def node_view(self, node: int) -> NodeAudit:
         view = self.nodes.get(node)
         if view is None:
@@ -374,11 +377,8 @@ class CoherenceAuditor:
             stats = self._page_stats[page] = {}
         return stats
 
-    def _check(self, name: str) -> None:
-        self.checks[name] = self.checks.get(name, 0) + 1
-
-    def _violate(self, check: str, node: int, page: int, writer: int,
-                 interval_id: int, detail: str) -> None:
+    def _violate(self, node: int, page: int, word: int, value: float,
+                 expected: float, writer: int, interval_id: int) -> None:
         self.violation_count += 1
         na = self.nodes.get(node)
         recent: Tuple[str, ...] = ()
@@ -386,81 +386,13 @@ class CoherenceAuditor:
             ring = na.rings.get(page)
             if ring:
                 recent = tuple(ring)
-            cells = na.timeline.get(page)
-            if cells is None:
-                cells = na.timeline[page] = {}
-            cells[na.epoch] = cells.get(na.epoch, 0) | B_VIOLATION
+            na._mark(page, B_VIOLATION)
         if len(self.violations) < self.max_violations:
             self.violations.append(Violation(
-                check, node, page, writer, interval_id, self.now(),
-                detail, recent))
+                node, page, word, value, expected, writer, interval_id,
+                self.now(), recent))
 
     # -- protocol-level event intake --------------------------------
-
-    def vc_advance(self, node: int, writer: int, interval_id: int,
-                   pages: Tuple[int, ...], vc: Tuple[int, ...],
-                   stamps: Optional[Dict[int, Tuple[int, int]]] = None
-                   ) -> None:
-        """Writer closed interval ``interval_id`` covering ``pages``.
-
-        Registers the interval globally (the hb-notice-coverage check
-        consults this registry at later merges) and, for AURC, checks
-        flush-stamp monotonicity.
-        """
-        self.events += 1
-        log = self.intervals.get(writer)
-        if log is None:
-            log = self.intervals[writer] = []
-        # Interval ids are assigned sequentially per writer
-        # (new_id = vc[writer] + 1), so list index == interval_id - 1.
-        while len(log) < interval_id:
-            log.append(((), ()))
-        log[interval_id - 1] = (tuple(pages), tuple(vc))
-        if stamps:
-            self._check("aurc-stamp-order")
-            for page, (dst, seq) in stamps.items():
-                key = (writer, page, dst)
-                last = self.stamp_high.get(key, -1)
-                if seq < last:
-                    self._violate(
-                        "aurc-stamp-order", writer, page, writer,
-                        interval_id,
-                        f"flush stamp ({dst},{seq}) regresses below "
-                        f"previously recorded seq {last}")
-                else:
-                    self.stamp_high[key] = seq
-
-    def sync_merge(self, node: int, vc: Tuple[int, ...]) -> None:
-        """Node merged coherence info up to ``vc`` at an acquire.
-
-        Runs the hb-notice-coverage check: every interval the merged
-        clock now covers must have deposited a write notice for each
-        of its pages on this node (incrementally, via per-writer
-        cursors, so the cost is O(newly covered intervals)).
-        """
-        self.events += 1
-        self.sync_merges += 1
-        self._check("hb-notice-coverage")
-        na = self.node_view(node)
-        notified = na.notified
-        for writer, through in enumerate(vc):
-            if writer == node or through <= 0:
-                continue
-            seen = na.hb_verified.get(writer, 0)
-            if through <= seen:
-                continue
-            log = self.intervals.get(writer, ())
-            upto = min(through, len(log))
-            for iid in range(seen + 1, upto + 1):
-                for page in log[iid - 1][0]:
-                    if notified.get((page, writer), 0) < iid:
-                        self._violate(
-                            "hb-notice-coverage", node, page, writer,
-                            iid,
-                            f"vector clock covers writer {writer} "
-                            f"interval {iid} but no write notice for "
-                            f"page {page} reached this node")
-            na.hb_verified[writer] = through
 
     def lock_acquire(self, node: int, lock: int, cached: bool) -> None:
         self.events += 1
@@ -478,17 +410,6 @@ class CoherenceAuditor:
         if not self.barrier_releases \
                 or self.barrier_releases[-1][0] < epoch:
             self.barrier_releases.append((epoch, at))
-
-    def aurc_directory(self, node: int, page: int, mode: str,
-                       sharers: int) -> None:
-        self.events += 1
-        self._check("aurc-directory")
-        expected = {"solo": 1, "pairwise": 2}.get(mode)
-        if expected is not None and sharers != expected:
-            self._violate(
-                "aurc-directory", node, page, -1, -1,
-                f"directory mode {mode!r} with {sharers} sharers "
-                f"(expected {expected})")
 
     def prefetch(self, node: int, action: str, page: int,
                  tokens: Optional[List[int]] = None) -> None:
@@ -629,8 +550,7 @@ class CoherenceAuditor:
             "events": self.events,
             "violations": self.violation_count,
             "violations_detail": [v.to_json() for v in self.violations],
-            "checks": dict(sorted(self.checks.items())),
-            "sync_merges": self.sync_merges,
+            "compared_words": self.compared,
             "lock_acquires": self.lock_acquires,
             "barrier_episodes": len(self.barrier_releases),
             "prefetch": {
@@ -647,12 +567,9 @@ class CoherenceAuditor:
             f"coherence audit: {self.events} events, "
             f"{self.violation_count} violations "
             f"({'OK' if self.ok else 'FAILED'})",
-            f"  checks run     : "
-            + ", ".join(f"{k}={v}" for k, v
-                        in sorted(self.checks.items())),
-            f"  sync merges    : {self.sync_merges}, "
-            f"lock acquires {self.lock_acquires}, "
-            f"barrier episodes {len(self.barrier_releases)}",
+            f"  value check    : {self.compared} words compared",
+            f"  sync           : {self.lock_acquires} lock acquires, "
+            f"{len(self.barrier_releases)} barrier episodes",
         ]
         if self.prefetch_issued:
             lines.append(

@@ -151,16 +151,12 @@ class AurcPage(PageView):
                 self.pending |= 1 << writer
         if self.audit is not None:
             self.audit.aurc_notice(self.page, writer, interval_id,
-                                   dst, seq, newly_invalid)
+                                   dst, seq)
         return newly_invalid
 
     def state_nbytes(self) -> int:
         """Bytes of coherence metadata (excludes the data frame)."""
         return super().state_nbytes() + sys.getsizeof(self.pending_stamps)
-
-    def state_dict_equiv_nbytes(self) -> int:
-        return (super().state_dict_equiv_nbytes()
-                + sys.getsizeof(self.pending_stamps))
 
 
 class _PageDirectory:
@@ -253,12 +249,6 @@ class Aurc(DsmProtocol):
     def page_home(self, page: int) -> int:
         return self.page_manager(page)
 
-    def _audit_dir(self, page: int, entry: "_PageDirectory") -> None:
-        """Guarded directory-consistency emission (mode vs sharers)."""
-        if self.audit is not None:
-            self.audit.aurc_directory(self.page_home(page), page,
-                                      entry.mode, entry.count)
-
     def _join_sharing(self, pid: int, page: int) -> int:
         """Register ``pid`` as a sharer; returns the fetch authority.
 
@@ -272,21 +262,18 @@ class Aurc(DsmProtocol):
         count = entry.count
         if count == 1:
             entry.mode = SOLO
-            self._audit_dir(page, entry)
             return pid  # first toucher: local zero page
         if count >= 2 and not self.pairwise_enabled:
             authority = (previous[0] if entry.mode == SOLO
                          else self.page_home(page))
             if entry.mode != HOME:
                 self._revert_to_home(entry, page)
-            self._audit_dir(page, entry)
             return authority
         if count == 2:
             entry.mode = PAIRWISE
             self.stats.pairwise_formations += 1
             a, b = entry.sharers
             self._pair(a, b, page)
-            self._audit_dir(page, entry)
             return previous[0]
         if (count == 3 and entry.mode == PAIRWISE
                 and not entry.replaced_once):
@@ -298,12 +285,10 @@ class Aurc(DsmProtocol):
             self._unpair(replaced, page)
             a, b = entry.sharers
             self._pair(a, b, page)
-            self._audit_dir(page, entry)
             return a if a != pid else b
         # Fourth (or returning) sharer: revert to write-through-to-home.
         if entry.mode != HOME:
             self._revert_to_home(entry, page)
-        self._audit_dir(page, entry)
         return self.page_home(page)
 
     def _pair(self, a: int, b: int, page: int) -> None:
@@ -411,6 +396,8 @@ class Aurc(DsmProtocol):
             self._note_use(node, ap)
             chunk = values[cursor:cursor + count]
             ap.write(offset, chunk)
+            if ap.audit is not None:
+                ap.audit.store(page, offset, chunk)  # the value check
             # Automatic update: data lands at the destination's frame
             # instantly (data plane); timing flows through the AU engine.
             dst = self._update_destination(pid, page)
@@ -448,9 +435,6 @@ class Aurc(DsmProtocol):
                                         pages=pages, vc=st.vc.as_tuple(),
                                         stamps=stamps)
             st.log.publish(record)
-            if self.audit is not None:
-                self.audit.vc_advance(pid, pid, new_id, pages,
-                                      st.vc.as_tuple(), stamps=stamps)
             yield self.sim.pooled_timeout(
                 len(pages) * self.params.list_processing_cycles_per_element)
 
@@ -690,10 +674,8 @@ class Aurc(DsmProtocol):
                    for node in self.cluster.nodes)
 
     def coherence_state_report(self) -> Dict[str, int]:
-        """The per-page views plus the home directories (which never
-        were dicts, so they count the same on both sides)."""
+        """The per-page views plus the home directories."""
         report = super().coherence_state_report()
-        directory = sum(e.nbytes() for e in self.directory.values())
-        report["coherence_state_bytes"] += directory
-        report["coherence_state_dict_bytes"] += directory
+        report["coherence_state_bytes"] += sum(
+            e.nbytes() for e in self.directory.values())
         return report

@@ -27,23 +27,7 @@ from __future__ import annotations
 import sys
 from array import array
 
-__all__ = ["NodeIntMap", "dict_equiv_nbytes"]
-
-# Measured CPython cost of one small-dict entry: the dict's internal
-# growth amortizes to ~100 bytes/entry at small sizes plus the boxed
-# int key/value objects (28 bytes each above the small-int cache).
-_DICT_ENTRY_BYTES = 104
-
-
-def dict_equiv_nbytes(entries: int) -> int:
-    """Approximate bytes a ``Dict[int, int]`` of ``entries`` would cost.
-
-    Used only for the before/after memory accounting recorded in the
-    bench archive -- the baseline the compact representation is compared
-    against.  An empty dict's fixed cost is measured, per-entry growth
-    uses the amortized CPython figure.
-    """
-    return sys.getsizeof({}) + entries * _DICT_ENTRY_BYTES
+__all__ = ["NodeIntMap"]
 
 
 class NodeIntMap:
@@ -143,7 +127,3 @@ class NodeIntMap:
                 + sys.getsizeof(self.mask)
                 + sys.getsizeof(self._ids)
                 + sys.getsizeof(self._vals))
-
-    def dict_equiv_nbytes(self) -> int:
-        """Bytes the dict this map replaced would have cost."""
-        return dict_equiv_nbytes(len(self._ids))

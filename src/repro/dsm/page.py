@@ -112,11 +112,6 @@ class PageView:
         return (self.applied.nbytes() + self.notified.nbytes()
                 + sys.getsizeof(self.pending))
 
-    def state_dict_equiv_nbytes(self) -> int:
-        """Bytes the pre-compaction dict representation would cost."""
-        return (self.applied.dict_equiv_nbytes()
-                + self.notified.dict_equiv_nbytes())
-
 
 class TmPage(PageView):
     """One node's view of one shared page (TreadMarks)."""
@@ -177,7 +172,7 @@ class TmPage(PageView):
         if self.dirty_mask is not None:
             self.dirty_mask[offset:offset + nwords] = True
         if self.audit is not None:
-            self.audit.write(self.page, self.write_active)
+            self.audit.write(self.page, offset, values)
 
     def close_interval(self, interval_id: int, writer: int,
                        vc: tuple = ()) -> bool:
@@ -235,8 +230,7 @@ class TmPage(PageView):
         frame = self.ensure_frame()
         if self.audit is not None:
             self.audit.diff_applied(self.page, diff.writer,
-                                    diff.from_id, diff.to_id,
-                                    self.applied.get(diff.writer, 0))
+                                    diff.from_id, diff.to_id)
         if (diff.dirty_words and self.dirty_mask is not None
                 and self.write_active and self.dirty_mask.any()):
             local_dirty = self.dirty_mask[diff.indices]
@@ -251,7 +245,3 @@ class TmPage(PageView):
 
     def state_nbytes(self) -> int:
         return super().state_nbytes() + self.copyset.nbytes()
-
-    def state_dict_equiv_nbytes(self) -> int:
-        return (super().state_dict_equiv_nbytes()
-                + self.copyset.dict_equiv_nbytes())

@@ -322,22 +322,23 @@ class DsmProtocol:
                        for i in range(self.n)]
         self.locks = LockService(self)
         self.barriers = BarrierService(self)
-        # Coherence auditor (set by attach_audit); None when unaudited.
-        self.audit = None
         for node in cluster.nodes:
             node.nic.handler = self._make_handler(node)
 
     def attach_audit(self, auditor) -> None:
         """Attach a :class:`~repro.dsm.audit.CoherenceAuditor`.
 
-        Hands every node state a per-node adapter, retrofits pages that
-        already exist, and records the protocol family.  Purely
+        Sizes its per-word shadow to the segment, hands every node state
+        a per-node adapter reading the node's clock, retrofits pages
+        that already exist, and records the protocol family.  Purely
         observational: no simulator state is touched.
         """
         auditor.family = self.family
-        self.audit = auditor
+        auditor.track_words(self.segment.total_words,
+                            self.params.words_per_page)
         for st in self.states:
             st.audit = auditor.node_view(st.pid)
+            st.audit.vc = st.vc
             for view in st.pages.values():
                 view.audit = st.audit
 
@@ -374,6 +375,7 @@ class DsmProtocol:
         node = self.cluster[pid]
         st = self.states[pid]
         words = self.params.words_per_page
+        audit = st.audit
         chunks = []
         for page, offset, count in self.split_by_page(addr, nwords):
             view = st.page(page, words)
@@ -384,6 +386,8 @@ class DsmProtocol:
             # timing hold below may run services that change the frame
             # (an AURC pair replacement drops it outright).
             chunk = view.frame[offset:offset + count].copy()
+            if audit is not None:
+                audit.read(page, offset, chunk)  # the value check
             busy, others = node.access_cost_cycles(
                 page, page * words + offset, count, write=False)
             yield from node.cpu.hold_split(busy, others)
@@ -486,11 +490,6 @@ class DsmProtocol:
         clock, charge list processing and page-state changes, emit."""
         pid = node.node_id
         st.vc.merge(vc_tuple)
-        if self.audit is not None:
-            # Covering-acquire point: all notices are recorded, so the
-            # hb-notice-coverage check must pass for every interval the
-            # merged clock now covers.
-            self.audit.sync_merge(pid, st.vc.as_tuple())
         cost = (notices * self.params.list_processing_cycles_per_element
                 + invalidated * self.params.page_state_change_cycles)
         if cost:
@@ -539,11 +538,12 @@ class DsmProtocol:
         """Process: classify a prefetch once its replies are in."""
         event = view.prefetch_event
         yield event
-        settled = view.prefetch_event is None  # finalize() counted it
+        if view.prefetch_event is None:
+            return  # finalize() already classified it
         view.prefetch_event = None
         if view.is_valid():
             view.prefetch_ready = True
-        elif not settled:
+        else:
             # Re-invalidated in flight; the next fault fetches the
             # remainder.
             self._prefetch_wasted(pid, view)
@@ -558,16 +558,14 @@ class DsmProtocol:
                     self._prefetch_wasted(st.pid, view)
 
     def coherence_state_report(self) -> Dict[str, int]:
-        """Bytes of live coherence metadata in ``states[*].pages`` vs the
-        pre-compaction dict representation (scale-sweep memory accounting)."""
-        compact = dict_equiv = pages = 0
+        """Bytes of live coherence metadata in ``states[*].pages``
+        (scale-sweep memory accounting)."""
+        compact = pages = 0
         for st in self.states:
             pages += len(st.pages)
             for view in st.pages.values():
                 compact += view.state_nbytes()
-                dict_equiv += view.state_dict_equiv_nbytes()
         return {"coherence_state_bytes": compact,
-                "coherence_state_dict_bytes": dict_equiv,
                 "coherence_pages": pages}
 
     # -- plumbing -------------------------------------------------------------

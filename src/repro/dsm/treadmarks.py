@@ -233,9 +233,6 @@ class TreadMarks(DsmProtocol):
                                     pages=tuple(sorted(written)),
                                     vc=vc_tuple)
             st.log.publish(record)
-            if self.audit is not None:
-                self.audit.vc_advance(pid, pid, new_id,
-                                      record.pages, vc_tuple)
             yield self.sim.pooled_timeout(
                 len(written)
                 * self.params.list_processing_cycles_per_element)

@@ -18,7 +18,7 @@ single-use) and reports, per run:
 * **violations** -- the coherence-audit sanitizer's finding count:
   every faulted run carries a :class:`~repro.dsm.audit
   .CoherenceAuditor`, turning PR 5's "final memory identical" into
-  "every intermediate coherence transition legal".  Any violation
+  "every read returned its last happens-before write".  Any violation
   fails the sweep.
 
 Chaos runs never touch the result cache: a faulted run must not be

@@ -241,10 +241,11 @@ def run_app(app, config: ProtocolConfig,
     ``audit=True`` attaches a
     :class:`~repro.dsm.audit.CoherenceAuditor` (``result.audit``): a
     passive subscriber to per-page protocol state transitions that
-    sanitizes coherence invariants online.  The auditor never consumes
-    simulator RNG or schedules events, so the run stays bit-identical
-    in cycles to an unaudited one; its state digests are frozen at the
-    end of the timed region (before the verify epilogue).
+    checks every read against its last happens-before write.  The
+    auditor never consumes simulator RNG or schedules events, so the
+    run stays bit-identical in cycles to an unaudited one; its state
+    digests are frozen at the end of the timed region (before the
+    verify epilogue).
     """
     params = params or MachineParams()
     if params.n_processors != app.nprocs:

@@ -101,8 +101,6 @@ def _row(doc: dict, app_name: str, nprocs: int, topology: str,
     state = doc.get("coherence_state")
     if state:
         row["coherence_state_bytes"] = state["coherence_state_bytes"]
-        row["coherence_state_dict_bytes"] = \
-            state["coherence_state_dict_bytes"]
         row["coherence_pages"] = state["coherence_pages"]
         row["coherence_state_bytes_per_node"] = \
             state["coherence_state_bytes"] // max(1, nprocs)

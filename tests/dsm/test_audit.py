@@ -1,12 +1,13 @@
-"""Unit tests for the coherence-state sanitizer (repro.dsm.audit).
+"""Unit tests for the coherence-state auditor (repro.dsm.audit).
 
-Each invariant check is driven with a synthetic event sequence that
-violates it, and the resulting :class:`Violation` must attribute the
-finding -- page, interval, node -- and carry the recent-transition
-ring.  A corrupted transition going *undetected* is the failure mode
-these tests exist to catch.
+The value check is driven with synthetic writes and reads: a stale read
+must be reported with its node, page, word, value read and value
+expected, and carry the recent-transition ring; a read whose last write
+does not happen-before it must be skipped.  A corrupted read going
+*undetected* is the failure mode these tests exist to catch.
 """
 
+import numpy as np
 import pytest
 
 from repro.dsm.audit import (
@@ -15,10 +16,26 @@ from repro.dsm.audit import (
     CoherenceAuditor,
     timeline_char,
 )
+from repro.dsm.timestamps import VectorClock
+
+WORDS = 8  # words per page of the synthetic segment
 
 
-def _auditor():
-    return CoherenceAuditor(sim=None)
+def _auditor(n=2, pages=4):
+    audit = CoherenceAuditor(sim=None)
+    audit.track_words(pages * WORDS, WORDS)
+    for node in range(n):
+        audit.node_view(node).vc = VectorClock(n)
+    return audit
+
+
+def _stale_read(audit, node=1, page=2):
+    """Node 0 writes 5.0 to word 3 of ``page`` and releases; ``node``
+    acquires (its clock covers the interval) but reads 0.0."""
+    audit.node_view(0).store(page, 3, np.array([5.0]))
+    audit.nodes[0].vc.advance(0)
+    audit.nodes[node].vc.merge(audit.nodes[0].vc)
+    audit.node_view(node).read(page, 2, np.array([0.0, 0.0]))
 
 
 # -- clean sequences stay clean -------------------------------------------
@@ -26,121 +43,54 @@ def _auditor():
 
 def test_legal_sequence_has_no_violations():
     audit = _auditor()
-    na = audit.node_view(1)
-    # Writer 0 closes interval 1 over page 7; node 1 gets the notice
-    # first, then merges a clock covering it, then applies the diff.
-    na.notice(7, 0, 1, newly_invalid=True)
-    audit.vc_advance(0, 0, 1, (7,), (1, 0))
-    audit.sync_merge(1, (1, 0))
-    na.diff_applied(7, 0, 0, 1, applied_before=0)
-    na.applied_through(7, 0, 1)
+    w, r = audit.node_view(0), audit.node_view(1)
+    w.store(1, 0, np.array([1.0, 2.0]))
+    w.vc.advance(0)
+    r.vc.merge(w.vc)
+    r.read(1, 0, np.array([1.0, 2.0]))
+    # A never-written word reads 0.0.
+    r.read(1, 2, np.array([0.0]))
     assert audit.ok
-    assert audit.violation_count == 0
-    assert audit.checks["hb-notice-coverage"] == 1
+    assert audit.compared == 3
 
 
-def test_overlapping_diff_is_legal():
+def test_read_without_happens_before_write_is_skipped():
     audit = _auditor()
-    na = audit.node_view(0)
-    na.diff_applied(3, 1, 0, 2, applied_before=0)
-    # Overlap (re-delivery of already-applied intervals) is legal...
-    na.diff_applied(3, 1, 1, 3, applied_before=2)
+    w, r = audit.node_view(0), audit.node_view(1)
+    w.store(1, 0, np.array([7.0]))
+    r.read(1, 0, np.array([0.0]))  # interval still open: concurrent
+    w.vc.advance(0)
+    r.read(1, 0, np.array([0.0]))  # released, but not acquired by r
     assert audit.ok
+    assert audit.compared == 0
 
 
-# -- each invariant detects its corruption --------------------------------
-
-
-def test_hb_notice_coverage_detects_missing_notice():
+def test_writer_own_read_is_always_compared():
     audit = _auditor()
-    # Writer 2 closes interval 1 covering page 9, but node 0 merges a
-    # clock that covers it WITHOUT ever receiving the write notice.
-    audit.vc_advance(2, 2, 1, (9,), (0, 0, 1))
-    audit.sync_merge(0, (0, 0, 1))
-    assert not audit.ok
-    v = audit.violations[0]
-    assert v.check == "hb-notice-coverage"
-    assert v.page == 9
-    assert v.writer == 2
-    assert v.interval_id == 1
-    assert v.node == 0
-    assert "no write notice" in v.detail
+    w = audit.node_view(0)
+    w.store(3, 4, np.array([9.0]))
+    w.read(3, 4, np.array([9.0]))
+    assert audit.ok and audit.compared == 1
+    w.read(3, 4, np.array([1.0]))
+    assert audit.violation_count == 1
+    assert audit.violations[0].writer == 0
 
 
-def test_hb_notice_coverage_cursor_does_not_recheck():
+# -- a stale read is detected and attributed -------------------------------
+
+
+def test_stale_read_detected_with_word_attribution():
     audit = _auditor()
-    audit.node_view(1).notice(4, 0, 1, newly_invalid=False)
-    audit.vc_advance(0, 0, 1, (4,), (1, 0))
-    audit.sync_merge(1, (1, 0))
-    audit.sync_merge(1, (1, 0))  # same clock again: nothing new to check
-    assert audit.ok
-    assert audit.nodes[1].hb_verified[0] == 1
-
-
-def test_diff_order_gap_detected_with_attribution():
-    audit = _auditor()
-    na = audit.node_view(3)
-    na.diff_applied(11, 1, 0, 1, applied_before=0)
-    # Interval 2 never applied; a diff starting at 2 skips it.
-    na.diff_applied(11, 1, 2, 3, applied_before=1)
+    audit.node_view(1).notice(2, 0, 1, newly_invalid=True)
+    _stale_read(audit)
     assert audit.violation_count == 1
     v = audit.violations[0]
-    assert v.check == "diff-order"
-    assert (v.node, v.page, v.writer, v.interval_id) == (3, 11, 1, 3)
-    assert "skipped" in v.detail
-
-
-def test_twin_write_detected():
-    audit = _auditor()
-    na = audit.node_view(2)
-    na.twin_armed(5)
-    na.write(5, armed=True)      # legal: collection armed
-    na.write(5, armed=False)     # illegal: uncollected twin
-    assert audit.violation_count == 1
-    v = audit.violations[0]
-    assert v.check == "twin-write"
-    assert v.page == 5
-    assert v.node == 2
+    assert (v.node, v.page, v.word) == (1, 2, 2 * WORDS + 3)
+    assert (v.value, v.expected) == (0.0, 5.0)
+    assert (v.writer, v.interval_id) == (0, 1)
     # The ring attached to the violation shows the preceding history.
-    assert any("twin armed" in entry for entry in v.recent)
-
-
-def test_aurc_stamp_order_regression_detected():
-    audit = _auditor()
-    audit.vc_advance(0, 0, 1, (6,), (1, 0),
-                     stamps={6: (1, 5)})
-    audit.vc_advance(0, 0, 2, (6,), (2, 0),
-                     stamps={6: (1, 3)})  # seq regresses: 5 -> 3
-    assert audit.violation_count == 1
-    v = audit.violations[0]
-    assert v.check == "aurc-stamp-order"
-    assert v.page == 6
-    assert v.writer == 0
-    assert v.interval_id == 2
-    assert "regresses" in v.detail
-    assert audit.checks["aurc-stamp-order"] == 2
-
-
-def test_aurc_directory_mismatch_detected():
-    audit = _auditor()
-    audit.aurc_directory(0, 8, "solo", sharers=1)       # fine
-    audit.aurc_directory(0, 8, "pairwise", sharers=2)   # fine
-    audit.aurc_directory(0, 8, "home", sharers=7)       # unconstrained
-    assert audit.ok
-    audit.aurc_directory(0, 8, "solo", sharers=2)
-    assert audit.violation_count == 1
-    assert audit.violations[0].check == "aurc-directory"
-
-
-def test_dual_protocol_conflict_detected():
-    audit = _auditor()
-    na = audit.node_view(1)
-    na.twin_armed(4)                         # TreadMarks state...
-    na.aurc_notice(4, 0, 1, 1, 0, False)     # ...then AURC state
-    assert audit.violation_count == 1
-    v = audit.violations[0]
-    assert v.check == "dual-protocol"
-    assert v.page == 4
+    assert any("notice w0 i1" in entry for entry in v.recent)
+    assert audit.compared == 2  # word 2 (never written) and word 3
 
 
 # -- ring buffer, cap, timeline -------------------------------------------
@@ -148,10 +98,10 @@ def test_dual_protocol_conflict_detected():
 
 def test_ring_holds_last_k_transitions():
     audit = _auditor()
-    na = audit.node_view(0)
+    na = audit.node_view(1)
     for i in range(RING_DEPTH + 10):
-        na.notice(1, 0, i + 1, newly_invalid=False)
-    na.write(1, armed=False)
+        na.notice(2, 0, i + 1, newly_invalid=False)
+    _stale_read(audit)
     v = audit.violations[0]
     assert len(v.recent) == RING_DEPTH
     # Oldest entries fell off; the newest notice is present.
@@ -161,9 +111,8 @@ def test_ring_holds_last_k_transitions():
 
 def test_violation_records_capped_but_counted():
     audit = _auditor()
-    na = audit.node_view(0)
     for _ in range(MAX_VIOLATIONS + 20):
-        na.write(2, armed=False)
+        _stale_read(audit)
     assert audit.violation_count == MAX_VIOLATIONS + 20
     assert len(audit.violations) == MAX_VIOLATIONS
     assert "more violations" in audit.format_summary()
@@ -171,18 +120,18 @@ def test_violation_records_capped_but_counted():
 
 def test_timeline_cells_and_glyph_priority():
     audit = _auditor()
-    na = audit.node_view(0)
-    na.notice(3, 1, 1, newly_invalid=False)
-    audit.barrier_done(0)
+    na = audit.node_view(1)
+    na.notice(2, 0, 1, newly_invalid=False)
+    audit.barrier_done(1)
     audit.barrier_release(1, 100)
-    na.diff_applied(3, 1, 0, 1, applied_before=0)
-    cells = na.timeline[3]
+    na.diff_applied(2, 0, 0, 1)
+    cells = na.timeline[2]
     assert timeline_char(cells[0]) == "n"
     assert timeline_char(cells[1]) == "D"
     assert timeline_char(0) == "."
     # Violations outrank everything else in the same cell.
-    na.write(3, armed=False)
-    assert timeline_char(na.timeline[3][1]) == "!"
+    _stale_read(audit)
+    assert timeline_char(na.timeline[2][1]) == "!"
     assert audit.barrier_releases == [(1, 100)]
 
 
@@ -236,13 +185,15 @@ def test_prefetch_token_classification():
 
 def test_summary_and_format_summary_roundtrip():
     audit = _auditor()
-    audit.node_view(0).write(1, armed=False)
+    _stale_read(audit)
     summary = audit.summary()
     assert summary["violations"] == 1
-    assert summary["violations_detail"][0]["check"] == "twin-write"
+    assert summary["violations_detail"][0]["word"] == 2 * WORDS + 3
+    assert summary["compared_words"] == 2
     text = audit.format_summary()
-    assert "FAILED" in text and "twin-write" in text
-    assert "page 1 on node 0" in text
+    assert "FAILED" in text and "stale read" in text
+    assert "(page 2) on node 1" in text
+    assert "read 0.0, expected 5.0" in text
 
 
 @pytest.mark.parametrize("kind", ["read", "write", "access"])

@@ -110,14 +110,20 @@ def test_prefetch_lead_time_tracked_for_useful(make_rig):
 
 @pytest.mark.parametrize("app_name,label", [
     ("TSP", "AURC+P"),   # prefetches re-invalidated or dropped in flight
-    ("Em3d", "P"),
+    ("Em3d", "P"),       # in flight at finalize(), landing in the epilogue
+    ("Em3d", "AURC+P"),
 ])
 def test_every_issued_prefetch_is_classified_once(app_name, label):
     """After ``finalize`` each issued prefetch is useful or useless,
-    including one whose page was still invalid when its replies landed."""
+    including one whose page was still invalid when its replies landed,
+    and the verify epilogue classifies none of them again."""
     config = (ProtocolConfig.aurc(prefetch=True) if label == "AURC+P"
               else ProtocolConfig.treadmarks(label))
-    result = run_app(scaled_app(app_name, 4, quick=True), config)
+    result = run_app(scaled_app(app_name, 4, quick=True), config,
+                     audit=True)
     stats = result.protocol_stats.prefetch
     assert stats.issued > 0
     assert stats.useful + stats.useless == stats.issued
+    audit = result.audit
+    assert (audit.prefetch_useful, audit.prefetch_useless) \
+        == (stats.useful, stats.useless)

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.dsm.audit import CoherenceAuditor
 from repro.dsm.aurc import Aurc
 from repro.dsm.overlap import ALL_MODES, mode_by_name
 from repro.dsm.shmem import DsmApi, SharedSegment
@@ -70,10 +71,18 @@ def _build(protocol_kind, mode_name, n_procs, prefetch=False):
     return sim, cluster, protocol, base
 
 
-def _run_program(program, protocol_kind, mode_name, prefetch=False):
+def execute_program(program, protocol_kind, mode_name, prefetch=False,
+                    audit=False):
+    """Run ``program``; returns its oracle mismatches and, with
+    ``audit``, the attached :class:`CoherenceAuditor` (else None)."""
     n_procs = len(program)
     sim, cluster, protocol, base = _build(protocol_kind, mode_name,
                                           n_procs, prefetch)
+    auditor = None
+    if audit:
+        auditor = CoherenceAuditor(sim)
+        sim.audit = auditor
+        protocol.attach_audit(auditor)
     oracle = np.zeros(N_LOCKS * REGION_WORDS)
     counter = [1.0]
     barrier_epochs = [0] * n_procs
@@ -119,6 +128,12 @@ def _run_program(program, protocol_kind, mode_name, prefetch=False):
 
     done = [cluster[pid].cpu.start(worker(pid)) for pid in range(n_procs)]
     sim.run(until=AllOf(sim, done))
+    return mismatches, auditor
+
+
+def _run_program(program, protocol_kind, mode_name, prefetch=False):
+    mismatches, _ = execute_program(program, protocol_kind, mode_name,
+                                    prefetch)
     assert not mismatches, f"oracle mismatches: {mismatches[:3]}"
 
 

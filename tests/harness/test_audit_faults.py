@@ -2,10 +2,10 @@
 
 Fault injection (drop / duplicate / reorder) perturbs *timing*, never
 *semantics*: the NIC's ack/retransmit layer re-delivers everything, so
-every coherence transition of a faulted run must still satisfy the
-sanitizer's invariants, and -- for non-speculative protocols -- the
-final per-page applied-interval snapshots must be exactly those of the
-unfaulted run.
+every read of a faulted run must still pass the value check (return
+its last happens-before write), and -- for non-speculative protocols
+-- the final per-page applied-interval snapshots must be exactly those
+of the unfaulted run.
 
 Prefetch-bearing configurations are held to the zero-violations bar
 only: prefetch issue/landing is timing-dependent *speculation*, so a

@@ -91,24 +91,21 @@ def test_run_audit_with_faults_clean(capsys):
 
 
 def test_run_audit_violation_exits_nonzero(monkeypatch, capsys):
-    # Force a sanitizer finding to prove the CLI surfaces it: corrupt
-    # one diff application's from_id so the gap check fires.
+    # Force a value-check finding to prove the CLI surfaces it: the
+    # check sees one read return one more than the last write left.
     from repro.dsm import audit as audit_mod
 
-    original = audit_mod.NodeAudit.diff_applied
-    fired = {"n": 0}
+    original = audit_mod.NodeAudit.read
 
-    def corrupted(self, page, writer, from_id, to_id, applied_before):
-        if fired["n"] == 0:
-            fired["n"] = 1
-            from_id = applied_before + 7  # fabricate a skipped gap
-        original(self, page, writer, from_id, to_id, applied_before)
+    def corrupted(self, page, offset, chunk):
+        if self.auditor.ok:
+            chunk = chunk + 1.0
+        original(self, page, offset, chunk)
 
-    monkeypatch.setattr(audit_mod.NodeAudit, "diff_applied", corrupted)
+    monkeypatch.setattr(audit_mod.NodeAudit, "read", corrupted)
     code = main(["run", "Em3d", "--protocol", "I+D", "--quick",
                  "--procs", "4", "--audit"])
     assert code == 1
     captured = capsys.readouterr()
     assert "AUDIT FAILURE" in captured.err
-    assert "diff-order" in captured.out
-    assert "VIOLATION" in captured.out
+    assert "VIOLATION stale read of word" in captured.out

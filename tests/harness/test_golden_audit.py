@@ -23,7 +23,7 @@ Three guarantees over the same 18 quick configurations that
   chaos runs (the fault-only sites: retransmits, duplicates, acks,
   spikes, controller stalls).
 
-Every configuration must also pass the online sanitizer with zero
+Every configuration must also pass the online value check with zero
 violations.
 
 Regenerate the observe fixture (only after an intentional change to
@@ -118,11 +118,11 @@ def test_audited_run_is_bit_identical_clean_and_state_golden(key):
     audit = result.audit
     assert audit is not None
 
-    # Sanitizer: every transition of the run was legal.
+    # Value check: every read returned its last happens-before write.
     assert audit.violation_count == 0, \
         f"{key}: {audit.format_summary()}"
-    # The checks actually ran (vacuity guard).
-    assert audit.checks.get("hb-notice-coverage", 0) > 0
+    # The check actually compared words (vacuity guard).
+    assert audit.compared > 0
 
     # Zero-cost: cycles identical to the unobserved golden fixture.
     expected = GOLDEN_CYCLES["runs"][key]

@@ -43,7 +43,6 @@ def _fake_doc():
         "peak_rss_kb": 4096,
         "coherence_state": {
             "coherence_state_bytes": 6400,
-            "coherence_state_dict_bytes": 64000,
             "coherence_pages": 10,
         },
     }
