@@ -7,7 +7,10 @@ observability stack (metrics, traces, causal spans) never sees.  This
 module defines :class:`CoherenceAuditor`, a strictly passive subscriber
 to a typed event stream emitted from ``protocol.py``, ``page.py``,
 ``treadmarks.py``, ``aurc.py``, ``locks.py``, ``barriers.py`` and
-``prefetch.py``.
+``prefetch.py``.  Write notices of both protocols arrive through one
+intake, :meth:`NodeAudit.notice` (from ``PageView.record_notice``), and
+count a page's ``invalidations``; AURC's flush stamps stay in their
+interval records and are not part of the stream.
 
 Passivity contract (the zero-cost guarantee):
 
@@ -234,13 +237,6 @@ class NodeAudit:
         if newly_invalid:
             self.auditor.page_stats(page)["invalidations"] = \
                 self.auditor.page_stats(page).get("invalidations", 0) + 1
-
-    def aurc_notice(self, page: int, writer: int, interval_id: int,
-                    dst: int, seq: int) -> None:
-        self._count(page, "notice")
-        self._ring(page, f"aurc-notice w{writer} i{interval_id} "
-                         f"stamp=({dst},{seq})")
-        self._mark(page, B_NOTICE)
 
     def applied_through(self, page: int, writer: int,
                         through_id: int) -> None:

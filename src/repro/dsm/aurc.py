@@ -24,13 +24,19 @@ centrally; transitions are rare, one-time events):
 
 Like TreadMarks -- both run on the LRC core of
 :class:`~repro.dsm.protocol.DsmProtocol` -- interval records propagate
-through lock grants and barriers; AURC's records additionally carry
-per-page flush stamps ``(dst, seq)`` so a fetch can name exactly the
-updates the home must have seen.  AURC has no protocol controller:
-every remote service (page fetch, lock/barrier handling) interrupts the
-serving node's computation processor, and prefetch requests have no
-priority support -- the two structural reasons prefetching hurts AURC
-in the paper.
+through lock grants and barriers, and both merge write notices through
+the one :meth:`~repro.dsm.page.PageView.record_notice`.  AURC's records
+additionally carry per-page flush stamps ``(dst, seq)``; a stamp lives
+only in its record, which a fetch looks up in the run's interval store
+to name exactly the updates the authority must have seen.  A notice
+whose updates flow to the merging node itself (its pair partner's
+writes, or any writer's when it is the home) is waited for at the merge
+and applied before it is recorded, so it never invalidates.
+
+AURC has no protocol controller: every remote service (page fetch,
+lock/barrier handling) interrupts the serving node's computation
+processor, and prefetch requests have no priority support -- the two
+structural reasons prefetching hurts AURC in the paper.
 
 Documented simplifications (DESIGN.md section 2): update data lands in
 the destination frame at the write; directory metadata, pair formation
@@ -61,7 +67,7 @@ from repro.dsm.shmem import SharedSegment
 from repro.dsm.timestamps import IntervalStore
 from repro.hardware.node import Cluster, Node
 from repro.hardware.params import MachineParams
-from repro.sim import Event, Simulator
+from repro.sim import Simulator
 from repro.stats.breakdown import Category
 
 __all__ = ["Aurc", "AurcStats", "AurcIntervalRecord"]
@@ -98,7 +104,7 @@ class AurcStats:
 
     faults: int = 0
     fetches: int = 0
-    local_waits: int = 0          # pairwise/home waits for in-flight updates
+    local_waits: int = 0          # merge waits for in-flight updates
     pairwise_formations: int = 0
     pair_replacements: int = 0
     reverts_to_home: int = 0
@@ -108,14 +114,10 @@ class AurcStats:
 class AurcPage(PageView):
     """One node's view of one page under AURC."""
 
-    __slots__ = ("pending_stamps", "partner", "landed")
+    __slots__ = ("partner", "landed")
 
     def __init__(self, page: int, words: int, audit=None):
         super().__init__(page, words, audit)
-        # writer -> (interval_id, dst, seq) of the newest pending notice.
-        # Stays a real dict: entries are deleted as stamps are covered,
-        # so it self-prunes to the handful of in-flight writers.
-        self.pending_stamps: Dict[int, Tuple[int, int, int]] = {}
         self.partner: Optional[int] = None
         # Words written into this frame since a page fetch was issued
         # (None when no fetch is in flight): the fetched copy must not
@@ -129,34 +131,25 @@ class AurcPage(PageView):
         if self.landed is not None:
             self.landed[offset:offset + len(values)] = True
 
-    def begin_fetch(self, authority: int):
+    def begin_fetch(self, authority: int, store: IntervalStore):
         """Arm ``landed`` for a fetch from ``authority``; return the
-        update sequences it must drain first, and the notices (all
-        pending) the copy covers."""
+        update sequences it must drain first, and the pending notices
+        the copy covers.
+
+        Each pending writer's flush stamp is read from the record of
+        its newest notice, ``store.record(writer, notified[writer])``.
+        """
         self.landed = np.zeros(self.words, dtype=bool)
-        stamps = self.pending_stamps.items()
-        return ({w: seq for w, (_i, dst, seq) in stamps
-                 if dst == authority and seq},
-                {w: interval for w, (interval, _d, _s) in stamps})
-
-    def record_notice(self, writer: int, interval_id: int, dst: int,
-                      seq: int) -> bool:
-        """Merge a write notice with its flush stamp; returns True if it
-        newly invalidated a valid copy."""
-        newly_invalid = False
-        if self.notified.raise_to(writer, interval_id):
-            self.pending_stamps[writer] = (interval_id, dst, seq)
-            if interval_id > self.applied.get(writer, 0):
-                newly_invalid = not self.pending and self.frame is not None
-                self.pending |= 1 << writer
-        if self.audit is not None:
-            self.audit.aurc_notice(self.page, writer, interval_id,
-                                   dst, seq)
-        return newly_invalid
-
-    def state_nbytes(self) -> int:
-        """Bytes of coherence metadata (excludes the data frame)."""
-        return super().state_nbytes() + sys.getsizeof(self.pending_stamps)
+        waits: Dict[int, int] = {}
+        covered: Dict[int, int] = {}
+        pending = self.pending
+        for writer, interval in self.notified.items():
+            if (pending >> writer) & 1:
+                covered[writer] = interval
+                dst, seq = store.record(writer, interval).stamps[self.page]
+                if dst == authority and seq:
+                    waits[writer] = seq
+        return waits, covered
 
 
 class _PageDirectory:
@@ -463,17 +456,16 @@ class Aurc(DsmProtocol):
                 # Every written page has a stamp: ``_end_interval`` takes
                 # ``pages`` and ``stamps`` from the same writes.
                 dst, seq = stamps[page]
-                newly_invalid = ap.record_notice(writer, interval_id,
-                                                 dst, seq)
-                if ap.prefetch_ready:
-                    self._prefetch_wasted(pid, ap)
                 if dst == pid:
                     # Updates flow to us automatically (pairwise partner
-                    # or we are the home): wait, do not invalidate.
+                    # or we are the home): wait below, and apply first
+                    # so the notice never goes pending.
                     waits.append((writer, seq))
                     ap.mark_applied(writer, interval_id)
-                elif newly_invalid and ap.has_frame:
+                if ap.record_notice(writer, interval_id):
                     invalidated.append(ap)
+                if ap.prefetch_ready:
+                    self._prefetch_wasted(pid, ap)
         yield from self._merge_clock(node, st, vc_tuple, notices,
                                      len(invalidated))
         wait_start = self.sim.now
@@ -499,40 +491,30 @@ class Aurc(DsmProtocol):
         return "access"
 
     def _make_valid(self, node: Node, st: NodeAurcState, ap: AurcPage):
-        """Processor-context generator: join the page's sharers; wait
-        for our own pending updates or fetch from the authority."""
+        """Processor-context generator: join the page's sharers; take
+        our own frame as current or fetch from the authority."""
         pid = node.node_id
         while not ap.is_valid():
             authority = self._join_sharing(pid, ap.page)
             if authority == pid:
-                # We are the home (or the solo first toucher): wait for
-                # in-flight updates named by our pending stamps.
+                # We are the home (or the solo first toucher): our frame
+                # is the page.  Notices whose updates flow here were
+                # waited for at the merge and never went pending.
                 ap.ensure_frame()
-                for writer, (interval, dst, seq) in list(
-                        ap.pending_stamps.items()):
-                    if seq and dst == pid:
-                        self.stats.local_waits += 1
-                        gate = Event(self.sim)
-                        self.sim.process(
-                            self._drain_wait(node, writer, seq, gate))
-                        yield from node.cpu.wait(gate, Category.DATA)
-                    ap.mark_applied(writer, interval)
+                for writer in ap.pending_writers():
+                    ap.mark_applied(writer, ap.notified[writer])
                 yield from node.cpu.hold(
                     self.params.page_state_change_cycles, Category.DATA)
                 continue
             yield from self._fetch_page(node, st, ap, authority,
                                         prefetch=False)
 
-    def _drain_wait(self, node: Node, writer: int, seq: int, gate: Event):
-        yield from node.nic.au_engine.wait_for(writer, seq)
-        gate.succeed()
-
     def _fetch_page(self, node: Node, st: NodeAurcState, ap: AurcPage,
                     authority: int, prefetch: bool):
         """Processor-context generator: fetch a page copy from authority."""
         self.stats.fetches += 1
         pid = node.node_id
-        wait_stamps, covered = ap.begin_fetch(authority)
+        wait_stamps, covered = ap.begin_fetch(authority, self.intervals)
         token = self.new_token()
         done = self.register_pending(token, (ap, covered))
         request = AurcPageRequest(
@@ -569,10 +551,6 @@ class Aurc(DsmProtocol):
         ap.adopt_snapshot(reply.versions)
         for writer, through in covered.items():
             ap.mark_applied(writer, through)
-        for writer in list(ap.pending_stamps):
-            # A stamp carries notified[writer]: covered iff not pending.
-            if not (ap.pending >> writer) & 1:
-                del ap.pending_stamps[writer]
         self._invalidate_cached(node, ap)
 
     def _serve_fetch(self, node: Node, msg: AurcPageRequest):
@@ -656,7 +634,7 @@ class Aurc(DsmProtocol):
             token = self.new_token()
             note_prefetch(self.sim, pid, "issue", ap.page,
                           authority=authority, tokens=[token])
-            stamps, covered = ap.begin_fetch(authority)
+            stamps, covered = ap.begin_fetch(authority, self.intervals)
             done = self.register_pending(token, (ap, covered))
             request = AurcPageRequest(requester=pid, page=ap.page,
                                       token=token, stamps=stamps,

@@ -14,12 +14,16 @@ Each node tracks, for every shared page it has touched:
 The first three are :class:`PageView`, the base of :class:`TmPage` and
 ``aurc.AurcPage``.  Validity is queried far more often than it changes,
 so the view maintains ``pending`` -- an int bitset, bit ``w`` set iff
-``notified[w] > applied[w]`` -- where those maps are written (each
-page class's ``record_notice``, one pass over ``notified`` and at most
-one ``applied.get``; ``mark_applied``) instead of rescanning them per
+``notified[w] > applied[w]`` -- where those maps are written
+(``record_notice``, one pass over ``notified`` and at most one
+``applied.get``; ``mark_applied``) instead of rescanning them per
 query.  The mask has no order, so ``pending_writers()`` filters
 ``notified``'s insertion-ordered ids by it: arrival order is the
 diff-request issue order the goldens pin.
+
+Both protocols merge notices through the one ``record_notice``; an
+AURC notice's flush stamp stays in its interval record, where
+``aurc.AurcPage.begin_fetch`` reads it.
 """
 
 from __future__ import annotations
@@ -87,6 +91,18 @@ class PageView:
 
     # -- notices --------------------------------------------------------------
 
+    def record_notice(self, writer: int, interval_id: int) -> bool:
+        """Merge a write notice; returns True if it newly invalidated."""
+        newly_invalid = False
+        if (self.notified.raise_to(writer, interval_id)
+                and interval_id > self.applied.get(writer, 0)):
+            newly_invalid = not self.pending and self.frame is not None
+            self.pending |= 1 << writer
+        if self.audit is not None:
+            self.audit.notice(self.page, writer, interval_id,
+                              newly_invalid)
+        return newly_invalid
+
     def mark_applied(self, writer: int, through_id: int) -> None:
         if self.applied.raise_to(writer, through_id):
             if through_id >= self.notified.get(writer, 0):
@@ -141,18 +157,6 @@ class TmPage(PageView):
         # consults before piggybacking updates on lock grants.  The
         # bitset-backed map keeps membership O(1) at 1024 nodes.
         self.copyset = NodeIntMap()
-
-    def record_notice(self, writer: int, interval_id: int) -> bool:
-        """Merge a write notice; returns True if it newly invalidated."""
-        newly_invalid = False
-        if (self.notified.raise_to(writer, interval_id)
-                and interval_id > self.applied.get(writer, 0)):
-            newly_invalid = not self.pending and self.frame is not None
-            self.pending |= 1 << writer
-        if self.audit is not None:
-            self.audit.notice(self.page, writer, interval_id,
-                              newly_invalid)
-        return newly_invalid
 
     # -- write collection -----------------------------------------------------
 

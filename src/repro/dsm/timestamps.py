@@ -23,7 +23,7 @@ learns the arrivals' records before its clock merges them.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Iterable, List, Sequence, Tuple
 
@@ -109,7 +109,8 @@ class IntervalStore:
     Per writer an id-sorted ``(ids, records)`` list pair that only
     grows: the writer appends each record as it closes the interval
     (:meth:`add`), so nothing is inserted, copied or re-sorted.  Nodes
-    read it through their :class:`IntervalLog` views.
+    read it through their :class:`IntervalLog` views, and AURC looks up
+    the record a notice came from (:meth:`record`) for its flush stamps.
     """
 
     __slots__ = ("ids", "records")
@@ -128,6 +129,14 @@ class IntervalStore:
                 f"closes after interval {ids[-1]}")
         ids.append(record.interval_id)
         self.records[record.writer].append(record)
+
+    def record(self, writer: int, interval_id: int) -> IntervalRecord:
+        """The stored record of ``writer``'s interval ``interval_id``."""
+        ids = self.ids[writer]
+        at = bisect_left(ids, interval_id)
+        if at == len(ids) or ids[at] != interval_id:
+            raise KeyError((writer, interval_id))
+        return self.records[writer][at]
 
 
 class IntervalLog:

@@ -231,8 +231,8 @@ class LiveRenderer:
                 else ""
             self.echo(f"[watch] chaos    {event.get('app', '?')}/"
                       f"{event.get('protocol', '?')} seed "
-                      f"{event.get('seed', '?')}: {verdict}, memory "
-                      f"{event.get('memory', '?')}{extra}")
+                      f"{event.get('seed', '?')}: {verdict}, "
+                      f"{event.get('violations', '?')} violations{extra}")
 
     def replay(self, records: List[Dict[str, Any]]) -> None:
         for record in records:

@@ -195,7 +195,7 @@ class RunReport:
 
 # Schemas `repro validate` accepts.  Version 1 run reports (pre-causal)
 # remain readable; repro-bench/1 is the scale-sweep archive
-# (`repro scale --out`); repro-chaos/1 is the fault-sweep report
+# (`repro scale --out`); repro-chaos/2 is the fault-sweep report
 # `repro chaos` writes; repro-diff/1 is the cross-run differential
 # document (`repro diff`); repro-inspect/1 the per-page coherence-audit
 # document (`repro inspect`).
@@ -204,7 +204,7 @@ class RunReport:
 # (The repro-sweep-log/1 JSONL stream is validated by its own reader,
 # repro.harness.telemetry.read_sweep_log -- it is not a JSON document.)
 KNOWN_SCHEMAS = ("repro-run-report/1", "repro-run-report/2",
-                 "repro-bench/1", "repro-chaos/1", "repro-diff/1",
+                 "repro-bench/1", "repro-chaos/2", "repro-diff/1",
                  "repro-inspect/1", "repro-serve/1")
 
 # Top-level keys that must be present per schema.
@@ -212,7 +212,7 @@ _REQUIRED_KEYS = {
     "repro-run-report/1": ("run",),
     "repro-run-report/2": ("run",),
     "repro-bench/1": ("generated_by", "runs"),
-    "repro-chaos/1": ("spec", "rows", "survived", "ok"),
+    "repro-chaos/2": ("spec", "rows", "survived", "ok"),
     "repro-diff/1": ("a", "b", "execution_cycles", "identical"),
     "repro-inspect/1": ("run", "pages", "audit", "state"),
     "repro-serve/1": ("job",),
@@ -249,7 +249,7 @@ def validate_report(doc) -> List[str]:
             problems.append("'warnings' must be a list")
         if "execution" in doc and not isinstance(doc["execution"], dict):
             problems.append("'execution' must be an object")
-    elif schema == "repro-chaos/1":
+    elif schema == "repro-chaos/2":
         rows = doc.get("rows")
         if rows is not None:
             if not isinstance(rows, list) or not rows:
@@ -260,7 +260,7 @@ def validate_report(doc) -> List[str]:
                         problems.append(f"rows[{i}] must be an object")
                         continue
                     for key in ("app", "protocol", "seed", "survived",
-                                "memory"):
+                                "verified", "violations"):
                         if key not in entry:
                             problems.append(
                                 f"rows[{i}] missing key {key!r}")

@@ -1,9 +1,10 @@
 """Maintained invalidation state must equal what a rescan would compute.
 
 ``PageView.pending`` (bit w set iff ``notified[w] > applied[w]``)
-replaced per-query recomputation, and the run's one ``IntervalStore``
-replaced each node's own copy of the records it learned.  These
-tests pin the replacement to the old from-scratch definitions -- in
+replaced per-query recomputation, the run's one ``IntervalStore``
+replaced each node's own copy of the records it learned, and AURC's
+fetches read flush stamps from that store instead of a per-page stamp
+dict.  These tests pin each replacement to the old definitions -- in
 order, since ``pending_writers()`` order feeds diff-request issue order
 -- and make the O(writers) rescan impossible to reintroduce unnoticed.
 """
@@ -16,15 +17,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dsm.aurc import AurcPage
+from repro.dsm.audit import CoherenceAuditor
+from repro.dsm.aurc import PAIRWISE, AurcIntervalRecord, AurcPage
 from repro.dsm.compact import NodeIntMap
 from repro.dsm.diffs import DiffRecord
-from repro.dsm.page import TmPage
+from repro.dsm.page import PageView, TmPage
 from repro.dsm.timestamps import IntervalLog, IntervalRecord, IntervalStore
 from repro.faults import FaultPlan, FaultSpec
 from repro.harness import runner
 from repro.harness.bench import config_for
-from repro.harness.experiments import APP_FACTORIES, quick_sizes, scaled_app
+from repro.harness.experiments import (
+    APP_FACTORIES,
+    APP_ORDER,
+    quick_sizes,
+    scaled_app,
+)
 
 WORDS = 8
 
@@ -73,8 +80,7 @@ def test_pending_matches_rescan_after_every_step(cls, steps):
         kind = step[0]
         if kind == "notice":
             was_valid = page.is_valid()
-            extra = (step[1], 1) if cls is AurcPage else ()
-            newly = page.record_notice(step[1], step[2], *extra)
+            newly = page.record_notice(step[1], step[2])
             assert newly == (was_valid and bool(rescan(page)))
         elif kind == "applied":
             page.mark_applied(step[1], step[2])
@@ -88,13 +94,77 @@ def test_pending_matches_rescan_after_every_step(cls, steps):
         assert_matches_rescan(page)
 
 
+def _stamped(writer, interval_id, dst, seq, page=0):
+    return AurcIntervalRecord(writer=writer, interval_id=interval_id,
+                              pages=(page,), stamps={page: (dst, seq)})
+
+
 def test_aurc_notice_stamps_follow_the_notified_watermark():
+    """A fetch reads each pending writer's stamp from the record of its
+    newest notice: a stale notice never wins over a newer one."""
+    store = IntervalStore(10)
+    for record in (_stamped(5, 2, 9, 99), _stamped(5, 3, 9, 40),
+                   _stamped(5, 4, 7, 41), _stamped(6, 1, 9, 0)):
+        store.add(record)
     page = AurcPage(0, WORDS)
-    page.record_notice(5, 3, 9, 40)
-    page.record_notice(5, 2, 9, 99)  # stale: must not replace the stamp
-    assert page.pending_stamps == {5: (3, 9, 40)}
-    page.record_notice(5, 4, 7, 41)
-    assert page.pending_stamps == {5: (4, 7, 41)}
+    page.record_notice(5, 3)
+    page.record_notice(5, 2)  # stale: the watermark stays at 3
+    assert page.begin_fetch(9, store) == ({5: 40}, {5: 3})
+    assert page.landed is not None and not page.landed.any()
+    page.record_notice(5, 4)
+    page.record_notice(6, 1)  # seq 0: nothing to drain
+    assert page.begin_fetch(9, store) == ({}, {5: 4, 6: 1})
+    assert page.begin_fetch(7, store) == ({5: 41}, {5: 4, 6: 1})
+    page.mark_applied(5, 4)  # covered writers are not asked for
+    assert page.begin_fetch(7, store) == ({}, {6: 1})
+
+
+def test_own_update_notice_never_invalidates(make_rig, monkeypatch):
+    """A notice whose updates flow to the merging node (here its pair
+    partner's writes) is applied before it is recorded: the page stays
+    valid and the audit counts no invalidation."""
+    rig = make_rig(protocol_kind="aurc", n=2)
+    auditor = CoherenceAuditor(rig.sim)
+    rig.protocol.attach_audit(auditor)
+    base = rig.alloc("a", 8)
+    page = base // rig.params.words_per_page
+    store = rig.protocol.intervals
+    seen = []
+    record_notice = PageView.record_notice
+
+    def spy(self, writer, interval_id):
+        dst, _seq = store.record(writer, interval_id).stamps[self.page]
+        before = auditor.page_stats(self.page).get("invalidations", 0)
+        was_valid = self.is_valid()
+        newly = record_notice(self, writer, interval_id)
+        if dst == self.audit.node:
+            after = auditor.page_stats(self.page).get("invalidations", 0)
+            seen.append((was_valid, newly, self.is_valid(), after - before))
+        return newly
+
+    monkeypatch.setattr(PageView, "record_notice", spy)
+
+    def w0(api):
+        for i in range(5):
+            yield from api.acquire(0)
+            yield from api.write(base, float(i + 1))
+            yield from api.release(0)
+        yield from api.barrier(0)
+
+    def w1(api):
+        yield from api.read1(base)  # joins sharing -> pairwise
+        for _ in range(5):
+            yield from api.acquire(0)
+            yield from api.read1(base)
+            yield from api.release(0)
+        yield from api.barrier(0)
+
+    rig.run_workers(w0(rig.apis[0]), w1(rig.apis[1]))
+    assert rig.protocol.directory[page].mode == PAIRWISE
+    assert auditor.ok
+    assert seen and any(was_valid for was_valid, *_ in seen)
+    for was_valid, newly, valid, added in seen:
+        assert not newly and added == 0 and valid == was_valid
 
 
 @pytest.mark.parametrize("cls", [TmPage, AurcPage])
@@ -103,9 +173,8 @@ def test_hot_path_never_iterates_the_watermark_maps(cls, monkeypatch):
     notified writers touch one writer's entries, never the whole map."""
     page = cls(0, WORDS)
     page.ensure_frame()
-    extra = (0, 1) if cls is AurcPage else ()
     for w in range(200):
-        page.record_notice(w, 1, *extra)
+        page.record_notice(w, 1)
 
     def boom(self):
         raise AssertionError("watermark map rescanned on the hot path")
@@ -113,11 +182,11 @@ def test_hot_path_never_iterates_the_watermark_maps(cls, monkeypatch):
     for name in ("items", "keys", "values", "__iter__", "as_dict"):
         monkeypatch.setattr(NodeIntMap, name, boom)
     assert not page.is_valid()
-    assert page.record_notice(7, 2, *extra) is False
+    assert page.record_notice(7, 2) is False
     for w in range(200):
         page.mark_applied(w, 2)
         assert page.is_valid() == (w == 199)
-    assert page.record_notice(3, 5, *extra) is True
+    assert page.record_notice(3, 5) is True
     assert not page.is_valid()
     monkeypatch.undo()
     assert page.pending_writers() == [3]
@@ -182,6 +251,7 @@ log_ops = st.lists(
         st.tuples(st.just("behind"), nodes,
                   st.lists(st.integers(0, 13), min_size=N_LOG,
                            max_size=N_LOG)),
+        st.tuples(st.just("record"), nodes, st.integers(0, 13)),
     ),
     max_size=60)
 
@@ -191,7 +261,8 @@ log_ops = st.lists(
 def test_interval_log_matches_dict_model(ops):
     """Writers fill the one store at interval close and nodes learn
     per-writer prefixes; every node's view answers exactly as its own
-    dict of learned records would (same record objects, same order)."""
+    dict of learned records would (same record objects, same order),
+    and the store finds each writer's record by id."""
     store = IntervalStore(N_LOG)
     logs = [IntervalLog(store) for _ in range(N_LOG)]
     models = [_DictLog(N_LOG) for _ in range(N_LOG)]
@@ -216,6 +287,15 @@ def test_interval_log_matches_dict_model(ops):
             node, writer, after_id = op[1], op[2], op[3]
             _same_records(logs[node].records_after(writer, after_id),
                           models[node].records_after(writer, after_id))
+        elif op[0] == "record":
+            # A writer's own model holds every record it closed.
+            writer, interval_id = op[1], op[2]
+            want = models[writer].by_writer[writer].get(interval_id)
+            if want is None:
+                with pytest.raises(KeyError):
+                    store.record(writer, interval_id)
+            else:
+                assert store.record(writer, interval_id) is want
         else:
             node, clock = op[1], op[2]
             _same_records(logs[node].records_behind(clock),
@@ -292,6 +372,54 @@ def test_store_matches_per_node_logs_in_a_run(app_name, protocol,
     assert sum(map(len, store.records)) == calls["publish"]
     for log, model in models.items():
         assert log.count() == model.count()
+
+
+# The deleted per-page stamp dict, ``pending_stamps``, as the model of
+# every ``begin_fetch`` answer: writer -> (interval, dst, seq) of the
+# notice that last raised ``notified``, stamps copied at interval close.
+@pytest.mark.parametrize("protocol", ["aurc", "aurc+prefetch"])
+@pytest.mark.parametrize("app_name", APP_ORDER)
+def test_begin_fetch_matches_the_stamp_dict_in_a_run(app_name, protocol,
+                                                     monkeypatch):
+    stamps_of = {}
+    models = collections.defaultdict(dict)
+    answers = collections.Counter()
+    publish = IntervalLog.publish
+    record_notice = PageView.record_notice
+    begin_fetch = AurcPage.begin_fetch
+
+    def published(self, record):
+        stamps_of[record.writer, record.interval_id] = dict(record.stamps)
+        publish(self, record)
+
+    def noticed(self, writer, interval_id):
+        raised = interval_id > self.notified.get(writer, 0)
+        newly = record_notice(self, writer, interval_id)
+        if raised:
+            dst, seq = stamps_of[writer, interval_id][self.page]
+            models[self][writer] = (interval_id, dst, seq)
+        return newly
+
+    def fetching(self, authority, store):
+        got = begin_fetch(self, authority, store)
+        pending = {w: stamp for w, stamp in models[self].items()
+                   if (self.pending >> w) & 1}
+        assert got == (
+            {w: seq for w, (_i, dst, seq) in pending.items()
+             if dst == authority and seq},
+            {w: interval for w, (interval, _d, _s) in pending.items()})
+        answers["fetch"] += 1
+        answers["covers"] += bool(got[1])
+        answers["waits"] += bool(got[0])
+        return got
+
+    monkeypatch.setattr(IntervalLog, "publish", published)
+    monkeypatch.setattr(PageView, "record_notice", noticed)
+    monkeypatch.setattr(AurcPage, "begin_fetch", fetching)
+    result = runner.run_app(scaled_app(app_name, 4, quick=True),
+                            config_for(protocol), verify=True)
+    assert result.verified
+    assert answers["fetch"] and answers["covers"] and answers["waits"]
 
 
 # -- whole runs ---------------------------------------------------------------

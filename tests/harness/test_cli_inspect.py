@@ -64,11 +64,31 @@ def test_inspect_diff_across_protocols(tmp_path, capsys):
     assert "state digest differs" in out or "->" in out
 
 
+def test_inspect_aurc_notices_take_the_tm_path(tmp_path, capsys):
+    # AURC merges notices through TreadMarks' record_notice: its rings
+    # log the same notice text, and its pages count invalidations (a
+    # notice whose updates flow to the node itself never invalidates).
+    path = str(tmp_path / "aurc.json")
+    assert main(["inspect", "Em3d", "--protocol", "aurc", "--quick",
+                 "--procs", "4", "--json", path]) == 0
+    capsys.readouterr()
+    with open(path) as fh:
+        doc = json.load(fh)
+    entries = [entry for pages in doc["rings"].values()
+               for ring in pages.values() for entry in ring]
+    notices = [entry for entry in entries if " notice w" in entry]
+    assert notices and not any("aurc-notice" in e for e in entries)
+    assert any(entry.endswith(" ->invalid") for entry in notices)
+    assert not all(entry.endswith(" ->invalid") for entry in notices)
+    assert sum(page["transitions"].get("invalidations", 0)
+               for page in doc["pages"]) > 0
+
+
 def test_inspect_rejects_bad_inputs(tmp_path, capsys):
     assert main(["inspect"]) == 2
     assert "needs an APP" in capsys.readouterr().err
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"schema": "repro-chaos/1"}))
+    bad.write_text(json.dumps({"schema": "repro-chaos/2"}))
     assert main(["inspect", str(bad)]) == 2
     assert "expected repro-inspect/1" in capsys.readouterr().err
 

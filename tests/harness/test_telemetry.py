@@ -16,6 +16,7 @@ from repro.harness.telemetry import (
     read_sweep_log,
     sweep_log_summary,
 )
+from repro.stats.report import validate_report
 
 
 # -- the sweep log ---------------------------------------------------------
@@ -148,7 +149,12 @@ def test_chaos_hands_its_events_to_its_sink():
     assert [e["kind"] for e in seen] == [
         "chaos_started", "chaos_cell", "chaos_run", "chaos_finished"]
     assert seen[2]["survived"] and seen[2]["seed"] == 1
+    assert seen[2]["violations"] == 0
     assert seen[-1]["ok"] == report["ok"]
+    assert validate_report(report) == []
+    lines = []
+    LiveRenderer(echo=lines.append)(seen[2])
+    assert lines and "survived, 0 violations" in lines[0]
 
 
 def test_sweep_log_events_are_json_lines(tmp_path):
