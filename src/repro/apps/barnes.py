@@ -115,7 +115,9 @@ def build_octree(pos: np.ndarray, mass: np.ndarray):
     com = np.zeros((max_nodes, 3))
     cmass = np.zeros(max_nodes)
 
-    def summarize(node: int) -> None:
+    # Bottom-up: a cell is always allocated after its parent, so a
+    # reverse sweep finishes every child before the cell that sums it.
+    for node in range(n_nodes - 1, -1, -1):
         total = 0.0
         weighted = np.zeros(3)
         for octant in range(8):
@@ -128,13 +130,10 @@ def build_octree(pos: np.ndarray, mass: np.ndarray):
                 weighted += mass[body] * pos[body]
             else:
                 child = int(slot) - 2
-                summarize(child)
                 total += cmass[child]
                 weighted += cmass[child] * com[child]
         cmass[node] = total
         com[node] = weighted / total if total else center[node]
-
-    summarize(0)
     return (children[:n_nodes], com[:n_nodes], cmass[:n_nodes],
             half[:n_nodes], n_nodes)
 

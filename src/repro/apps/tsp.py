@@ -59,6 +59,30 @@ def held_karp(dist: np.ndarray) -> float:
     return float(best)
 
 
+def _tail_search(dist: List[List[float]], home: List[float], last: int,
+                 cost: float, rest: List[int],
+                 best: float) -> Tuple[float, int]:
+    """Bounded DFS below ``last``: (best completion cost, nodes visited).
+
+    Entered only for a counted node that beats the bound; the children
+    it cannot extend are counted here, not called.  A module function,
+    not a closure: a recursive closure refers to itself, so every
+    search would leave a reference cycle holding ``dist`` behind.
+    """
+    if not rest:
+        total = cost + home[last]
+        return (total if total < best else best), 0
+    row = dist[last]
+    visited = len(rest)
+    for idx, city in enumerate(rest):
+        step = cost + row[city]
+        if step < best:
+            best, below = _tail_search(dist, home, city, step,
+                                       rest[:idx] + rest[idx + 1:], best)
+            visited += below
+    return best, visited
+
+
 class Tsp(Application):
     """Branch-and-bound TSP over a shared work queue."""
 
@@ -125,25 +149,10 @@ class Tsp(Application):
         home = [row[path[0]] for row in dist]
         best = float(bound)
         visited = 1
-
-        def dfs(last: int, cost_so_far: float, rest: List[int]):
-            # Entered only for a counted node that beats the bound; the
-            # children it cannot extend are counted here, not called.
-            nonlocal best, visited
-            if not rest:
-                total = cost_so_far + home[last]
-                if total < best:
-                    best = total
-                return
-            row = dist[last]
-            for idx, city in enumerate(rest):
-                visited += 1
-                step = cost_so_far + row[city]
-                if step < best:
-                    dfs(city, step, rest[:idx] + rest[idx + 1:])
-
         if cost < best:
-            dfs(path[-1], float(cost), remaining)
+            best, below = _tail_search(dist, home, path[-1], float(cost),
+                                       remaining, best)
+            visited += below
         return best, visited
 
     # -- the worker ----------------------------------------------------------

@@ -54,6 +54,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import weakref
 from collections import deque
 from typing import Any, Dict, List, Optional, Set, Tuple
 
@@ -160,7 +161,8 @@ class NodeAudit:
                  "counts", "timeline")
 
     def __init__(self, auditor: "CoherenceAuditor", node: int):
-        self.auditor = auditor
+        # The auditor keeps its node views: refer back weakly.
+        self.auditor = weakref.proxy(auditor)
         self.node = node
         #: The node's live vector clock, read-only here (set by the
         #: protocol's ``attach_audit``).

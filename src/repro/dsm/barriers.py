@@ -24,6 +24,7 @@ Protocol hooks:
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
@@ -66,7 +67,8 @@ class BarrierService:
     """Barrier protocol engine; one instance serves the whole cluster."""
 
     def __init__(self, protocol):
-        self.protocol = protocol
+        # The protocol owns this service: refer back weakly.
+        self.protocol = weakref.proxy(protocol)
         self.sim = protocol.sim
         self.params = protocol.params
         self.stats = BarrierStats()

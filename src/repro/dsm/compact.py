@@ -17,9 +17,13 @@ bit-identical.
 
 Lookups scan the id column linearly, and entry counts are *not* small:
 Em3d holds 49-65 writers per ``notified`` map at 64 and 256 nodes.  The
-scan stays because the hot question, "is anything pending?", no longer
-reaches it (``PageView.pending``): what is left is one scan per watermark
-*change* (:meth:`NodeIntMap.raise_to`), under 10% of a 64-node AURC run.
+hot question, "is anything pending?", no longer reaches the scan
+(``PageView.pending``); what is left is one scan per watermark *change*
+(:meth:`NodeIntMap.raise_to`) or lookup (:meth:`NodeIntMap.get`).  On
+the repo benchmark's 64-node AURC ``scale`` cells those two, with the
+C-level ``array.index`` they call, take 7.5 % of host time under thread
+stack sampling and 12 % under cProfile (2-core x86 host): no faster
+lookup can save more than that, so the scan stays.
 """
 
 from __future__ import annotations

@@ -29,6 +29,7 @@ object:
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
 
@@ -72,7 +73,8 @@ class LockService:
     """Lock protocol engine; one instance serves the whole cluster."""
 
     def __init__(self, protocol):
-        self.protocol = protocol
+        # The protocol owns this service: refer back weakly.
+        self.protocol = weakref.proxy(protocol)
         self.sim = protocol.sim
         self.params = protocol.params
         self.stats = LockStats()

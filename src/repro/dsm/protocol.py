@@ -16,6 +16,7 @@ keeps only what makes it that protocol (see :class:`DsmProtocol`).
 from __future__ import annotations
 
 import itertools
+import weakref
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Tuple
 
@@ -323,7 +324,7 @@ class DsmProtocol:
         self.locks = LockService(self)
         self.barriers = BarrierService(self)
         for node in cluster.nodes:
-            node.nic.handler = self._make_handler(node)
+            node.nic.handler = self._make_handler(node.node_id)
 
     def attach_audit(self, auditor) -> None:
         """Attach a :class:`~repro.dsm.audit.CoherenceAuditor`.
@@ -570,9 +571,14 @@ class DsmProtocol:
 
     # -- plumbing -------------------------------------------------------------
 
-    def _make_handler(self, node: Node):
+    def _make_handler(self, node_id: int):
+        # The NIC holds its handler and the protocol reaches the NIC
+        # through the cluster, so the handler refers back weakly.
+        protocol = weakref.ref(self)
+
         def handler(msg: Message) -> None:
-            self.handle_message(node, msg)
+            owner = protocol()
+            owner.handle_message(owner.cluster.nodes[node_id], msg)
         return handler
 
     def new_token(self) -> int:

@@ -56,7 +56,7 @@ from repro.hardware.controller import (
 )
 from repro.hardware.node import Cluster, Node
 from repro.hardware.params import MachineParams
-from repro.sim import AllOf, Simulator
+from repro.sim import AllOf, Event, Simulator
 from repro.stats.breakdown import Category
 
 __all__ = ["TreadMarks", "TmStats", "NodeTmState"]
@@ -475,8 +475,10 @@ class TreadMarks(DsmProtocol):
         if self.mode.uses_twins:
             self.stats.twins_created += 1
             if self.mode.offload:
-                done = node.controller.submit(
-                    "twin", lambda: self._controller_twin(node), req=sid)
+                done = Event(self.sim)
+                node.controller.submit(
+                    "twin", lambda: self._controller_twin(node), done=done,
+                    req=sid)
                 yield from node.cpu.wait(done, Category.DATA)
             else:
                 start = self.sim.now

@@ -98,15 +98,16 @@ class ProtocolController:
         self._cmd_wait = 0.0
         self._cmd_started = 0.0
         sim.call_soon(self._serve_next)
+        sim.on_close(self._drop_work)
 
     # -- enqueueing ----------------------------------------------------------
 
     def submit(self, name: str, work: Callable[[], Generator],
                priority: int = PRIORITY_URGENT,
-               done: Optional[Event] = None, req: int = 0) -> Event:
-        """Queue a command; returns the completion event."""
-        if done is None:
-            done = Event(self.sim)
+               done: Optional[Event] = None, req: int = 0) -> None:
+        """Queue a command; ``done``, if given, fires with the work's
+        return value when it completes (a command nobody waits on
+        dispatches no completion event)."""
         cmd = Command(name=name, work=work, done=done, priority=priority,
                       enqueued_at=self.sim.now, req=req)
         faults = self.faults
@@ -117,9 +118,8 @@ class ProtocolController:
             # the submit time, so the deferral shows up as queue wait.
             faults.count("ctrl_backpressure", node=self.node_id)
             self.sim.process(self._deferred_put(cmd), daemon=True)
-            return done
+            return
         self._put(cmd)
-        return done
 
     def _deferred_put(self, cmd: Command):
         spec = self.faults.spec
@@ -136,6 +136,12 @@ class ProtocolController:
             return
         self._queue_seq += 1
         heappush(self._queue, (cmd.priority, self._queue_seq, cmd))
+
+    def _drop_work(self) -> None:
+        """Forget the queued and running commands (Simulator.close)."""
+        self._queue.clear()
+        self._cmd = None
+        self._work_gen = None
 
     def depth_by_priority(self) -> Dict[int, int]:
         """Current queue depth per priority level (for the sampler)."""

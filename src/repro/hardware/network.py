@@ -33,8 +33,9 @@ AURC update streams congest real links) and bandwidth/latency knobs
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.hardware.params import MachineParams
 from repro.hardware.topology import make_topology
@@ -152,12 +153,26 @@ class MeshNetwork:
         # exist.  Creation order follows Topology.links() exactly (the
         # golden fixtures pin the historical mesh order).
         self._links: Dict[tuple, Resource] = {}
+        # node id -> the NIC attached there, held weakly: every NIC
+        # holds the network, so strong entries would make the machine
+        # one reference cycle.
+        self._endpoints: List[Optional[weakref.ref]] = [None] * self.n_nodes
         for key in self.topology.links():
             if key in self._links:
                 continue
             label = f"link{key[0]}->{key[1]}" if len(key) == 2 else \
                 f"link{key[0]}->{key[1]}.vc{key[2]}"
             self._links[key] = Resource(sim, name=label)
+
+    # -- endpoints ------------------------------------------------------------
+
+    def attach(self, nic) -> None:
+        """Register ``nic`` as the endpoint of its node."""
+        self._endpoints[nic.node_id] = weakref.ref(nic)
+
+    def endpoint(self, node_id: int):
+        """The NIC attached at ``node_id``."""
+        return self._endpoints[node_id]()
 
     # -- topology helpers ---------------------------------------------------
 

@@ -84,19 +84,18 @@ class _RecvChannel:
 class _SendChannel:
     """Sender-side state for one (this node -> dst) channel.
 
-    A per-channel retransmit daemon sleeps until the earliest pending
-    deadline; on expiry it backs off exponentially (capped) and injects
-    a fresh copy of the envelope.  Acknowledgements clear pending
-    entries; spurious wakes after an ack simply re-evaluate.
+    A per-channel retransmit daemon (``NetworkInterface._retx_loop``)
+    sleeps until the earliest pending deadline; on expiry it backs off
+    exponentially (capped) and injects a fresh copy of the envelope.
+    Acknowledgements clear pending entries; spurious wakes after an ack
+    simply re-evaluate.
     """
 
-    def __init__(self, nic: "NetworkInterface", dst: int):
-        self.nic = nic
+    def __init__(self, dst: int):
         self.dst = dst
         self.next_seq = 0
         self.unacked: Dict[int, _Pending] = {}
         self._wake: Optional[Event] = None
-        nic.sim.process(self._retx_loop(), daemon=True)
 
     def note_send(self) -> None:
         if self._wake is not None and not self._wake.triggered:
@@ -107,29 +106,6 @@ class _SendChannel:
         unacked = self.unacked
         for pending in [s for s in unacked if s <= seq]:
             del unacked[pending]
-
-    def _retx_loop(self):
-        sim = self.nic.sim
-        spec = self.nic.faults.spec
-        while True:
-            if not self.unacked:
-                self._wake = Event(sim)
-                yield self._wake
-                continue
-            seq, pend = min(self.unacked.items(),
-                            key=lambda kv: (kv[1].deadline, kv[0]))
-            if sim.now < pend.deadline:
-                yield sim.pooled_timeout(pend.deadline - sim.now)
-                continue
-            pend.attempts += 1
-            backoff = min(
-                spec.retx_timeout_cycles * (2.0 ** pend.attempts),
-                spec.retx_backoff_cap_cycles)
-            pend.deadline = sim.now + backoff
-            self.nic._note_retransmit(pend, backoff)
-            pend.last_sent = sim.now
-            sim.process(self.nic._fly_reliable(pend.env, inject=True),
-                        daemon=True)
 
 
 @dataclass
@@ -168,7 +144,7 @@ class _MessageFlight:
 
     def start(self) -> None:
         nic = self.nic
-        self.dst_nic = nic.peer(self.dst)
+        self.dst_nic = nic.network.endpoint(self.dst)
         nic.network.transfer(nic.node_id, self.dst, self.nbytes,
                              self.traffic_class, req=self.req,
                              k=self._after_net)
@@ -206,12 +182,12 @@ class _UpdateFlight:
     def start(self) -> None:
         engine = self.engine
         batch = self.batch
-        nic = engine.nic
-        dst_nic = self.dst_nic = nic.peer(batch.dst)
+        network = engine.network
+        dst_nic = self.dst_nic = network.endpoint(batch.dst)
         self.mem = dst_nic.memory
         self.nwords = max(1, batch.nbytes // engine.params.word_bytes)
-        nic.network.transfer(nic.node_id, batch.dst, batch.nbytes,
-                             traffic_class="update", k=self._after_net)
+        network.transfer(engine.node_id, batch.dst, batch.nbytes,
+                         traffic_class="update", k=self._after_net)
 
     def _after_net(self) -> None:
         # Destination-side DMA into memory: PCI then DRAM.
@@ -229,11 +205,11 @@ class _UpdateFlight:
         tracer = engine.sim.tracer
         if tracer is not None:
             tracer.emit("au", node=batch.dst, track="nic",
-                        action="deliver", src=engine.nic.node_id,
+                        action="deliver", src=engine.node_id,
                         page=batch.page, bytes=batch.nbytes,
                         seq=batch.seq)
         peer_engine = dst_nic.au_engine
-        src = engine.nic.node_id
+        src = engine.node_id
         if batch.seq > peer_engine.received_seq.get(src, 0):
             peer_engine.received_seq[src] = batch.seq
             peer_engine._release_seq_waiters(src)
@@ -250,14 +226,18 @@ class AutomaticUpdateEngine:
     *injected* (``sent_seq``) and exposes, per source, the last update
     *delivered* (``received_seq``) so the AURC protocol can implement
     flush and fetch waits.
+
+    The engine takes its NIC's PCI bus, network and node id but keeps
+    no reference to the NIC itself, which owns it.
     """
 
     def __init__(self, nic: "NetworkInterface"):
-        self.nic = nic
         self.sim = nic.sim
         self.params = nic.params
+        self.pci = nic.pci
+        self.network = nic.network
+        self.node_id = nic.node_id
         self._queue: deque[UpdateBatch] = deque()
-        self._wake: Optional[Event] = None
         self.sent_seq: Dict[int, int] = {}
         self.received_seq: Dict[int, int] = {}
         self._seq_waiters: Dict[int, List] = {}
@@ -268,8 +248,11 @@ class AutomaticUpdateEngine:
         # The drain pipeline is a continuation-driven state machine
         # (one batch at a time through injection, then an asynchronous
         # _UpdateFlight per batch); bootstrap lands on the same
-        # (time, seq) slot the old drain-loop process used.
+        # (time, seq) slot the old drain-loop process used.  ``_idle``
+        # is True while it is parked with an empty queue: the next
+        # post_write restarts it in the next (now, seq) slot.
         self._inject_batch: Optional[UpdateBatch] = None
+        self._idle = False
         self.sim.call_soon(self._drain_step)
 
     # -- producer side ------------------------------------------------------
@@ -314,8 +297,9 @@ class AutomaticUpdateEngine:
             self._queue.append(batch)
             self.updates_issued += 1
         self.sent_seq[dst] = seq
-        if self._wake is not None and not self._wake.triggered:
-            self._wake.succeed()
+        if self._idle:
+            self._idle = False
+            self.sim.call_soon(self._drain_step)
         return max(seq, self.sent_seq.get(dst, 0))
 
     # -- consumer side --------------------------------------------------------
@@ -330,17 +314,14 @@ class AutomaticUpdateEngine:
 
     # -- internals ------------------------------------------------------------
 
-    def _drain_step(self, _evt=None) -> None:
+    def _drain_step(self) -> None:
         """Drain-pipeline state machine: park when idle, else inject.
 
-        Doubles as the wake event's callback (hence the ignored event
-        argument).  Each schedule lands on the same (time, seq) slot
-        the old generator drain loop used, so cycles are bit-identical.
+        Each schedule lands on the same (time, seq) slot the old
+        generator drain loop used, so cycles are bit-identical.
         """
         if not self._queue:
-            wake = Event(self.sim)
-            self._wake = wake
-            wake.callbacks.append(self._drain_step)
+            self._idle = True
             return
         self._inject_batch = self._queue.popleft()
         # Per-update injection overhead (1 cycle by default; the
@@ -351,7 +332,7 @@ class AutomaticUpdateEngine:
         timeout.callbacks.append(self._overhead_done)
 
     def _overhead_done(self, _evt) -> None:
-        self.nic.pci.transfer(self._inject_batch.nbytes).callbacks.append(
+        self.pci.transfer(self._inject_batch.nbytes).callbacks.append(
             self._injected)
 
     def _injected(self, _hop) -> None:
@@ -385,7 +366,7 @@ class NetworkInterface:
         self.pci = pci
         self.memory = memory
         self.node_id = node_id
-        self._registry: List["NetworkInterface"] = []
+        network.attach(self)
         # The protocol sets `handler(payload)`; it must not block (it
         # enqueues or spawns a process).
         self.handler: Optional[Callable[[Any], None]] = None
@@ -407,12 +388,6 @@ class NetworkInterface:
     def enable_reliability(self, plan) -> None:
         """Arm sequence-numbered ack/retransmit delivery under ``plan``."""
         self.faults = plan
-
-    def attach_registry(self, registry: List["NetworkInterface"]) -> None:
-        self._registry = registry
-
-    def peer(self, node_id: int) -> "NetworkInterface":
-        return self._registry[node_id]
 
     def send(self, dst: int, payload: Any, nbytes: int,
              traffic_class: str = "protocol", overhead: bool = True,
@@ -450,7 +425,8 @@ class NetworkInterface:
         """Stamp a sequence number, register for retransmit, and fly."""
         chan = self._send_channels.get(dst)
         if chan is None:
-            chan = self._send_channels[dst] = _SendChannel(self, dst)
+            chan = self._send_channels[dst] = _SendChannel(dst)
+            self.sim.process(self._retx_loop(chan), daemon=True)
         env = _Envelope(src=self.node_id, dst=dst, seq=chan.next_seq,
                         payload=payload, nbytes=nbytes,
                         traffic_class=traffic_class, req=req)
@@ -460,6 +436,30 @@ class NetworkInterface:
         chan.unacked[env.seq] = _Pending(env, deadline, now)
         chan.note_send()
         self.sim.process(self._fly_reliable(env, inject=False), daemon=True)
+
+    def _retx_loop(self, chan: _SendChannel):
+        """Daemon: retransmit ``chan``'s envelopes past their deadline."""
+        sim = self.sim
+        spec = self.faults.spec
+        while True:
+            if not chan.unacked:
+                chan._wake = Event(sim)
+                yield chan._wake
+                continue
+            seq, pend = min(chan.unacked.items(),
+                            key=lambda kv: (kv[1].deadline, kv[0]))
+            if sim.now < pend.deadline:
+                yield sim.pooled_timeout(pend.deadline - sim.now)
+                continue
+            pend.attempts += 1
+            backoff = min(
+                spec.retx_timeout_cycles * (2.0 ** pend.attempts),
+                spec.retx_backoff_cap_cycles)
+            pend.deadline = sim.now + backoff
+            self._note_retransmit(pend, backoff)
+            pend.last_sent = sim.now
+            sim.process(self._fly_reliable(pend.env, inject=True),
+                        daemon=True)
 
     def _fly_reliable(self, env: _Envelope, inject: bool):
         """One transmission attempt of ``env``, faults applied.
@@ -480,19 +480,19 @@ class NetworkInterface:
                               env.req)
         if verdict.drop:
             return  # lost at ejection; the retransmit timer recovers it
-        self.peer(env.dst)._deliver_reliable(env)
+        self.network.endpoint(env.dst)._deliver_reliable(env)
 
     def _fly_copy(self, env: _Envelope):
         """A duplicated copy: flies clean and is suppressed on arrival."""
         yield from self._wire(env.dst, env.nbytes, env.traffic_class,
                               env.req)
-        self.peer(env.dst)._deliver_reliable(env)
+        self.network.endpoint(env.dst)._deliver_reliable(env)
 
     def _wire(self, dst: int, nbytes: int, traffic_class: str, req: int):
         """Mesh flight plus destination ejection DMA (no delivery)."""
         yield from self.sim.await_k(self.network.transfer, self.node_id,
                                     dst, nbytes, traffic_class, req)
-        yield self.peer(dst).pci.transfer(nbytes)
+        yield self.network.endpoint(dst).pci.transfer(nbytes)
 
     def _deliver_reliable(self, env: _Envelope) -> None:
         """Receiver side: suppress duplicates, deliver in order, ack."""
@@ -531,7 +531,7 @@ class NetworkInterface:
             return
         yield from self._wire(src, self.params.control_message_bytes,
                               "ack", 0)
-        self.peer(src)._handle_ack(self.node_id, acked)
+        self.network.endpoint(src)._handle_ack(self.node_id, acked)
 
     def _handle_ack(self, peer: int, acked: int) -> None:
         chan = self._send_channels.get(peer)

@@ -58,11 +58,11 @@ class ComputeProcessor:
         self.node_id = node_id
         self.breakdown = TimeBreakdown()
         self._pending: deque = deque()
+        sim.on_close(self._pending.clear)
         self._service_gate: Optional[Event] = None
         # Fused-wake state for the interruptible hold/wait fast path.
         self._wake: Optional[Event] = None
         self._armed_gate: Optional[Event] = None
-        self._trampoline_cb = self._trampoline
         self.finished_at: Optional[float] = None
         self.services_handled = 0
         # Straggler slowdown factor (FaultPlan.install sets > 1.0 on
@@ -109,7 +109,7 @@ class ComputeProcessor:
         service request arrives (via the gate), whichever is first."""
         wake = self.sim.pooled_event()
         self._wake = wake
-        trampoline = self._trampoline_cb
+        trampoline = self._trampoline
         source.callbacks.append(trampoline)
         gate = self._gate()
         gate.callbacks.append(trampoline)
@@ -120,7 +120,7 @@ class ComputeProcessor:
         """Detach the trampoline from whichever sources are still pending
         so lost races neither retain the wake nor fire it after reuse."""
         self._wake = None
-        trampoline = self._trampoline_cb
+        trampoline = self._trampoline
         callbacks = source.callbacks
         if callbacks is not None:
             try:
@@ -335,7 +335,8 @@ class Node:
 
 
 class Cluster:
-    """The whole machine: mesh + nodes, with NIC registries wired up."""
+    """The whole machine: mesh + nodes (each NIC attaches itself to the
+    mesh as its node's endpoint)."""
 
     def __init__(self, sim: Simulator, params: MachineParams,
                  with_controller: bool):
@@ -346,9 +347,6 @@ class Cluster:
             Node(sim, params, i, self.network, with_controller)
             for i in range(params.n_processors)
         ]
-        registry = [node.nic for node in self.nodes]
-        for node in self.nodes:
-            node.nic.attach_registry(registry)
 
     def __len__(self) -> int:
         return len(self.nodes)

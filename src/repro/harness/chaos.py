@@ -17,6 +17,9 @@ reports, per run:
   the sweep;
 * **overhead** -- faulted execution cycles over baseline cycles.
 
+A baseline that raises fails every row of its cell with a
+``baseline: ...`` error, and the sweep goes on to the next cell.
+
 The run is its own reference: a fault-free run's final memory is not,
 since a program whose result legitimately depends on timing (TSP's
 unlocked bound read steers its search) ends with different memory
@@ -71,20 +74,26 @@ def run_chaos(seeds: int = 3,
     for app_name in apps:
         for protocol in protocols:
             config = config_for(protocol)
-            baseline = run_app(
-                scaled_app(app_name, procs, quick=quick), config)
-            emit("chaos_cell", app=app_name,
-                 protocol=baseline.protocol_label, n_procs=procs,
-                 baseline_cycles=baseline.execution_cycles)
+            label = config.label
+            try:
+                baseline = run_app(
+                    scaled_app(app_name, procs, quick=quick), config)
+            except Exception as exc:  # the cell fails, the sweep goes on
+                baseline = None
+                cell = {"error": f"baseline: {type(exc).__name__}: {exc}"}
+                shown = f"FAILED -- {cell['error']}"
+            else:
+                cell = {"baseline_cycles": baseline.execution_cycles}
+                shown = (f"baseline {baseline.execution_cycles / 1e6:8.2f}"
+                         f" Mcycles")
+            emit("chaos_cell", app=app_name, protocol=label, n_procs=procs,
+                 **cell)
             if echo is not None:
-                echo(f"  {app_name:8s} {baseline.protocol_label:8s} "
-                     f"baseline {baseline.execution_cycles / 1e6:8.2f} "
-                     f"Mcycles")
+                echo(f"  {app_name:8s} {label:8s} {shown}")
             for seed in seed_values:
-                plan = FaultPlan(seed=seed, spec=spec)
                 row = {
                     "app": app_name,
-                    "protocol": baseline.protocol_label,
+                    "protocol": label,
                     "n_procs": procs,
                     "seed": seed,
                     "survived": False,
@@ -94,20 +103,24 @@ def run_chaos(seeds: int = 3,
                     "faults": None,
                     "violations": None,
                 }
-                try:
-                    result = run_app(
-                        scaled_app(app_name, procs, quick=quick),
-                        config, faults=plan, snapshot_memory=True,
-                        audit=True)
-                except Exception as exc:  # hang, protocol error, ...
-                    row["error"] = f"{type(exc).__name__}: {exc}"
+                if baseline is None:
+                    row["error"] = cell["error"]
                 else:
-                    row["survived"] = True
-                    row["verified"] = result.verified
-                    row["overhead"] = (result.execution_cycles
-                                       / baseline.execution_cycles - 1.0)
-                    row["faults"] = result.fault_stats
-                    row["violations"] = result.audit.violation_count
+                    try:
+                        result = run_app(
+                            scaled_app(app_name, procs, quick=quick),
+                            config, faults=FaultPlan(seed=seed, spec=spec),
+                            snapshot_memory=True, audit=True)
+                    except Exception as exc:  # hang, protocol error, ...
+                        row["error"] = f"{type(exc).__name__}: {exc}"
+                    else:
+                        row["survived"] = True
+                        row["verified"] = result.verified
+                        row["overhead"] = (
+                            result.execution_cycles
+                            / baseline.execution_cycles - 1.0)
+                        row["faults"] = result.fault_stats
+                        row["violations"] = result.audit.violation_count
                 rows.append(row)
                 emit("chaos_run", app=app_name, protocol=row["protocol"],
                      seed=seed, survived=row["survived"],

@@ -218,8 +218,10 @@ def execute_request(request: SimRequest) -> dict:
     doc = result.to_json()
     doc["wall_seconds"] = wall
     # Process-lifetime peak RSS, captured here so it survives caching.
-    # Caveat: in a reused pool worker the high-water mark may belong to
-    # an earlier, larger simulation run by the same process.
+    # run_app frees each run by refcount as it returns, so earlier runs'
+    # garbage no longer adds to it; but the mark only rises, and in a
+    # reused pool worker or a serial sweep it may still belong to an
+    # earlier, larger run of the same process.
     try:
         import resource
         doc["peak_rss_kb"] = \

@@ -251,95 +251,100 @@ def run_app(app, config: ProtocolConfig,
     if params.n_processors != app.nprocs:
         params = params.replace(n_processors=app.nprocs)
     sim = Simulator()
-    registry = MetricsRegistry() if metrics else None
-    tracer = None
-    if trace:
-        tracer = trace if isinstance(trace, Tracer) \
-            else Tracer(None, limit=trace_limit)
-        tracer.sim = sim
-        tracer.registry = registry
-        sim.tracer = tracer
-    elif metrics:
-        sim.tracer = Tracer(sim, record=False, registry=registry)
-    cluster = Cluster(sim, params, with_controller=config.needs_controller)
-    if faults is not None:
-        faults.install(sim, cluster)
-    segment = SharedSegment(params)
-    app.allocate(segment)
-    protocol = _build_protocol(config, sim, cluster, params, segment)
-    auditor = None
-    if audit:
-        from repro.dsm.audit import CoherenceAuditor
-        auditor = CoherenceAuditor(sim)
-        sim.audit = auditor
-        protocol.attach_audit(auditor)
-    sampler = None
-    if metrics:
-        sampler = Sampler(sim, registry, cluster, protocol,
-                          interval=sample_interval)
+    try:
+        registry = MetricsRegistry() if metrics else None
+        tracer = None
+        if trace:
+            tracer = trace if isinstance(trace, Tracer) \
+                else Tracer(None, limit=trace_limit)
+            tracer.sim = sim
+            tracer.registry = registry
+            sim.tracer = tracer
+        elif metrics:
+            sim.tracer = Tracer(sim, record=False, registry=registry)
+        cluster = Cluster(sim, params, with_controller=config.needs_controller)
+        if faults is not None:
+            faults.install(sim, cluster)
+        segment = SharedSegment(params)
+        app.allocate(segment)
+        protocol = _build_protocol(config, sim, cluster, params, segment)
+        auditor = None
+        if audit:
+            from repro.dsm.audit import CoherenceAuditor
+            auditor = CoherenceAuditor(sim)
+            sim.audit = auditor
+            protocol.attach_audit(auditor)
+        sampler = None
+        if metrics:
+            sampler = Sampler(sim, registry, cluster, protocol,
+                              interval=sample_interval)
 
-    done_events = []
-    for pid in range(app.nprocs):
-        api = DsmApi(protocol, pid)
-        done_events.append(
-            cluster[pid].cpu.start(_worker_body(app, api, pid)))
-    wall_start = time.perf_counter()
-    sim.run(until=AllOf(sim, done_events))
-    wall_seconds = time.perf_counter() - wall_start
-    events_processed = sim.events_processed
-    if sampler is not None:
-        sampler.stop()
+        done_events = []
+        for pid in range(app.nprocs):
+            api = DsmApi(protocol, pid)
+            done_events.append(
+                cluster[pid].cpu.start(_worker_body(app, api, pid)))
+        wall_start = time.perf_counter()
+        sim.run(until=AllOf(sim, done_events))
+        wall_seconds = time.perf_counter() - wall_start
+        events_processed = sim.events_processed
+        if sampler is not None:
+            sampler.stop()
 
-    # Compare against None explicitly: a worker may legitimately finish
-    # at cycle 0, and `or` would replace that with sim.now.
-    finish_times = [sim.now if cluster[pid].cpu.finished_at is None
-                    else cluster[pid].cpu.finished_at
-                    for pid in range(app.nprocs)]
-    execution_cycles = max(finish_times)
-    breakdowns = [cluster[pid].cpu.breakdown.copy()
-                  for pid in range(app.nprocs)]
-    protocol.finalize()
-    if auditor is not None:
-        # Freeze the state digests at the end of the timed region:
-        # verify/snapshot epilogues fault pages through the DSM and
-        # would otherwise fold nondeterministic-looking extra
-        # transitions into the golden digests.
-        auditor.freeze()
+        # Compare against None explicitly: a worker may legitimately finish
+        # at cycle 0, and `or` would replace that with sim.now.
+        finish_times = [sim.now if cluster[pid].cpu.finished_at is None
+                        else cluster[pid].cpu.finished_at
+                        for pid in range(app.nprocs)]
+        execution_cycles = max(finish_times)
+        breakdowns = [cluster[pid].cpu.breakdown.copy()
+                      for pid in range(app.nprocs)]
+        protocol.finalize()
+        if auditor is not None:
+            # Freeze the state digests at the end of the timed region:
+            # verify/snapshot epilogues fault pages through the DSM and
+            # would otherwise fold nondeterministic-looking extra
+            # transitions into the golden digests.
+            auditor.freeze()
 
-    result = RunResult(
-        app_name=app.name,
-        protocol_label=config.label,
-        n_procs=app.nprocs,
-        execution_cycles=execution_cycles,
-        breakdowns=breakdowns,
-        finish_times=finish_times,
-        network=copy.deepcopy(cluster.network.stats),
-        protocol_stats=copy.deepcopy(protocol.stats),
-        controller_diff_cycles=list(
-            getattr(protocol, "controller_diff_cycles", [])),
-        lock_stats=copy.deepcopy(protocol.locks.stats),
-        barrier_stats=copy.deepcopy(protocol.barriers.stats),
-        tracer=tracer,
-        metrics=registry,
-        events_processed=events_processed,
-        wall_seconds=wall_seconds,
-        audit=auditor,
-        coherence_state=protocol.coherence_state_report(),
-    )
+        result = RunResult(
+            app_name=app.name,
+            protocol_label=config.label,
+            n_procs=app.nprocs,
+            execution_cycles=execution_cycles,
+            breakdowns=breakdowns,
+            finish_times=finish_times,
+            network=copy.deepcopy(cluster.network.stats),
+            protocol_stats=copy.deepcopy(protocol.stats),
+            controller_diff_cycles=list(
+                getattr(protocol, "controller_diff_cycles", [])),
+            lock_stats=copy.deepcopy(protocol.locks.stats),
+            barrier_stats=copy.deepcopy(protocol.barriers.stats),
+            tracer=tracer,
+            metrics=registry,
+            events_processed=events_processed,
+            wall_seconds=wall_seconds,
+            audit=auditor,
+            coherence_state=protocol.coherence_state_report(),
+        )
 
-    if verify:
-        # The epilogue reads results through the DSM on processor 0,
-        # outside the timed region; it raises on mismatch.
-        api0 = DsmApi(protocol, 0)
-        epilogue_done = sim.process(app.epilogue(api0))
-        sim.run(until=epilogue_done)
-        result.verified = True
-    if snapshot_memory:
-        api0 = DsmApi(protocol, 0)
-        snapshot_done = sim.process(
-            _snapshot_body(api0, segment.total_words,
-                           params.words_per_page))
-        result.final_memory = sim.run(until=snapshot_done)
-    if faults is not None:
-        result.fault_stats = faults.summary(cluster)
-    return result
+        if verify:
+            # The epilogue reads results through the DSM on processor 0,
+            # outside the timed region; it raises on mismatch.
+            api0 = DsmApi(protocol, 0)
+            epilogue_done = sim.process(app.epilogue(api0))
+            sim.run(until=epilogue_done)
+            result.verified = True
+        if snapshot_memory:
+            api0 = DsmApi(protocol, 0)
+            snapshot_done = sim.process(
+                _snapshot_body(api0, segment.total_words,
+                               params.words_per_page))
+            result.final_memory = sim.run(until=snapshot_done)
+        if faults is not None:
+            result.fault_stats = faults.summary(cluster)
+        return result
+    finally:
+        # Nothing is simulated after this point: free the run's object
+        # graph by refcount instead of leaving it to the cyclic GC.
+        sim.close()

@@ -221,9 +221,14 @@ class LiveRenderer:
                       f"{util_s}, "
                       f"{event.get('batch_seconds', 0.0):.2f}s wall")
         elif kind == "chaos_cell":
-            self.echo(f"[watch] chaos    {event.get('app', '?')}/"
-                      f"{event.get('protocol', '?')} baseline "
-                      f"{event.get('baseline_cycles', 0) / 1e6:.2f} Mcycles")
+            cell = f"{event.get('app', '?')}/{event.get('protocol', '?')}"
+            if event.get("error"):
+                self.echo(f"[watch] chaos    {cell} FAILED -- "
+                          f"{event['error']}")
+            else:
+                self.echo(f"[watch] chaos    {cell} baseline "
+                          f"{event.get('baseline_cycles', 0) / 1e6:.2f} "
+                          f"Mcycles")
         elif kind == "chaos_run":
             verdict = "survived" if event.get("survived") else "FAILED"
             overhead = event.get("overhead")

@@ -235,6 +235,9 @@ class Process(Event):
         # handle, so the completion event can never be waited on and is
         # committed synchronously instead of through the heap.
         self._daemon = daemon
+        # Registered until it returns, so Simulator.close can release
+        # it if the run ends with the process still parked.
+        sim._live[self] = None
         # Bootstrap: resume the generator at time now.
         bootstrap = sim.pooled_event()
         bootstrap.callbacks.append(self._step)
@@ -247,6 +250,7 @@ class Process(Event):
         try:
             target = self._send(event._value)
         except StopIteration as stop:
+            del self.sim._live[self]
             if self._daemon and not self.callbacks:
                 # Nobody can observe a daemon's completion (the handle
                 # was dropped at spawn), so trigger and mark processed
@@ -303,6 +307,10 @@ class Simulator:
         self._event_pool: List[Event] = []
         self._timeout_pool: List[Timeout] = []
         self._cont_pool: List[Continuation] = []
+        # Processes whose generator has not returned yet, and what the
+        # components run to drop their own pending work (see close).
+        self._live: dict = {}
+        self._on_close: list = []
         # Observability attachment point.  Instrumented components emit
         # through the tracer only when it is non-None, so a bare
         # simulator pays a single attribute check per potential
@@ -445,6 +453,53 @@ class Simulator:
         self._seq += 1
         heappush(self._heap, (self.now + delay, self._seq, timeout))
         return timeout
+
+    # -- teardown -------------------------------------------------------------
+
+    def on_close(self, drop: Callable[[], None]) -> None:
+        """Have :meth:`close` call ``drop()``: a component that queues
+        pending work outside the heap (a port's waiting requests, a
+        controller's commands) drops it there, like the heap's."""
+        self._on_close.append(drop)
+
+    def close(self) -> None:
+        """Free a finished run by refcount: cut every edge that keeps
+        its object graph cyclic.
+
+        A run's components hold the simulator; the simulator holds them
+        back only through what is still scheduled or parked.  ``close``
+        closes the generator of every process that never returned (the
+        processors' service loops, retransmit daemons, the sampler,
+        anything an exception left parked), drops the work components
+        queue themselves (:meth:`on_close`), the pending heap and
+        same-cycle entries with their waiters, and the free lists, and
+        unbinds the attached tracer and auditor, so nothing reachable
+        from the run points back at it (DESIGN.md, "Run lifetime").  It
+        empties no data a caller may still hold -- statistics, the
+        tracer's events, the auditor's digests stay -- but nothing can
+        be simulated afterwards.
+        """
+        live, self._live = self._live, {}
+        for process in live:
+            process._send.__self__.close()
+        drops, self._on_close = self._on_close, []
+        for drop in drops:
+            drop()
+        for queue in (self._heap, self._nowq):
+            for entry in queue:
+                # An event scheduled but never dispatched may still be
+                # held elsewhere (a port's granted request): drop its
+                # waiters with it.
+                callbacks = getattr(entry[2], "callbacks", None)
+                if callbacks:
+                    callbacks.clear()
+            queue.clear()
+        self._event_pool.clear()
+        self._timeout_pool.clear()
+        self._cont_pool.clear()
+        for observer in (self.tracer, self.audit):
+            if observer is not None:
+                observer.sim = None
 
     # -- the run loop -------------------------------------------------------
 

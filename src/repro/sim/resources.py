@@ -57,23 +57,21 @@ class Resource:
 
     __slots__ = ("sim", "name", "holder", "_queue", "busy_time",
                  "wait_time", "total_requests", "peak_queue_length",
-                 "_last_change", "_burst", "_end")
+                 "_last_change", "_burst")
 
     def __init__(self, sim: Simulator, name: str = ""):
         self.sim = sim
         self.name = name
         self.holder: Any = None
         self._queue: deque = deque()
+        sim.on_close(self._queue.clear)
         self.busy_time: float = 0.0
         self.wait_time: float = 0.0
         self.total_requests: int = 0
         self.peak_queue_length: int = 0
         self._last_change: float = sim.now
-        # Token of the burst in service (one slot holds at most one),
-        # and the callback that ends it, bound once: a burst allocates
-        # as few collectable objects as the generator it replaced.
+        # Token of the burst in service (one slot holds at most one).
         self._burst: Any = None
-        self._end = self._end_burst
 
     # -- statistics -------------------------------------------------------
 
@@ -167,7 +165,7 @@ class Resource:
         if token is not None:
             self._burst = token
             hop = self.sim.pooled_timeout(cycles)
-            hop.callbacks.append(self._end)
+            hop.callbacks.append(self._end_burst)
             return hop
         waiter = _BurstWaiter(self, cycles)
         self.request().callbacks.append(waiter.granted)
@@ -201,4 +199,5 @@ class _BurstWaiter(_Waiter):
     def granted(self, req: Request) -> None:
         port = self.port
         port._burst = req
-        port.sim.pooled_timeout(self.cycles).callbacks += (port._end, self)
+        port.sim.pooled_timeout(self.cycles).callbacks += (
+            port._end_burst, self)

@@ -18,9 +18,11 @@ from repro.harness import chaos
 from repro.harness.bench import config_for
 from repro.harness.experiments import scaled_app
 from repro.harness.runner import ProtocolConfig, run_app
+from repro.harness.telemetry import LiveRenderer
 from repro.hardware.node import Cluster
 from repro.hardware.params import MachineParams
 from repro.sim import Simulator
+from repro.stats.report import validate_report
 from tests.dsm.test_mutants import MUTANTS
 
 
@@ -176,23 +178,24 @@ def test_chaos_judges_timing_dependent_memory_by_its_own_reads():
 
 
 def test_chaos_fails_under_a_notice_dropping_mutant(monkeypatch):
-    # The mutant is armed in the faulted runs only, so the sweep reaches
-    # its own verdict instead of dying in a fault-free baseline.
-    run = chaos.run_app
-
-    def mutated_when_faulted(app, config, faults=None, **kwargs):
-        if faults is None:
-            return run(app, config, **kwargs)
-        with pytest.MonkeyPatch.context() as patch:
-            MUTANTS["drop-notice"](patch)
-            return run(app, config, faults=faults, **kwargs)
-
-    monkeypatch.setattr(chaos, "run_app", mutated_when_faulted)
-    report = chaos.run_chaos(seeds=1, apps=("Em3d",),
-                             protocols=("Base",), procs=4, echo=None)
+    # Armed in every run: each cell's fault-free baseline raises, which
+    # fails that cell's rows and leaves the sweep going to the next.
+    MUTANTS["drop-notice"](monkeypatch)
+    events = []
+    report = chaos.run_chaos(seeds=2, apps=("Em3d", "Water"),
+                             protocols=("Base",), procs=4, echo=None,
+                             on_event=events.append)
     assert not report["ok"]
-    [row] = report["rows"]
-    assert not row["verified"] and row["error"].startswith("AssertionError")
+    assert report["total"] == 4 and report["survived"] == 0
+    for row in report["rows"]:
+        assert not row["verified"]
+        assert row["error"].startswith("baseline: AssertionError"), row
+    assert validate_report(report) == []
+    cells = [e for e in events if e["kind"] == "chaos_cell"]
+    assert [e["app"] for e in cells] == ["Em3d", "Water"]
+    lines = []
+    LiveRenderer(echo=lines.append)(cells[0])
+    assert "Em3d/TM/Base FAILED -- baseline: AssertionError" in lines[0]
 
 
 def test_faulted_runs_are_deterministic():

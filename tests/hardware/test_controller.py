@@ -10,7 +10,7 @@ from repro.hardware.controller import (
 )
 from repro.hardware.memory import MainMemory
 from repro.hardware.params import MachineParams
-from repro.sim import Simulator
+from repro.sim import Event, Simulator
 
 
 @pytest.fixture
@@ -71,7 +71,8 @@ def test_done_event_carries_result(rig):
         yield from ctrl.core_work(10)
         return "diff-data"
 
-    done = ctrl.submit("diff", work)
+    done = Event(sim)
+    ctrl.submit("diff", work, done=done)
     value = sim.run(until=done)
     assert value == "diff-data"
     assert sim.now == 10
@@ -106,8 +107,8 @@ def test_queue_wait_statistics(rig):
 
 def test_twin_create_cost(rig):
     sim, params, ctrl = rig
-    done = ctrl.submit("twin", lambda: ctrl.twin_create())
-    sim.run(until=done)
+    ctrl.submit("twin", lambda: ctrl.twin_create())
+    sim.run()
     core = 1024 * 5
     mem = params.memory_access_cycles(2048)
     assert sim.now == core + mem
@@ -115,15 +116,15 @@ def test_twin_create_cost(rig):
 
 def test_software_diff_create_scans_whole_page(rig):
     sim, params, ctrl = rig
-    done = ctrl.submit("sdiff", lambda: ctrl.software_diff_create())
-    sim.run(until=done)
+    ctrl.submit("sdiff", lambda: ctrl.software_diff_create())
+    sim.run()
     assert sim.now >= 1024 * 7  # at least the 7-cycles/word scan
 
 
 def test_software_diff_apply_scales_with_dirty_words(rig):
     sim, params, ctrl = rig
-    done = ctrl.submit("apply", lambda: ctrl.software_diff_apply(100))
-    sim.run(until=done)
+    ctrl.submit("apply", lambda: ctrl.software_diff_apply(100))
+    sim.run()
     # Scattered apply: one setup per cache-line-sized group.
     groups = -(-100 // params.words_per_line)
     mem = (groups * params.memory_setup_cycles
@@ -133,30 +134,30 @@ def test_software_diff_apply_scales_with_dirty_words(rig):
 
 def test_dma_diff_create_is_much_cheaper_than_software(rig):
     sim, params, ctrl = rig
-    done = ctrl.submit("dma", lambda: ctrl.dma_diff_create(100))
-    sim.run(until=done)
+    ctrl.submit("dma", lambda: ctrl.dma_diff_create(100))
+    sim.run()
     dma_time = sim.now
 
     sim2 = Simulator()
     pci2 = PciBus(sim2, params)
     mem2 = MainMemory(sim2, params)
     ctrl2 = ProtocolController(sim2, params, pci2, mem2, node_id=0)
-    done2 = ctrl2.submit("sw", lambda: ctrl2.software_diff_create())
-    sim2.run(until=done2)
+    ctrl2.submit("sw", lambda: ctrl2.software_diff_create())
+    sim2.run()
     assert dma_time < sim2.now / 3
 
 
 def test_dma_empty_page_scan_is_base_cost(rig):
     sim, params, ctrl = rig
-    done = ctrl.submit("dma0", lambda: ctrl.dma_diff_create(0))
-    sim.run(until=done)
+    ctrl.submit("dma0", lambda: ctrl.dma_diff_create(0))
+    sim.run()
     assert sim.now == 200
 
 
 def test_page_copy_charges_pci_and_memory(rig):
     sim, params, ctrl = rig
-    done = ctrl.submit("page", lambda: ctrl.page_copy())
-    sim.run(until=done)
+    ctrl.submit("page", lambda: ctrl.page_copy())
+    sim.run()
     assert sim.now == (params.pci_transfer_cycles(4096)
                        + params.memory_access_cycles(1024))
 
@@ -174,7 +175,8 @@ def test_await_k_in_command_work_resumes_in_hop_slot(rig):
         log.append((sim.now, value))
         return value
 
-    done = ctrl.submit("hop", work)
+    done = Event(sim)
+    ctrl.submit("hop", work, done=done)
     sim.run()
     assert done.value == "hop"
     # The controller's _drive resumed the work generator inside the

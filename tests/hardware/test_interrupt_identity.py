@@ -55,7 +55,7 @@ def test_armed_race_without_service_is_cycle_identical():
     # left on the gate to fire the recycled wake later.
     assert cpu._wake is None and cpu._armed_gate is None
     gate = cpu._service_gate
-    assert gate.callbacks is None or cpu._trampoline_cb not in gate.callbacks
+    assert gate.callbacks is None or cpu._trampoline not in gate.callbacks
 
 
 def test_mid_hold_service_preemption_cycle_identity():

@@ -18,7 +18,7 @@ from repro.hardware.controller import (
     ProtocolController,
 )
 from repro.hardware.params import MachineParams
-from repro.sim import Resource, Simulator
+from repro.sim import Event, Resource, Simulator
 from tests.sim import oracles
 
 # Small round values make same-cycle ties likely.
@@ -148,8 +148,9 @@ def _drive_controller(schedule, controller_cls):
         return gen
 
     def submit(name, priority, cycles, child):
-        done = ctrl.submit(name, work(name, cycles, child),
-                           priority=priority)
+        done = Event(sim)
+        ctrl.submit(name, work(name, cycles, child), priority=priority,
+                    done=done)
         done.callbacks.append(
             lambda evt: log.append(("done", evt.value, sim.now)))
         log.append(("depth", name, sim.now,
