@@ -548,9 +548,7 @@ class Aurc(DsmProtocol):
             # for a prefetch in flight, whose install came first.)
             ap.frame = reply.frame.copy()
         ap.landed = None
-        ap.adopt_snapshot(reply.versions)
-        for writer, through in covered.items():
-            ap.mark_applied(writer, through)
+        ap.adopt_snapshot(reply.versions, covered.items())
         self._invalidate_cached(node, ap)
 
     def _serve_fetch(self, node: Node, msg: AurcPageRequest):

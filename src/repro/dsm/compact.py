@@ -22,8 +22,14 @@ hot question, "is anything pending?", no longer reaches the scan
 (:meth:`NodeIntMap.raise_to`) or lookup (:meth:`NodeIntMap.get`).  On
 the repo benchmark's 64-node AURC ``scale`` cells those two, with the
 C-level ``array.index`` they call, take 7.5 % of host time under thread
-stack sampling and 12 % under cProfile (2-core x86 host): no faster
-lookup can save more than that, so the scan stays.
+stack sampling and 12 % under cProfile (2-core x86 host), so the
+single-writer scan stays.  A page install is different: it adopts a
+whole writer snapshot, up to one watermark per node, and at 1024 nodes
+two scans per writer made ``array.index`` 44 % of the AURC mesh cell's
+cProfile time (32 s a run unprofiled, same host).  Installs therefore
+merge in one pass (:meth:`NodeIntMap.raise_many` indexes the id column
+once per call, ``PageView.mark_applied_many`` reads ``notified``
+once): ``array.index`` drops to 0.1 % and the cell runs in 7-9 s.
 """
 
 from __future__ import annotations
@@ -93,6 +99,28 @@ class NodeIntMap:
         self._vals.append(value)
         self.mask |= 1 << node
         return True
+
+    def raise_many(self, pairs) -> list:
+        """:meth:`raise_to` over ``(node, value)`` pairs in order, with
+        the id column indexed once; returns the pairs that raised."""
+        ids, vals = self._ids, self._vals
+        at = dict(zip(ids, range(len(ids))))
+        raised = []
+        for node, value in pairs:
+            i = at.get(node)
+            if i is None:
+                if value <= 0:
+                    continue
+                at[node] = len(ids)
+                ids.append(node)  # as __setitem__: ids first, mask last
+                vals.append(value)
+                self.mask |= 1 << node
+            elif value <= vals[i]:
+                continue
+            else:
+                vals[i] = value
+            raised.append((node, value))
+        return raised
 
     def items(self):
         return zip(self._ids, self._vals)

@@ -29,7 +29,8 @@ AURC notice's flush stamp stays in its interval record, where
 from __future__ import annotations
 
 import sys
-from typing import Dict, List, Optional
+from itertools import chain
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -110,15 +111,33 @@ class PageView:
             if self.audit is not None:
                 self.audit.applied_through(self.page, writer, through_id)
 
+    def mark_applied_many(self, pairs: Iterable[Tuple[int, int]]) -> None:
+        """A :meth:`mark_applied` loop over ``(writer, through_id)``
+        pairs -- same watermarks, ``pending`` bits and audit calls --
+        with ``applied`` and ``notified`` each indexed once, not scanned
+        per writer (a page copy carries up to one watermark per node)."""
+        raised = self.applied.raise_many(pairs)
+        if not raised:
+            return
+        notified = self.notified.as_dict()
+        audit = self.audit
+        for writer, through_id in raised:
+            if through_id >= notified.get(writer, 0):
+                self.pending &= ~(1 << writer)
+            if audit is not None:
+                audit.applied_through(self.page, writer, through_id)
+
     def applied_snapshot(self) -> Dict[int, int]:
         """Watermarks describing this frame's contents (for page copies)."""
         return self.applied.as_dict()
 
-    def adopt_snapshot(self, snapshot: Dict[int, int]) -> None:
+    def adopt_snapshot(self, snapshot: Dict[int, int],
+                       covered: Iterable[Tuple[int, int]] = ()) -> None:
+        """Install a page copy's watermarks, then mark ``covered``
+        ``(writer, through_id)`` pairs applied, in one merge."""
         if self.audit is not None:
             self.audit.installed(self.page, snapshot)
-        for writer, through_id in snapshot.items():
-            self.mark_applied(writer, through_id)
+        self.mark_applied_many(chain(snapshot.items(), covered))
 
     # -- memory accounting ----------------------------------------------------
 

@@ -39,9 +39,13 @@ class CacheAccessResult:
 class DirectMappedCache:
     """Direct-mapped data cache with 32-byte lines over word addresses.
 
-    Tags are stored in a numpy array indexed by line; ``-1`` marks an
-    invalid line.  Addresses are global word indices into the simulated
-    shared segment, so distinct pages conflict realistically.
+    Tags are stored in a list indexed by line; ``-1`` marks an invalid
+    line.  Addresses are global word indices into the simulated shared
+    segment, so distinct pages conflict realistically.  The list grows
+    on demand up to ``min(cache_lines, highest line touched + 1)``: an
+    index past its end was never filled, so a node whose segment spans
+    fewer lines than the cache holds only those (a 256-node machine on a
+    144-line segment would otherwise hold 256 full-size lists).
     """
 
     def __init__(self, params: MachineParams):
@@ -50,8 +54,9 @@ class DirectMappedCache:
         self.words_per_line = params.words_per_line
         # Tags live in a plain list: accesses touch only a handful of
         # lines at a time, where scalar list indexing beats numpy's
-        # fancy-indexing setup cost by an order of magnitude.
-        self._tags = [-1] * self.n_lines
+        # fancy-indexing setup cost by an order of magnitude, and a dict
+        # of tags by about a quarter per line.
+        self._tags: list = []
         # Uncontended DRAM time per missing line: one setup plus the
         # line's words (misses are rarely adjacent in time).
         self._fill_per_miss = (params.memory_setup_cycles
@@ -77,6 +82,8 @@ class DirectMappedCache:
         last = (word_addr + nwords - 1) // wpl
         tags = self._tags
         n_lines = self.n_lines
+        if last >= len(tags) < n_lines:
+            tags += [-1] * (min(n_lines, last + 1) - len(tags))
         misses = 0
         for line in range(first, last + 1):
             idx = line % n_lines
@@ -103,6 +110,9 @@ class DirectMappedCache:
         last = (word_addr + nwords - 1) // wpl
         tags = self._tags
         n_lines = self.n_lines
+        if len(tags) < n_lines:
+            # Short list: every line ever filled lies below its end.
+            last = min(last, len(tags) - 1)
         count = 0
         for line in range(first, last + 1):
             idx = line % n_lines
@@ -113,7 +123,7 @@ class DirectMappedCache:
         return count
 
     def flush(self) -> None:
-        self._tags = [-1] * self.n_lines
+        self._tags = []
 
     @property
     def accesses(self) -> int:

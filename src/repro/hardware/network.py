@@ -163,6 +163,11 @@ class MeshNetwork:
             label = f"link{key[0]}->{key[1]}" if len(key) == 2 else \
                 f"link{key[0]}->{key[1]}.vc{key[2]}"
             self._links[key] = Resource(sim, name=label)
+        # Channel key -> the key tuple above: memoised routes hold these
+        # (one tuple per channel), not compute_route's per-pair copies.
+        self._keys: Optional[Dict[tuple, tuple]] = \
+            {key: key for key in self._links} \
+            if self._routes is not None else None
 
     # -- endpoints ------------------------------------------------------------
 
@@ -200,9 +205,11 @@ class MeshNetwork:
                 return cached
         path = self.topology.compute_route(src, dst)
         links = self._links
-        entry = (path, [links[key] for key in path])
-        if routes is not None:
-            routes[(src, dst)] = entry
+        if routes is None:
+            return path, [links[key] for key in path]
+        keys = self._keys
+        path = [keys[key] for key in path]
+        routes[(src, dst)] = entry = (path, [links[key] for key in path])
         return entry
 
     def hops(self, src: int, dst: int) -> int:

@@ -63,8 +63,9 @@ class Resource:
         self.sim = sim
         self.name = name
         self.holder: Any = None
-        self._queue: deque = deque()
-        sim.on_close(self._queue.clear)
+        # Waiting requests; created at the first contended request (most
+        # of a large machine's links and ports are never contended).
+        self._queue: Optional[deque] = None
         self.busy_time: float = 0.0
         self.wait_time: float = 0.0
         self.total_requests: int = 0
@@ -93,7 +94,7 @@ class Resource:
 
     @property
     def queue_length(self) -> int:
-        return len(self._queue)
+        return len(self._queue) if self._queue is not None else 0
 
     # -- acquire/release ---------------------------------------------------
 
@@ -108,6 +109,9 @@ class Resource:
             self._grant(req)
         else:
             queue = self._queue
+            if queue is None:
+                queue = self._queue = deque()
+                self.sim.on_close(queue.clear)
             queue.append(req)
             if len(queue) > self.peak_queue_length:
                 self.peak_queue_length = len(queue)

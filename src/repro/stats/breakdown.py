@@ -35,6 +35,11 @@ class Category(enum.Enum):
     IPC = "ipc"
     OTHERS = "others"
 
+    # Members are singletons compared by identity, so hash them by
+    # identity too: ``Enum.__hash__`` is a Python-level call, two per
+    # ``TimeBreakdown.charge``.
+    __hash__ = object.__hash__
+
 
 class TimeBreakdown:
     """Accumulator for one processor's time, by category."""

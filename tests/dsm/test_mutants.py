@@ -87,8 +87,8 @@ MUTANTS = {
     "skip-merge-wait": _edit_site(
         Aurc, "_merge_coherence_info", _AU_WAIT, "pass"),
     "install-marks-late-notices": _edit_site(
-        Aurc, "_install", "for writer, through in covered.items():",
-        "for writer, through in ap.notified.items():"),
+        Aurc, "_install", "ap.adopt_snapshot(reply.versions, covered.items())",
+        "ap.adopt_snapshot(reply.versions, ap.notified.items())"),
     "flush-stamp-short": _edit_site(
         Aurc, "proc_write", "st.current_writes[page] = (dst, seq)",
         "st.current_writes[page] = (dst, seq - 1)"),

@@ -94,6 +94,63 @@ def test_pending_matches_rescan_after_every_step(cls, steps):
         assert_matches_rescan(page)
 
 
+class _CallLog:
+    """A stand-in audit adapter recording every call in order."""
+
+    def __init__(self):
+        self.calls = []
+
+    def __getattr__(self, name):
+        return lambda *args: self.calls.append((name, args))
+
+
+def _page_state(page):
+    return (list(page.applied.items()), list(page.notified.items()),
+            page.pending, page.is_valid(), page.audit.calls)
+
+
+@pytest.mark.parametrize("cls", [TmPage, AurcPage])
+@given(history=st.lists(st.tuples(st.sampled_from(["notice", "applied"]),
+                                  writers, ids), max_size=30),
+       pairs=st.lists(st.tuples(writers, ids), max_size=30),
+       framed=st.booleans(), snapshot=st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_bulk_merge_equals_a_mark_applied_loop(cls, history, pairs,
+                                               framed, snapshot):
+    """``mark_applied_many`` (and ``adopt_snapshot`` with covered pairs,
+    which goes through it) leaves the same id order, watermarks,
+    pending bits and audit call sequence as one ``mark_applied`` per
+    pair -- including repeated writers, falling ids and writers no
+    notice named."""
+    pages = []
+    for _ in range(2):
+        page = cls(0, WORDS, audit=_CallLog())
+        if framed:
+            page.ensure_frame()
+        for kind, writer, interval_id in history:
+            if kind == "notice":
+                page.record_notice(writer, interval_id)
+            else:
+                page.mark_applied(writer, interval_id)
+        pages.append(page)
+    bulk, loop = pages
+    if snapshot:
+        # A snapshot's keys are unique; the rest of the pairs are the
+        # install's covered notices.
+        versions = dict(pairs[:len(pairs) // 2])
+        covered = pairs[len(pairs) // 2:]
+        bulk.adopt_snapshot(versions, covered)
+        loop.audit.installed(0, versions)
+        for writer, through_id in [*versions.items(), *covered]:
+            loop.mark_applied(writer, through_id)
+    else:
+        bulk.mark_applied_many(pairs)
+        for writer, through_id in pairs:
+            loop.mark_applied(writer, through_id)
+    assert _page_state(bulk) == _page_state(loop)
+    assert_matches_rescan(bulk)
+
+
 def _stamped(writer, interval_id, dst, seq, page=0):
     return AurcIntervalRecord(writer=writer, interval_id=interval_id,
                               pages=(page,), stamps={page: (dst, seq)})

@@ -1,6 +1,8 @@
 """Cache, write-buffer, and TLB model tests."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.hardware.cache import DirectMappedCache, WriteBuffer
 from repro.hardware.params import MachineParams
@@ -80,6 +82,73 @@ def test_miss_rate_statistics(params):
     assert cache.miss_rate() == pytest.approx(0.5)
     cache.flush()
     assert cache.access_range(0, 8).misses == 1
+
+
+class DenseCache:
+    """The tag model the on-demand list replaced: one full-size list."""
+
+    def __init__(self, params):
+        self.n_lines = params.cache_lines
+        self.wpl = params.words_per_line
+        self.tags = [-1] * self.n_lines
+        self.hits = self.misses = self.invalidations = 0
+
+    def lines(self, word_addr, nwords):
+        if nwords <= 0:
+            return range(0)
+        return range(word_addr // self.wpl,
+                     (word_addr + nwords - 1) // self.wpl + 1)
+
+    def access_range(self, word_addr, nwords):
+        misses = 0
+        lines = self.lines(word_addr, nwords)
+        for line in lines:
+            if self.tags[line % self.n_lines] != line:
+                misses += 1
+                self.tags[line % self.n_lines] = line
+        self.hits += len(lines) - misses
+        self.misses += misses
+        return len(lines) - misses, misses
+
+    def invalidate_range(self, word_addr, nwords):
+        count = 0
+        for line in self.lines(word_addr, nwords):
+            if self.tags[line % self.n_lines] == line:
+                count += 1
+                self.tags[line % self.n_lines] = -1
+        self.invalidations += count
+        return count
+
+
+# A 64-line cache, so ranges wrap past ``cache_lines`` and invalidations
+# reach past the grown list; addresses run to three cache sizes.
+SMALL = MachineParams(cache_size_bytes=64 * 32)
+cache_ops = st.lists(st.tuples(
+    st.sampled_from(["access", "invalidate"]),
+    st.integers(0, 3 * 64 * 8), st.integers(0, 100)), max_size=40)
+
+
+@given(ops=cache_ops)
+@settings(max_examples=300, deadline=None)
+def test_grown_tags_match_the_dense_list(ops):
+    cache, dense = DirectMappedCache(SMALL), DenseCache(SMALL)
+    assert cache.n_lines == 64
+    highest = -1
+    for kind, addr, nwords in ops:
+        if kind == "access":
+            res = cache.access_range(addr, nwords)
+            assert (res.hits, res.misses) == dense.access_range(addr, nwords)
+            assert res.fill_cycles == res.misses * cache._fill_per_miss
+            if nwords > 0:
+                highest = max(highest, (addr + nwords - 1) // 8)
+        else:
+            assert (cache.invalidate_range(addr, nwords)
+                    == dense.invalidate_range(addr, nwords))
+        assert len(cache._tags) == min(cache.n_lines, highest + 1)
+        assert cache._tags == dense.tags[:len(cache._tags)]
+        assert set(dense.tags[len(cache._tags):]) <= {-1}
+    assert ((cache.hits, cache.misses, cache.invalidations)
+            == (dense.hits, dense.misses, dense.invalidations))
 
 
 # -- write buffer -------------------------------------------------------------

@@ -208,8 +208,12 @@ def test_unknown_preset_raises():
 def test_route_memo_bounded_by_node_count():
     small = MeshNetwork(Simulator(), MachineParams(n_processors=16))
     assert small._routes is not None
-    small.route(0, 15)
+    route = small.route(0, 15)
     assert len(small._routes) == 1
+    # The memo holds the link dict's own key tuples, one per channel.
+    keys = {id(key) for key in small._links}
+    assert route and all(id(key) in keys for key in route)
+    assert small.route(0, 15) is route
 
     big = MeshNetwork(
         Simulator(),
